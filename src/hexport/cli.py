@@ -11,7 +11,7 @@ success, 1 on data errors, 2 on flag errors.
 from __future__ import annotations
 
 import argparse
-import os
+import dataclasses
 import sys
 
 import numpy as np
@@ -66,8 +66,7 @@ def _cmd_port(args) -> int:
     config = PortingConfig(
         method=args.method, cells_across=args.cells_across, radius=args.radius
     )
-    threads = args.threads or os.cpu_count() or 1
-    result = port(raster, config, threads=threads)
+    result = port(raster, config)
     _write_text(args.out, grid_io.write_hex_raster(result))
     print(
         f"wrote {args.out}: {result.ncols}x{result.nrows} hex cells, "
@@ -112,26 +111,23 @@ def _cmd_errors(args) -> int:
 def _cmd_flow(args) -> int:
     hexraster = _read_hex(args.hex)
     grid = hexraster.to_grid()
-    dt = args.dt
-    if dt is None:
-        dt = hydroflow.suggest_dt(
-            grid, hexraster.values, args.h0, args.manning, nodata=hexraster.nodata
-        )
     state = hydroflow.FlowState(
         grid=grid,
         z=hexraster.values,
         h=np.full((grid.nrows, grid.ncols), args.h0),
         manning_n=args.manning,
-        dt=dt,
+        dt=1.0 if args.dt is None else args.dt,
         boundary=args.boundary,
         nodata=hexraster.nodata,
     )
+    if args.dt is None:
+        state = dataclasses.replace(state, dt=hydroflow.courant_dt(state))
     result = hydroflow.run(state, args.steps, mask_margin=args.mask_margin)
     if args.out_depth:
         _write_text(args.out_depth, grid_io.write_hex_raster(result.depth))
     if args.out_mask:
         _write_text(args.out_mask, grid_io.write_hex_raster(result.mask))
-    print(f"dt = {dt!r}")
+    print(f"dt = {state.dt!r}")
     for key, value in result.summary.items():
         print(f"{key} = {value}")
     return 0
@@ -141,9 +137,7 @@ def _cmd_render(args) -> int:
     raster = _read_any(getattr(args, "in"))
     fmt = "svg" if args.out.lower().endswith(".svg") else "ppm"
     value_range = None
-    if args.vmin is not None or args.vmax is not None:
-        if args.vmin is None or args.vmax is None:
-            raise ValueError("give both --min and --max or neither")
+    if args.vmin is not None:
         value_range = (args.vmin, args.vmax)
     data = grid_io.render(
         raster,
@@ -184,10 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--cells-across", type=int, help="hex cells per row")
     group.add_argument("--radius", type=float, help="hex circumradius")
-    p.add_argument(
-        "--threads", type=int, default=0,
-        help="worker threads over hex rows (0 = available parallelism)",
-    )
     p.set_defaults(func=_cmd_port)
 
     p = sub.add_parser("degrade", help="punch seeded NODATA holes into a raster")
@@ -236,6 +226,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "render" and (args.vmin is None) != (args.vmax is None):
+            parser.error("give both --min and --max or neither")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

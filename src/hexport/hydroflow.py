@@ -371,11 +371,7 @@ def suggest_dt(
     nodata: Optional[float] = None,
     courant: float = 0.2,
 ) -> float:
-    """Time step keeping dt * side * v_max / cell_area at or below ``courant``.
-
-    Uses the steepest initial slope and the uniform starting depth to bound
-    the Manning velocity.
-    """
+    """:func:`courant_dt` of a uniform starting depth ``h0`` on terrain ``z``."""
     probe = FlowState(
         grid=grid,
         z=z,
@@ -384,8 +380,18 @@ def suggest_dt(
         dt=1.0,
         nodata=nodata,
     )
-    topo = probe.topology()
-    psi = np.where(topo.valid, probe.z.ravel() + probe.h.ravel(), 0.0)
+    return courant_dt(probe, courant)
+
+
+def courant_dt(state: FlowState, courant: float = 0.2) -> float:
+    """Time step keeping dt * side * v_max / cell_area at or below ``courant``.
+
+    Bounds the Manning velocity by the steepest slope and the deepest water
+    of ``state``.  Builds the state's topology, which its steps then reuse.
+    """
+    topo = state.topology()
+    h = state.h.ravel()
+    psi = np.where(topo.valid, state.z.ravel() + h, 0.0)
     rel = np.where(
         topo.neigh >= 0, topo.gather_neighbor(psi, 0.0) - psi[:, None], 0.0
     )
@@ -393,7 +399,8 @@ def suggest_dt(
     b = np.einsum("ij,ij->i", topo.wb[:, 1:], rel)
     g2 = a * a + b * b
     s_max = float(np.sqrt(g2 / (1.0 + g2)).max()) if g2.size else 0.0
-    v_max = float(h0) ** (2.0 / 3.0) * math.sqrt(s_max) / manning_n
+    h_max = float(h[topo.valid].max(initial=0.0))
+    v_max = h_max ** (2.0 / 3.0) * math.sqrt(s_max) / state.manning_n
     if v_max <= 0.0:
         return 1.0
-    return courant * grid.cell_area / (grid.side * v_max)
+    return courant * state.grid.cell_area / (state.grid.side * v_max)

@@ -22,7 +22,6 @@ interpolant through all of them.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,14 +196,14 @@ def eno_select(knots: Knots1D, k: int) -> Stencil1D:
     return Stencil1D(k=k, idx=idx, method=ENO, coeffs=coeffs)
 
 
-def _of_energy(x1, x2, x3, x4, f1, f2, f3, f4, u, v):
-    """Integral over (u, v) of the squared second derivative of the cubic.
+def _of_energy(c, x1, x2, x3, u, v):
+    """Integral over (u, v) of the squared second derivative of a cubic.
 
-    The second derivative of a cubic in Newton form is linear,
+    ``c`` holds the Newton coefficients of the cubic on nodes x1..x4 (the
+    last node does not enter).  The second derivative is linear,
     ``A*x + B`` with A = 6*c3 and B = 2*c2 - 2*c3*(x1+x2+x3), so the
     integral has a short closed form.  Scalar or elementwise.
     """
-    c = _newton_coeffs([x1, x2, x3, x4], [f1, f2, f3, f4])
     a = 6.0 * c[3]
     b = 2.0 * c[2] - 2.0 * c[3] * (x1 + x2 + x3)
     return (
@@ -212,6 +211,13 @@ def _of_energy(x1, x2, x3, x4, f1, f2, f3, f4, u, v):
         + a * b * (v * v - u * u)
         + b * b * (v - u)
     )
+
+
+def _stencil_energy(knots: Knots1D, idx, k: int):
+    """OF energy over interval k of the cubic through the knots ``idx``."""
+    xs = [knots.xs[i] for i in idx]
+    c = _newton_coeffs(xs, [knots.fs[i] for i in idx])
+    return _of_energy(c, *xs[:3], knots.xs[k], knots.xs[k + 1])
 
 
 def of_objective(knots: Knots1D, idx, k: int) -> float:
@@ -225,11 +231,7 @@ def of_objective(knots: Knots1D, idx, k: int) -> float:
     lo, hi = max(0, k - 2), min(n - 1, k + 3)
     if any(not lo <= i <= hi for i in idx):
         raise ValueError(f"stencil {idx} leaves the neighborhood of interval {k}")
-    xs, fs = knots.xs, knots.fs
-    energy = _of_energy(
-        *(xs[i] for i in idx), *(fs[i] for i in idx), xs[k], xs[k + 1]
-    )
-    return float(np.sqrt(max(energy, 0.0)))
+    return float(np.sqrt(max(_stencil_energy(knots, idx, k), 0.0)))
 
 
 def of_select(knots: Knots1D, k: int) -> Stencil1D:
@@ -246,11 +248,10 @@ def of_select(knots: Knots1D, k: int) -> Stencil1D:
     if len(span) < 4:
         raise InsufficientKnotsError(f"interval {k} has fewer than 4 usable knots")
     xs, fs = knots.xs, knots.fs
-    u, v = xs[k], xs[k + 1]
     best = None
     best_energy = None
     for idx in itertools.combinations(span, 4):
-        energy = _of_energy(*(xs[i] for i in idx), *(fs[i] for i in idx), u, v)
+        energy = _stencil_energy(knots, idx, k)
         if best_energy is None or energy < best_energy:
             best_energy = energy
             best = idx

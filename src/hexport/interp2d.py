@@ -9,7 +9,10 @@ extrapolates with its own outermost cubic.
 
 Evaluation is batched along horizontal lines: hexagon-row centers and
 quadrature sample rows share a y, so the per-row 1D evaluations and the
-cross-row combination all vectorize over x.
+cross-row combination all vectorize over x.  Lines that also share their
+xs (every other hexagon row, the quadrature lines of a raster row) go in
+one call: each knot row is then evaluated once, the cross-row stencil
+selection runs once per y-interval, and only a Horner step runs per line.
 
 Also here: the Catmull-Rom spline baseline (regular grids only) and the
 piecewise-constant cell lookup, both with the same line-batched interface.
@@ -19,8 +22,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from .interp1d import (
     _extrap_idx,
     _newton_coeffs,
     _newton_eval,
+    _of_energy,
 )
 
 
@@ -113,104 +116,42 @@ def build_row_like_grid(raster: RectRaster) -> RowLikeGrid:
     return RowLikeGrid(ys=np.array(ys), rows=tuple(rows), dropped_rows=dropped)
 
 
-def _newton_eval_rows(ysw, frows, y):
-    """Newton interpolation across row values; frows entries are arrays."""
-    coeffs = _newton_coeffs(list(ysw), list(frows))
-    return _newton_eval(coeffs, list(ysw), y)
+class _Window:
+    """Values computed on demand, once per index, dropped as a sweep moves up."""
+
+    def __init__(self, compute):
+        self._compute = compute
+        self._held = {}
+
+    def __getitem__(self, j):
+        if j not in self._held:
+            self._held[j] = self._compute(j)
+        return self._held[j]
+
+    def drop_below(self, j):
+        for key in [key for key in self._held if key < j]:
+            del self._held[key]
 
 
-def _eno_combine(ysw, F, k, y):
-    """Vectorized ENO selection and evaluation across rows for interval k."""
-    w = len(ysw)
-    cands = _eno_candidates(k, w)
-    scores = []
-    values = []
-    for p, q in cands:
-        scores.append(
-            _eno_score_parts(
-                ysw[k], ysw[k + 1], ysw[p], ysw[q], F[k], F[k + 1], F[p], F[q]
-            )
-        )
-        idx = (k, k + 1, p, q)
-        values.append(
-            _newton_eval_rows([ysw[i] for i in idx], [F[i] for i in idx], y)
-        )
-    if len(cands) == 1:
-        return values[0]
-    scores = np.stack(scores)
-    values = np.stack(values)
-    sel = np.argmin(scores, axis=0)
-    return np.take_along_axis(values, sel[None, :], axis=0)[0]
+def _heights(y):
+    """Query heights as a 1-D array; ``y`` is a scalar or a 1-D array."""
+    lines = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    if lines.ndim != 1:
+        raise ValueError("y must be a scalar or a 1-D array of heights")
+    return lines
 
 
-def _of_combine(ysw, F, k, y):
-    """Vectorized outlier-filtering selection across rows for interval k."""
-    w = len(ysw)
-    span = range(max(0, k - 2), min(w - 1, k + 3) + 1)
-    u, v = ysw[k], ysw[k + 1]
-    energies = []
-    values = []
-    for idx in itertools.combinations(span, 4):
-        yi = [ysw[i] for i in idx]
-        fi = [F[i] for i in idx]
-        c = _newton_coeffs(yi, fi)
-        a = 6.0 * c[3]
-        b = 2.0 * c[2] - 2.0 * c[3] * (yi[0] + yi[1] + yi[2])
-        energies.append(
-            a * a * (v * v * v - u * u * u) / 3.0
-            + a * b * (v * v - u * u)
-            + b * b * (v - u)
-        )
-        values.append(_newton_eval(c, yi, y))
-    if len(energies) == 1:
-        return values[0]
-    energies = np.stack(energies)
-    values = np.stack(values)
-    sel = np.argmin(energies, axis=0)
-    return np.take_along_axis(values, sel[None, :], axis=0)[0]
-
-
-def _combine_line(ysw, F, y, method):
-    """Extend the per-row values F (w, n) across rows and evaluate at y.
-
-    Mirrors the 1D extension semantics: knot rows are exact for ENO and
-    lateral-limit averages for OF, out-of-range y extrapolates with the four
-    outermost rows, and fewer than four rows degrade to the quadratic or
-    linear interpolant.
-    """
-    w = len(ysw)
-    pos = bisect_left(ysw, y)
-    at_knot = pos < w and ysw[pos] == y
-    if w < 4:
-        if at_knot:
-            return F[pos].copy()
-        return np.asarray(_newton_eval_rows(ysw, list(F), y), dtype=np.float64)
-    if at_knot:
-        if method == ENO:
-            return F[pos].copy()
-        combine = _of_combine
-        left = max(pos - 1, 0)
-        right = min(pos, w - 2)
-        vl = combine(ysw, F, left, y)
-        vr = combine(ysw, F, right, y) if right != left else vl
-        return 0.5 * (vl + vr)
-    if y < ysw[0] or y > ysw[-1]:
-        idx = _extrap_idx(w, y < ysw[0])
-        return np.asarray(
-            _newton_eval_rows([ysw[i] for i in idx], [F[i] for i in idx], y),
-            dtype=np.float64,
-        )
-    k = pos - 1
-    if method == ENO:
-        return _eno_combine(ysw, F, k, y)
-    return _of_combine(ysw, F, k, y)
+def _line_groups(keys):
+    """(key, line indices) for each distinct key, in increasing key order."""
+    return ((key, np.flatnonzero(keys == key)) for key in sorted(set(keys.tolist())))
 
 
 class Extension2D:
     """Everywhere-defined extension of a row-like grid, ENO or OF flavored.
 
     Per-row 1D extensions are built once; evaluation batches over points
-    sharing a y (a line), which is how rasters and hexagon rows are swept.
+    sharing a y (a line) and over lines sharing their xs, which is how
+    rasters and hexagon rows are swept.
     """
 
     def __init__(self, grid: RowLikeGrid, method: str = ENO):
@@ -219,29 +160,73 @@ class Extension2D:
         self.grid = grid
         self.method = method
         self._rows = [Extension1D(row, method) for row in grid.rows]
-        self._ys = list(grid.ys)
 
-    def eval_line(self, xs, y: float) -> np.ndarray:
-        """Evaluate the extension at points (xs[i], y)."""
+    def eval_line(self, xs, y) -> np.ndarray:
+        """Evaluate the extension at points (xs[i], y).
+
+        ``y`` is a scalar, giving shape ``(len(xs),)``, or a 1-D array of
+        heights sharing ``xs``, giving ``(len(y), len(xs))`` whose row i
+        equals the scalar call at ``y[i]`` bit for bit.  Lines are swept
+        bottom-up: each knot row is evaluated once (at most seven held at a
+        time) and the cross-row selection, which does not depend on y, runs
+        once per interval, leaving a Horner step per line.
+        """
         xs = np.asarray(xs, dtype=np.float64)
-        ys = self._ys
-        m = len(ys)
-        y = float(y)
-        pos = bisect_left(ys, y)
-        at_knot = pos < m and ys[pos] == y
-        if at_knot and self.method == ENO:
-            return self._rows[pos].eval_many(xs)
-        if at_knot:
-            lo, hi = max(0, pos - 3), min(m - 1, pos + 3)
-        elif y < ys[0]:
-            lo, hi = 0, min(3, m - 1)
-        elif y > ys[-1]:
-            lo, hi = max(0, m - 4), m - 1
+        lines = _heights(y)
+        ys = self.grid.ys
+        m = ys.size
+        # Sweep key, increasing with y: 2*j on knot row j, 2*k + 1 inside
+        # interval k, with -1 below the rows and 2*m - 1 above them.
+        keys = np.searchsorted(ys, lines) + np.searchsorted(ys, lines, "right") - 1
+        rows = _Window(lambda j: self._rows[j].eval_many(xs))
+        stencils = _Window(lambda k: self._select(k, rows))
+        out = np.empty((lines.size, xs.size))
+        for key, idx in _line_groups(keys):
+            rows.drop_below(key // 2 - 3)
+            stencils.drop_below(key // 2 - 1)
+            at = lines[idx, None]
+            if key % 2 == 0 and (self.method == ENO or m < 4):
+                out[idx] = rows[key // 2]
+            elif key % 2 == 0:
+                j = key // 2
+                left, right = max(j - 1, 0), min(j, m - 2)
+                vl = _newton_eval(*stencils[left], at)
+                vr = _newton_eval(*stencils[right], at) if right != left else vl
+                out[idx] = 0.5 * (vl + vr)
+            elif m < 4 or key in (-1, 2 * m - 1):
+                # Fewer than four rows, or beyond them: one fixed stencil.
+                fixed = range(m) if m < 4 else _extrap_idx(m, key == -1)
+                nodes = [ys[i] for i in fixed]
+                coeffs = _newton_coeffs(nodes, [rows[i] for i in fixed])
+                out[idx] = _newton_eval(coeffs, nodes, at)
+            else:
+                out[idx] = _newton_eval(*stencils[key // 2], at)
+        return out if np.ndim(y) else out[0]
+
+    def _select(self, k, rows):
+        """Per-column cross-row stencil of interval k, as the Newton
+        coefficients and heights that :func:`_newton_eval` takes."""
+        ys = self.grid.ys
+        m = ys.size
+        if self.method == ENO:
+            stencils = [(k, k + 1, p, q) for p, q in _eno_candidates(k, m)]
         else:
-            k = pos - 1
-            lo, hi = max(0, k - 2), min(m - 1, k + 3)
-        F = np.stack([self._rows[j].eval_many(xs) for j in range(lo, hi + 1)])
-        return _combine_line(ys[lo : hi + 1], F, y, self.method)
+            span = range(max(0, k - 2), min(m - 1, k + 3) + 1)
+            stencils = list(itertools.combinations(span, 4))
+        coeffs = []
+        scores = []
+        for idx in stencils:
+            nodes = [ys[i] for i in idx]
+            fs = [rows[i] for i in idx]
+            c = _newton_coeffs(nodes, fs)
+            if self.method == ENO:
+                scores.append(_eno_score_parts(*nodes, *fs))
+            else:
+                scores.append(_of_energy(c, *nodes[:3], ys[k], ys[k + 1]))
+            coeffs.append(c)
+        best = np.argmin(scores, axis=0)
+        chosen = np.array(coeffs)[best, :, np.arange(best.size)].T
+        return list(chosen), list(ys[np.array(stencils)[best, :3]].T)
 
     def __call__(self, x: float, y: float) -> float:
         return float(self.eval_line(np.array([x], dtype=np.float64), y)[0])
@@ -318,26 +303,30 @@ class CrsExtension:
         m = self._tx[row_idx]
         return self._hermite(f[k], f[k + 1], m[k], m[k + 1], t)
 
-    def eval_line(self, xs, y: float) -> np.ndarray:
+    def eval_line(self, xs, y) -> np.ndarray:
+        """Evaluate at points (xs[i], y); ``y`` as in :meth:`Extension2D.eval_line`."""
         xs = np.asarray(xs, dtype=np.float64)
+        lines = _heights(y)
         ys = self.ys
         m = ys.size
-        l = int(np.clip(np.searchsorted(ys, y) - 1, 0, m - 2))
-        rows = {}
-        for j in range(max(0, l - 1), min(m - 1, l + 2) + 1):
-            rows[j] = self._row_eval(j, xs)
-        g0 = rows[l]
-        g1 = rows[l + 1]
-        if l - 1 >= 0:
-            m0 = 0.5 * (g1 - rows[l - 1])
-        else:
-            m0 = g1 - g0
-        if l + 2 <= m - 1:
-            m1 = 0.5 * (rows[l + 2] - g0)
-        else:
-            m1 = g1 - g0
-        t = (y - ys[l]) / (ys[l + 1] - ys[l])
-        return self._hermite(g0, g1, m0, m1, t)
+        segs = np.clip(np.searchsorted(ys, lines) - 1, 0, m - 2)
+        rows = _Window(lambda j: self._row_eval(j, xs))
+        out = np.empty((lines.size, xs.size))
+        for l, idx in _line_groups(segs):
+            rows.drop_below(l - 1)
+            g0 = rows[l]
+            g1 = rows[l + 1]
+            if l - 1 >= 0:
+                m0 = 0.5 * (g1 - rows[l - 1])
+            else:
+                m0 = g1 - g0
+            if l + 2 <= m - 1:
+                m1 = 0.5 * (rows[l + 2] - g0)
+            else:
+                m1 = g1 - g0
+            t = (lines[idx, None] - ys[l]) / (ys[l + 1] - ys[l])
+            out[idx] = self._hermite(g0, g1, m0, m1, t)
+        return out if np.ndim(y) else out[0]
 
     def __call__(self, x: float, y: float) -> float:
         return float(self.eval_line(np.array([x], dtype=np.float64), y)[0])
@@ -354,26 +343,32 @@ class IdExtension:
     def __init__(self, raster: RectRaster):
         self.raster = raster
 
-    def eval_line(self, xs, y: float, fill: float | None = None) -> np.ndarray:
+    def eval_line(self, xs, y, fill: float | None = None) -> np.ndarray:
+        """Cell values at points (xs[i], y); ``y`` as in :meth:`Extension2D.eval_line`.
+
+        Points outside the raster get ``fill``, or raise without one.
+        """
         r = self.raster
         xs = np.asarray(xs, dtype=np.float64)
+        lines = _heights(y)
         xmin, ymin, xmax, ymax = r.bounds
         col = np.floor((xs - r.xll) / r.cellsize).astype(np.int64)
         col[xs == xmax] = r.ncols - 1
-        if y == ymax:
-            row_up = r.nrows - 1
-        else:
-            row_up = int(np.floor((y - r.yll) / r.cellsize))
+        row_up = np.floor((lines - r.yll) / r.cellsize).astype(np.int64)
+        row_up[lines == ymax] = r.nrows - 1
         row = r.nrows - 1 - row_up
-        outside = (col < 0) | (col >= r.ncols) | (row < 0) | (row >= r.nrows)
+        outside = ((col < 0) | (col >= r.ncols))[None, :] | (
+            (row < 0) | (row >= r.nrows)
+        )[:, None]
         if outside.any() and fill is None:
-            x_bad = xs[outside][0]
-            raise OutOfBoundsError(f"point ({x_bad}, {y}) outside raster bounds")
-        row_c = min(max(row, 0), r.nrows - 1)
-        out = r.values[row_c, np.clip(col, 0, r.ncols - 1)].astype(np.float64)
+            i, j = np.argwhere(outside)[0]
+            raise OutOfBoundsError(f"point ({xs[j]}, {lines[i]}) outside raster bounds")
+        out = r.values[
+            np.clip(row, 0, r.nrows - 1)[:, None], np.clip(col, 0, r.ncols - 1)
+        ].astype(np.float64)
         if outside.any():
             out[outside] = float(fill)
-        return out
+        return out if np.ndim(y) else out[0]
 
     def __call__(self, x: float, y: float) -> float:
         return float(self.eval_line(np.array([x], dtype=np.float64), y)[0])

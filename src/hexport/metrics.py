@@ -134,18 +134,18 @@ def extension_l1_errors(
     sum_er = 0.0
     sum_ea = 0.0
     gamma = 0.0
-    for line, y in enumerate(ys):
-        row = line // quad
+    for row in range(raster.nrows):
         gr = np.repeat(raster.values[row], quad)
         valid = gr != raster.nodata
         if not valid.any():
             continue
-        gt = ext.eval_line(xs, float(y))
-        gamma += np.abs(gr[valid]).sum()
-        sum_er += np.abs(gt[valid] - gr[valid]).sum()
-        if field is not None:
-            ga = field(xs[valid], float(y))
-            sum_ea += np.abs(gt[valid] - ga).sum()
+        row_ys = ys[row * quad : (row + 1) * quad]
+        for y, gt in zip(row_ys, ext.eval_line(xs, row_ys)):
+            gamma += np.abs(gr[valid]).sum()
+            sum_er += np.abs(gt[valid] - gr[valid]).sum()
+            if field is not None:
+                ga = field(xs[valid], float(y))
+                sum_ea += np.abs(gt[valid] - ga).sum()
     if gamma == 0.0:
         raise EmptyOverlapError("raster has no usable samples")
     out = {"eps_er": float(sum_er / gamma)}

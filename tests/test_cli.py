@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hexport import hydroflow
 from hexport.cli import main
 from hexport.grid_io import parse_esri_ascii, read_hex_raster
 
@@ -43,6 +44,10 @@ class TestPort:
                        "--method", "eno", "--cells-across", 20) == 0
         h = read_hex_raster(out.read_text())
         assert h.ncols == 20
+
+    def test_threads_flag_is_gone(self, small_dem, tmp_path):
+        assert run_cli("port", "--in", small_dem, "--out", tmp_path / "o.hex",
+                       "--cells-across", 10, "--threads", 1) == 2
 
     def test_requires_exactly_one_sizing(self, small_dem, tmp_path):
         code = run_cli("port", "--in", small_dem, "--out", tmp_path / "x.hex",
@@ -115,6 +120,21 @@ class TestFlow:
         for key in ("volume_initial", "volume_final", "capping_events"):
             assert key in out
 
+    def test_topology_built_once(self, small_dem, tmp_path, monkeypatch):
+        hexf = tmp_path / "dem.hex"
+        run_cli("port", "--in", small_dem, "--out", hexf,
+                "--method", "eno", "--cells-across", 12)
+        built = []
+        init = hydroflow._Topology.__init__
+
+        def counting_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(hydroflow._Topology, "__init__", counting_init)
+        assert run_cli("flow", "--hex", hexf, "--steps", 3) == 0
+        assert len(built) == 1
+
 
 class TestRender:
     def test_rect_svg(self, small_dem, tmp_path):
@@ -129,6 +149,13 @@ class TestRender:
         out = tmp_path / "img.ppm"
         assert run_cli("render", "--in", hexf, "--out", out) == 0
         assert out.read_bytes().startswith(b"P6\n")
+
+    @pytest.mark.parametrize("flag", ["--min", "--max"])
+    def test_half_range_is_flag_error(self, small_dem, tmp_path, flag, capsys):
+        out = tmp_path / "img.svg"
+        assert run_cli("render", "--in", small_dem, "--out", out, flag, 0.5) == 2
+        assert "give both --min and --max or neither" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:

@@ -1,4 +1,5 @@
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hexport.hydroflow import (
     FlowState,
     cell_flow,
     classify,
+    courant_dt,
     fit_plane,
     run,
     slope_descent,
@@ -147,6 +149,30 @@ class TestVelocity:
         w1 = velocity(1.0, 0.5, 0.03, (0.0, 1.0))
         w2 = velocity(1.0, 0.5, 0.06, (0.0, 1.0))
         assert np.hypot(*w1) == pytest.approx(2.0 * np.hypot(*w2))
+
+
+class TestCourantDt:
+    def test_matches_suggest_dt_and_keeps_topology(self):
+        g = HexGrid(ncols=12, nrows=10, r=1.0, x0=0.0, y0=0.0)
+        X, Y = hex_centers(g)
+        z = 0.03 * X - 0.01 * Y * Y
+        z[4, 5] = -9999.0
+        state = make_state(z, h=np.full(z.shape, 0.2), nodata=-9999.0)
+        dt = courant_dt(state)
+        assert dt == suggest_dt(g, z, 0.2, 0.05, nodata=-9999.0)
+        assert state._topo is not None
+        assert replace(state, dt=dt)._topo is state._topo
+
+    def test_deepest_water_bounds_the_step(self):
+        g = HexGrid(ncols=8, nrows=8, r=1.0, x0=0.0, y0=0.0)
+        X, _ = hex_centers(g)
+        h = np.full(X.shape, 0.1)
+        shallow = courant_dt(make_state(0.05 * X, h=h))
+        h[3, 3] = 0.8
+        assert courant_dt(make_state(0.05 * X, h=h)) < shallow
+
+    def test_flat_dry_terrain(self):
+        assert courant_dt(make_state(np.zeros((4, 4)))) == 1.0
 
 
 class TestStep:

@@ -1,7 +1,10 @@
 import bisect
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hexport.errors import (
     IrregularGridError,
@@ -273,3 +276,60 @@ class TestId:
         r = RectRaster(values=[[1.0, 2.0]], xll=0, yll=0, cellsize=1.0)
         got = IdExtension(r).eval_line(np.array([-0.5, 0.5, 2.5]), 0.5, fill=-1.0)
         assert list(got) == [-1.0, 1.0, -1.0]
+
+
+class TestBatchedLines:
+    """A batched eval_line equals stacking scalar calls, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nrows=st.integers(2, 9),
+        ncols=st.integers(2, 9),
+        holes=st.sampled_from([0.0, 0.2, 0.45, 0.7]),
+    )
+    def test_batched_equals_stacked_scalar_calls(self, seed, nrows, ncols, holes):
+        rng = np.random.default_rng(seed)
+        vals = rng.uniform(-3, 3, (nrows, ncols))
+        vals[rng.uniform(0, 1, vals.shape) < holes] = -9999.0
+        r = RectRaster(
+            values=vals, xll=float(rng.uniform(-4, 4)), yll=float(rng.uniform(-4, 4)),
+            cellsize=float(rng.uniform(0.3, 2.0)),
+        )
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", SparseDataWarning)
+                g = build_row_like_grid(r)
+        except TooSparseError:
+            assume(False)
+        xmin, ymin, xmax, ymax = r.bounds
+        xs = np.concatenate([rng.uniform(xmin - 2, xmax + 2, 12), r.x_centers()])
+        # Knot rows (one twice), both sides of the row hull, and between rows.
+        ys = np.concatenate([
+            g.ys, g.ys[:1], [g.ys[0] - 1.3, g.ys[-1] + 0.6, ymin - 2, ymax + 2],
+            rng.uniform(g.ys[0], g.ys[-1], 10),
+        ])
+        rng.shuffle(ys)
+        exts = [Extension2D(g, ENO), Extension2D(g, OF)]
+        if not (vals == -9999.0).any():
+            exts.append(CrsExtension(g))
+        for ext in exts:
+            want = np.stack([ext.eval_line(xs, float(y)) for y in ys])
+            got = ext.eval_line(xs, ys)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        ext = IdExtension(r)
+        want = np.stack([ext.eval_line(xs, float(y), fill=-1.0) for y in ys])
+        got = ext.eval_line(xs, ys, fill=-1.0)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_shapes(self):
+        r = raster_from_fn(lambda x, y: x * y, (0, 0, 6, 6), 6, 6)
+        g = build_row_like_grid(r)
+        xs = np.linspace(0, 6, 7)
+        for ext in (Extension2D(g, ENO), Extension2D(g, OF), CrsExtension(g), IdExtension(r)):
+            assert ext.eval_line(xs, 2.2).shape == (7,)
+            assert ext.eval_line(xs, np.array([2.2])).shape == (1, 7)
+            assert ext.eval_line(xs, np.array([0.5, 2.2, 3.0])).shape == (3, 7)
+            assert ext.eval_line(xs, np.empty(0)).shape == (0, 7)
+        with pytest.raises(ValueError):
+            Extension2D(g, ENO).eval_line(xs, np.ones((2, 2)))

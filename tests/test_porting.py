@@ -1,12 +1,23 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from hexport.cli import main
 from hexport.grid_io import RectRaster, write_hex_raster
 from hexport.hexgrid import locate_many
 from hexport.metrics import runge_raster
 from hexport.porting import PortingConfig, port
 
 from conftest import hex_centers
+
+# sha256 of `hexport port --cells-across 200` applied to SR1, per method.
+SR1_PORT_SHA256 = {
+    "eno": "0e3c4b1eaea1e8e71ba26918c9181621a484dfd50dbccf82f98ad30050dbf0e5",
+    "of": "c9442c1a4b675cf2d1e8aa396b271655a588bf937d58b8709f223bc76c0aabfd",
+    "crs": "04899aed276d818f4a87f6d7b9624c37b1be9956b7a17b62d8cb82d56ba9995b",
+    "id": "3f6ef91dfe93d90c3c913f59f48e1c93107b8d081e2fe1e33061337023a38e15",
+}
 
 
 def raster_from_fn(fn, bounds, ncols, nrows):
@@ -38,12 +49,15 @@ class TestPort:
         b = write_hex_raster(port(r, cfg))
         assert a == b
 
-    def test_threads_do_not_change_output(self):
-        r = runge_raster((-5, -5, 5, 5), 15, 15, 2.0)
-        cfg = PortingConfig(method="of", cells_across=25)
-        assert write_hex_raster(port(r, cfg, threads=1)) == write_hex_raster(
-            port(r, cfg, threads=4)
-        )
+    @pytest.mark.parametrize("method", list(SR1_PORT_SHA256))
+    def test_sr1_port_bytes_are_pinned(self, method, tmp_path):
+        sr1 = tmp_path / "sr1.asc"
+        out = tmp_path / "sr1.hex"
+        assert main(["synth", "--runge", "1", "--cols", "41", "--rows", "41",
+                     "--bounds=-20,-20,20,20", "--out", str(sr1)]) == 0
+        assert main(["port", "--in", str(sr1), "--out", str(out),
+                     "--method", method, "--cells-across", "200"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SR1_PORT_SHA256[method]
 
     def test_id_port_matches_cell_lookup(self):
         rng = np.random.default_rng(0)

@@ -31,7 +31,7 @@ from .errors import (
     MalformedHeaderError,
     NonNumericTokenError,
 )
-from .hexgrid import SQRT3, HexGrid, hex_vertices, locate_many
+from .hexgrid import HexGrid, hex_vertices, locate_many
 
 DEFAULT_NODATA = -9999.0
 
@@ -264,8 +264,7 @@ def write_esri_ascii(raster: RectRaster) -> str:
         f"cellsize {_fmt(raster.cellsize)}",
         f"NODATA_value {_fmt(raster.nodata)}",
     ]
-    for row in raster.values:
-        out.append(" ".join(_fmt(v) for v in row))
+    out.extend(" ".join(map(repr, row.tolist())) for row in raster.values)
     return "\n".join(out) + "\n"
 
 
@@ -303,8 +302,7 @@ def write_hex_raster(raster: HexRaster) -> str:
         f"radius {_fmt(raster.r)}",
         f"NODATA_value {_fmt(raster.nodata)}",
     ]
-    for row in raster.values:
-        out.append(" ".join(_fmt(v) for v in row))
+    out.extend(" ".join(map(repr, row.tolist())) for row in raster.values)
     return "\n".join(out) + "\n"
 
 

@@ -13,6 +13,9 @@ selection rules applied per inter-knot interval:
   derivative.  Anomalous knots are simply left out of the winning stencil,
   at the price of a possibly discontinuous extension.
 
+One batched kernel, :func:`select_stencils`, applies either rule to any
+number of intervals; :func:`eno_select` and :func:`of_select` view one.
+
 Both rules reproduce polynomials up to degree three exactly.  Outside the
 knot range the cubic through the four outermost knots is extrapolated.
 Knot sets with fewer than four points degrade to the quadratic or linear
@@ -118,22 +121,6 @@ def newton_cubic_eval(stencil: Stencil1D, knots: Knots1D, xi: float) -> float:
     return float(_newton_eval(stencil.coeffs, xs, xi))
 
 
-def _eno_candidates(k: int, n: int):
-    """Flanking-pair candidates for interval k, in tie-preference order.
-
-    The centered pair comes first so that a first-strict-minimum scan
-    resolves ties toward it.
-    """
-    out = []
-    if k - 1 >= 0 and k + 2 <= n - 1:
-        out.append((k - 1, k + 2))
-    if k - 2 >= 0:
-        out.append((k - 2, k - 1))
-    if k + 3 <= n - 1:
-        out.append((k + 2, k + 3))
-    return out
-
-
 def _eno_score_parts(xk, xk1, xp, xq, fk, fk1, fp, fq):
     """Oscillation score of the cubic on (k, k+1, p, q) relative to the secant.
 
@@ -170,32 +157,6 @@ def eno_score(knots: Knots1D, k: int, p: int, q: int) -> float:
     )
 
 
-def eno_select(knots: Knots1D, k: int) -> Stencil1D:
-    """Pick the least-oscillating cubic stencil containing interval k.
-
-    Ties go to the centered candidate, then to the left-shifted one.
-    """
-    n = len(knots)
-    if not 0 <= k <= n - 2:
-        raise ValueError(f"interval index {k} out of range")
-    cands = _eno_candidates(k, n)
-    if not cands:
-        raise InsufficientKnotsError(f"interval {k} has fewer than 4 usable knots")
-    xs, fs = knots.xs, knots.fs
-    best = None
-    best_score = None
-    for p, q in cands:
-        score = _eno_score_parts(
-            xs[k], xs[k + 1], xs[p], xs[q], fs[k], fs[k + 1], fs[p], fs[q]
-        )
-        if best_score is None or score < best_score:
-            best_score = score
-            best = (p, q)
-    idx = (k, k + 1, best[0], best[1])
-    coeffs = tuple(_newton_coeffs([xs[i] for i in idx], [fs[i] for i in idx]))
-    return Stencil1D(k=k, idx=idx, method=ENO, coeffs=coeffs)
-
-
 def _of_energy(c, x1, x2, x3, u, v):
     """Integral over (u, v) of the squared second derivative of a cubic.
 
@@ -213,13 +174,6 @@ def _of_energy(c, x1, x2, x3, u, v):
     )
 
 
-def _stencil_energy(knots: Knots1D, idx, k: int):
-    """OF energy over interval k of the cubic through the knots ``idx``."""
-    xs = [knots.xs[i] for i in idx]
-    c = _newton_coeffs(xs, [knots.fs[i] for i in idx])
-    return _of_energy(c, *xs[:3], knots.xs[k], knots.xs[k + 1])
-
-
 def of_objective(knots: Knots1D, idx, k: int) -> float:
     """L2 norm over interval k of the second derivative of the cubic on idx."""
     n = len(knots)
@@ -231,7 +185,106 @@ def of_objective(knots: Knots1D, idx, k: int) -> float:
     lo, hi = max(0, k - 2), min(n - 1, k + 3)
     if any(not lo <= i <= hi for i in idx):
         raise ValueError(f"stencil {idx} leaves the neighborhood of interval {k}")
-    return float(np.sqrt(max(_stencil_energy(knots, idx, k), 0.0)))
+    xs = [knots.xs[i] for i in idx]
+    c = _newton_coeffs(xs, [knots.fs[i] for i in idx])
+    return float(np.sqrt(max(_of_energy(c, *xs[:3], knots.xs[k], knots.xs[k + 1]), 0.0)))
+
+
+# Candidates in tie-preference order, as slots of interval k's window (slot
+# s holds knot k - 2 + s): ENO adds the centered, left, then right flank pair
+# to the interval; OF takes every 4-knot subset, lexicographically.
+_CANDIDATES = {
+    ENO: np.array([(2, 3, 1, 4), (2, 3, 0, 1), (2, 3, 4, 5)]),
+    OF: np.array(list(itertools.combinations(range(6), 4))),
+}
+_BLOCK = 4096  # intervals per select_stencils call in select_rows
+
+
+def _windows(xs, start, n, k):
+    """Six-knot windows of intervals ``k`` of rows ``xs[start : start + n]``.
+
+    Returns slot-major ``(6, N)`` abscissas, slot validity, and each slot's
+    knot index into ``xs``.  A slot past the row's end gets the end knot at
+    a dummy abscissa, a window span further out per slot, so windows stay
+    strictly increasing and no candidate divides by zero.
+    """
+    local = k + np.arange(-2, 4)[:, None]
+    inside = np.clip(local, 0, n - 1)
+    valid = local == inside
+    at = start + inside
+    wx = xs[at]
+    span = wx[5] - wx[0]
+    wx = np.where(valid, wx, wx + (local - inside) * span)
+    return wx, valid, at
+
+
+def select_stencils(wx, wf, valid, method: str):
+    """ENO/OF stencils of N intervals from slot-major ``(6, N)`` windows.
+
+    ``wx`` and ``valid`` may be ``(6, 1)``, shared by all intervals.  Among
+    candidates without invalid slots, a scan in tie-preference order keeping
+    a strict running minimum keeps the first if its score is NaN or unbeaten,
+    else the first least score.  Returns chosen slots, Newton coefficients
+    and Horner nodes, ``(N, 4|4|3)``.
+    """
+    cands = _CANDIDATES[method].T
+    x, f = list(wx[cands]), list(wf[cands])
+    score = (_eno_score_parts(*x, *f) if method == ENO
+             else _of_energy(_newton_coeffs(x, f), *x[:3], wx[2], wx[3]))
+    usable = valid[cands].all(axis=0)
+    cols = np.arange(score.shape[1])
+    first = np.argmax(usable, axis=0)
+    keep_first = np.isnan(score[first, cols])
+    score = np.where(usable & ~np.isnan(score), score, np.inf)
+    best = np.argmin(score, axis=0)
+    best = np.where(keep_first | (score[best, cols] == np.inf), first, best)
+    chosen = cands.T[best]
+    x = np.broadcast_to(wx, wf.shape)[chosen.T, cols]
+    c = _newton_coeffs(list(x), list(wf[chosen.T, cols]))
+    return chosen, np.array(c).T, x[:3].T
+
+
+def select_rows(rows, method: str):
+    """:func:`select_stencils` over every interval of rows of 4+ knots.
+
+    Intervals go row after row, in blocks of ``_BLOCK`` to bound the
+    temporaries.  Returns knot indices within each row, Newton coefficients
+    and Horner nodes, ``(N, 4|4|3)``.
+    """
+    n = np.array([len(row) for row in rows], dtype=np.int64)
+    start = np.repeat(np.cumsum(n) - n, n - 1)
+    k = np.arange(start.size) - np.repeat(np.cumsum(n - 1) - (n - 1), n - 1)
+    n = np.repeat(n, n - 1)
+    xs = np.concatenate([row.xs for row in rows] or [[]])
+    fs = np.concatenate([row.fs for row in rows] or [[]])
+    idx, c, nodes = np.empty((k.size, 4), np.int64), np.empty((k.size, 4)), np.empty((k.size, 3))
+    for lo in range(0, k.size, _BLOCK):
+        part = slice(lo, lo + _BLOCK)
+        wx, valid, at = _windows(xs, start[part], n[part], k[part])
+        chosen, c[part], nodes[part] = select_stencils(wx, fs[at], valid, method)
+        idx[part] = k[part, None] - 2 + chosen
+    return idx, c, nodes
+
+
+def _select_one(knots: Knots1D, k: int, method: str) -> Stencil1D:
+    """One-interval view of :func:`select_stencils`."""
+    n = len(knots)
+    if not 0 <= k <= n - 2:
+        raise ValueError(f"interval index {k} out of range")
+    if n < 4:
+        raise InsufficientKnotsError(f"interval {k} has fewer than 4 usable knots")
+    wx, valid, at = _windows(knots.xs, 0, n, np.array([k]))
+    chosen, c, _ = select_stencils(wx, knots.fs[at], valid, method)
+    idx = tuple((k - 2 + chosen[0]).tolist())
+    return Stencil1D(k=k, idx=idx, method=method, coeffs=tuple(c[0]))
+
+
+def eno_select(knots: Knots1D, k: int) -> Stencil1D:
+    """Pick the least-oscillating cubic stencil containing interval k.
+
+    Ties go to the centered candidate, then to the left-shifted one.
+    """
+    return _select_one(knots, k, ENO)
 
 
 def of_select(knots: Knots1D, k: int) -> Stencil1D:
@@ -241,39 +294,21 @@ def of_select(knots: Knots1D, k: int) -> Stencil1D:
     the interval endpoints, which is what lets it skip outliers.  Ties go
     to the lexicographically smallest index tuple.
     """
-    n = len(knots)
-    if not 0 <= k <= n - 2:
-        raise ValueError(f"interval index {k} out of range")
-    span = range(max(0, k - 2), min(n - 1, k + 3) + 1)
-    if len(span) < 4:
-        raise InsufficientKnotsError(f"interval {k} has fewer than 4 usable knots")
-    xs, fs = knots.xs, knots.fs
-    best = None
-    best_energy = None
-    for idx in itertools.combinations(span, 4):
-        energy = _stencil_energy(knots, idx, k)
-        if best_energy is None or energy < best_energy:
-            best_energy = energy
-            best = idx
-    coeffs = tuple(_newton_coeffs([xs[i] for i in best], [fs[i] for i in best]))
-    return Stencil1D(k=k, idx=best, method=OF, coeffs=coeffs)
-
-
-def _extrap_idx(n: int, low: bool):
-    """Fixed stencil used beyond the knot range: the four outermost knots."""
-    return (0, 1, 2, 3) if low else (n - 4, n - 3, n - 2, n - 1)
+    return _select_one(knots, k, OF)
 
 
 class Extension1D:
     """An everywhere-defined extension of one knot row.
 
-    Stencil selection runs once per interval at construction; evaluation is
-    then an interval lookup plus a Horner step, vectorized over query
-    points.  With fewer than four knots the quadratic or linear interpolant
-    through all knots is used instead and a degraded flag is set.
+    Stencils are selected for all intervals in one batched pass, here or by
+    a caller that passes this row's slice of its :func:`select_rows` result
+    as ``tables``.  Evaluation is an interval lookup plus a Horner step,
+    vectorized over query points.  With fewer than four knots the quadratic
+    or linear interpolant through all knots is used instead and a degraded
+    flag is set.
     """
 
-    def __init__(self, knots: Knots1D, method: str):
+    def __init__(self, knots: Knots1D, method: str, tables=None):
         if method not in _METHODS:
             raise ValueError(f"unknown method {method!r}")
         self.knots = knots
@@ -281,30 +316,14 @@ class Extension1D:
         xs, fs = knots.xs, knots.fs
         n = xs.size
         self.degraded = n < 4
-        self.stencils = []
         if self.degraded:
             self._coeffs = _newton_coeffs(list(xs), list(fs))
             self._cxs = list(xs)
             return
-        select = eno_select if method == ENO else of_select
-        c_rows = np.empty((n - 1, 4))
-        x_rows = np.empty((n - 1, 3))
-        for k in range(n - 1):
-            st = select(knots, k)
-            self.stencils.append(st)
-            c_rows[k] = st.coeffs
-            x_rows[k] = [xs[i] for i in st.idx[:3]]
-        self._c = c_rows
-        self._x = x_rows
-        lo = _extrap_idx(n, True)
-        hi = _extrap_idx(n, False)
-        self._lo = (
-            _newton_coeffs([xs[i] for i in lo], [fs[i] for i in lo]),
-            [xs[i] for i in lo[:3]],
-        )
-        self._hi = (
-            _newton_coeffs([xs[i] for i in hi], [fs[i] for i in hi]),
-            [xs[i] for i in hi[:3]],
+        self._c, self._x = select_rows([knots], method)[1:] if tables is None else tables
+        self._lo, self._hi = (
+            (_newton_coeffs(list(xs[end]), list(fs[end])), list(xs[end][:3]))
+            for end in (slice(0, 4), slice(n - 4, n))
         )
 
     def __call__(self, xi: float) -> float:
@@ -315,17 +334,12 @@ class Extension1D:
         x = np.asarray(x, dtype=np.float64)
         xs, fs = self.knots.xs, self.knots.fs
         n = xs.size
-        if self.degraded:
-            out = np.asarray(
-                _newton_eval(self._coeffs, self._cxs, x), dtype=np.float64
-            ).reshape(x.shape)
-            out = out.copy()
-            pos = np.searchsorted(xs, x)
-            at_knot = (pos < n) & (xs[np.minimum(pos, n - 1)] == x)
-            out[at_knot] = fs[pos[at_knot]]
-            return out
         pos = np.searchsorted(xs, x)
         at_knot = (pos < n) & (xs[np.minimum(pos, n - 1)] == x)
+        if self.degraded:
+            out = np.array(_newton_eval(self._coeffs, self._cxs, x), dtype=np.float64)
+            out[at_knot] = fs[pos[at_knot]]
+            return out
         k = np.clip(pos - 1, 0, n - 2)
         out = self._horner(self._c[k], self._x[k], x)
         below = x < xs[0]

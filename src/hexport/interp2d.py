@@ -20,7 +20,6 @@ piecewise-constant cell lookup, both with the same line-batched interface.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -38,12 +37,11 @@ from .interp1d import (
     OF,
     Extension1D,
     Knots1D,
-    _eno_candidates,
-    _eno_score_parts,
-    _extrap_idx,
     _newton_coeffs,
     _newton_eval,
-    _of_energy,
+    _windows,
+    select_rows,
+    select_stencils,
 )
 
 
@@ -149,9 +147,9 @@ def _line_groups(keys):
 class Extension2D:
     """Everywhere-defined extension of a row-like grid, ENO or OF flavored.
 
-    Per-row 1D extensions are built once; evaluation batches over points
-    sharing a y (a line) and over lines sharing their xs, which is how
-    rasters and hexagon rows are swept.
+    Stencils of all knot rows are selected in one batched pass; evaluation
+    batches over points sharing a y (a line) and over lines sharing their
+    xs, which is how rasters and hexagon rows are swept.
     """
 
     def __init__(self, grid: RowLikeGrid, method: str = ENO):
@@ -159,7 +157,11 @@ class Extension2D:
             raise ValueError(f"unknown method {method!r}")
         self.grid = grid
         self.method = method
-        self._rows = [Extension1D(row, method) for row in grid.rows]
+        self._ywin = _windows(grid.ys, 0, grid.ys.size, np.arange(grid.ys.size - 1))
+        _, c, x = select_rows([row for row in grid.rows if len(row) >= 4], method)
+        at = np.cumsum([0] + [len(row) - 1 if len(row) >= 4 else 0 for row in grid.rows])
+        self._rows = [Extension1D(row, method, (c[a:b], x[a:b]))
+                      for row, a, b in zip(grid.rows, at, at[1:])]
 
     def eval_line(self, xs, y) -> np.ndarray:
         """Evaluate the extension at points (xs[i], y).
@@ -195,7 +197,7 @@ class Extension2D:
                 out[idx] = 0.5 * (vl + vr)
             elif m < 4 or key in (-1, 2 * m - 1):
                 # Fewer than four rows, or beyond them: one fixed stencil.
-                fixed = range(m) if m < 4 else _extrap_idx(m, key == -1)
+                fixed = range(m) if m < 4 else range(4) if key == -1 else range(m - 4, m)
                 nodes = [ys[i] for i in fixed]
                 coeffs = _newton_coeffs(nodes, [rows[i] for i in fixed])
                 out[idx] = _newton_eval(coeffs, nodes, at)
@@ -206,27 +208,10 @@ class Extension2D:
     def _select(self, k, rows):
         """Per-column cross-row stencil of interval k, as the Newton
         coefficients and heights that :func:`_newton_eval` takes."""
-        ys = self.grid.ys
-        m = ys.size
-        if self.method == ENO:
-            stencils = [(k, k + 1, p, q) for p, q in _eno_candidates(k, m)]
-        else:
-            span = range(max(0, k - 2), min(m - 1, k + 3) + 1)
-            stencils = list(itertools.combinations(span, 4))
-        coeffs = []
-        scores = []
-        for idx in stencils:
-            nodes = [ys[i] for i in idx]
-            fs = [rows[i] for i in idx]
-            c = _newton_coeffs(nodes, fs)
-            if self.method == ENO:
-                scores.append(_eno_score_parts(*nodes, *fs))
-            else:
-                scores.append(_of_energy(c, *nodes[:3], ys[k], ys[k + 1]))
-            coeffs.append(c)
-        best = np.argmin(scores, axis=0)
-        chosen = np.array(coeffs)[best, :, np.arange(best.size)].T
-        return list(chosen), list(ys[np.array(stencils)[best, :3]].T)
+        wx, valid, at = (w[:, k : k + 1] for w in self._ywin)
+        wf = np.array([rows[j] for j in at[:, 0].tolist()])
+        _, c, nodes = select_stencils(wx, wf, valid, self.method)
+        return c.T, nodes.T
 
     def __call__(self, x: float, y: float) -> float:
         return float(self.eval_line(np.array([x], dtype=np.float64), y)[0])

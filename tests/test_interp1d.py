@@ -1,8 +1,12 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hexport import interp1d
 from hexport.errors import DuplicateKnotError, EmptyKnotsError, InsufficientKnotsError
 from hexport.interp1d import (
     ENO,
@@ -10,6 +14,9 @@ from hexport.interp1d import (
     Extension1D,
     Knots1D,
     Stencil1D,
+    _eno_score_parts,
+    _newton_coeffs,
+    _of_energy,
     divided_difference,
     eno_score,
     eno_select,
@@ -17,7 +24,9 @@ from hexport.interp1d import (
     newton_cubic_eval,
     of_objective,
     of_select,
+    select_rows,
 )
+from hexport.interp2d import Extension2D, RowLikeGrid
 
 GAUSS5 = np.polynomial.legendre.leggauss(5)
 
@@ -360,3 +369,139 @@ class TestExtend1D:
     def test_extend_1d_wrapper(self):
         kn = Knots1D(np.arange(5.0), np.arange(5.0) ** 2)
         assert extend_1d(kn, 2.5, ENO) == pytest.approx(6.25, rel=1e-13)
+
+
+def scalar_select(xs, fs, k, method):
+    """The per-interval scan the batched kernel replaced, kept as its oracle.
+
+    Scores the candidates of interval k one at a time in tie-preference
+    order and keeps the first strict minimum.  Returns the stencil's knot
+    indices, its Newton coefficients and its Horner nodes.
+    """
+    n = len(xs)
+    if method == ENO:
+        cands = []
+        if k - 1 >= 0 and k + 2 <= n - 1:
+            cands.append((k, k + 1, k - 1, k + 2))
+        if k - 2 >= 0:
+            cands.append((k, k + 1, k - 2, k - 1))
+        if k + 3 <= n - 1:
+            cands.append((k, k + 1, k + 2, k + 3))
+    else:
+        cands = list(itertools.combinations(range(max(0, k - 2), min(n - 1, k + 3) + 1), 4))
+    best = best_score = None
+    for idx in cands:
+        x = [xs[i] for i in idx]
+        f = [fs[i] for i in idx]
+        if method == ENO:
+            score = _eno_score_parts(*x, *f)
+        else:
+            score = _of_energy(_newton_coeffs(x, f), *x[:3], xs[k], xs[k + 1])
+        if best_score is None or score < best_score:
+            best, best_score = idx, score
+    x = [xs[i] for i in best]
+    return best, _newton_coeffs(x, [fs[i] for i in best]), x[:3]
+
+
+def ragged_rows(seed, lengths, values):
+    """Knot rows of the given lengths; ``values`` picks how ties are forced."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for n in lengths:
+        if rng.integers(0, 2):
+            xs = np.cumsum(rng.uniform(0.1, 2.0, n)) - 3.0
+        else:
+            xs = np.arange(float(n)) * 0.5
+        if values == "uniform":
+            fs = rng.uniform(-4, 4, n)
+        elif values == "rounded":
+            fs = np.round(rng.uniform(-2, 2, n))
+        else:
+            fs = np.full(n, float(rng.integers(-2, 3)))
+        rows.append(Knots1D(xs, fs))
+    return rows
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+class TestSelectionKernel:
+    """The batched kernel picks what the scalar scan picks, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lengths=st.lists(st.one_of(st.sampled_from([2, 3, 4, 5]), st.integers(4, 40)),
+                         min_size=2, max_size=6),
+        values=st.sampled_from(["uniform", "rounded", "constant"]),
+        block=st.sampled_from([3, 4096]),
+    )
+    def test_ragged_rows_match_scalar_scan(self, seed, lengths, values, block):
+        # Rows of 2-3 knots take the degraded path and stay out of the kernel.
+        rows = ragged_rows(seed, lengths, values)
+        full = [row for row in rows if len(row) >= 4]
+        grid = RowLikeGrid(ys=np.arange(float(len(rows))), rows=tuple(rows))
+        for method in (ENO, OF):
+            with mock.patch.object(interp1d, "_BLOCK", block):
+                idx, c, x = select_rows(full, method)
+                exts = [e for e in Extension2D(grid, method)._rows if not e.degraded]
+            assert len(exts) == len(full)
+            at = 0
+            for row, ext in zip(full, exts):
+                want = [scalar_select(row.xs, row.fs, k, method) for k in range(len(row) - 1)]
+                span = slice(at, at + len(row) - 1)
+                at += len(row) - 1
+                assert [tuple(i) for i in idx[span].tolist()] == [w[0] for w in want]
+                want_c = bits([w[1] for w in want])
+                want_x = bits([w[2] for w in want])
+                assert bits(c[span]) == want_c and bits(x[span]) == want_x
+                assert bits(ext._c) == want_c and bits(ext._x) == want_x
+                alone = Extension1D(row, method)
+                assert bits(alone._c) == want_c and bits(alone._x) == want_x
+                select = eno_select if method == ENO else of_select
+                for k in (0, 1, len(row) - 3, len(row) - 2):
+                    st_k = select(row, k)
+                    assert st_k.idx == want[k][0]
+                    assert bits(st_k.coeffs) == bits(want[k][1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nrows=st.integers(4, 9),
+        values=st.sampled_from(["uniform", "rounded", "constant"]),
+    )
+    def test_cross_row_selection_matches_scalar_scan(self, seed, nrows, values):
+        # Extension2D._select runs the kernel on one height window shared
+        # by every column; each column must get its own scalar-scan stencil.
+        rng = np.random.default_rng(seed)
+        ys = np.cumsum(rng.uniform(0.2, 1.5, nrows))
+        cols = [row.fs for row in ragged_rows(seed, [nrows] * 7, values)]
+        V = np.stack(cols, axis=1)  # V[j] holds knot row j's values per column
+        grid = RowLikeGrid(ys=ys, rows=tuple(Knots1D(np.arange(2.0), np.zeros(2))
+                                             for _ in ys))
+        for method in (ENO, OF):
+            ext = Extension2D(grid, method)
+            for k in range(nrows - 1):
+                c, nodes = ext._select(k, V)
+                for col in range(V.shape[1]):
+                    _, want_c, want_x = scalar_select(ys, V[:, col], k, method)
+                    assert bits([ci[col] for ci in c]) == bits(want_c)
+                    assert bits([xi[col] for xi in nodes]) == bits(want_x)
+
+    def test_overflowing_scores_resolve_as_the_scan_does(self):
+        # Huge values overflow scores to inf and NaN; the scan then keeps
+        # its first candidate, and the kernel must pick the same.
+        rng = np.random.default_rng(12)
+        rows = [
+            Knots1D(np.cumsum(rng.uniform(0.01, 2.0, n)),
+                    rng.choice([1.7e308, -1.7e308, 1e150, 0.0, 1.0], n))
+            for n in rng.integers(4, 12, 200)
+        ]
+        with np.errstate(all="ignore"):
+            for method in (ENO, OF):
+                idx, c, _ = select_rows(rows, method)
+                want = [scalar_select(row.xs, row.fs, k, method)
+                        for row in rows for k in range(len(row) - 1)]
+                assert [tuple(i) for i in idx.tolist()] == [w[0] for w in want]
+                assert bits(c) == bits([w[1] for w in want])

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from hexport.errors import ConstraintInfeasibleError, GeometryMismatchError
 from hexport.grid_io import RectRaster
+from hexport.interp2d import Extension2D, build_row_like_grid
 from hexport.metrics import (
     DEGRADE_LEVELS,
     RungeField,
@@ -181,6 +183,66 @@ class TestRecovery:
         hex_rmse = float(np.sqrt(np.mean(diff * diff)))
         assert np.isfinite(hex_rmse)
         assert 0.1 * knot <= hex_rmse <= 10.0 * knot
+
+
+def truncate_rows(raster):
+    """Cut every third inner knot row to 2, 3, 4 or 5 knots in turn.
+
+    Gives short rows (degraded interpolants) and rows whose ENO/OF
+    candidates are cut at both ends.
+    """
+    v = raster.values.copy()
+    kept = np.flatnonzero((v != raster.nodata).any(axis=1))
+    for i, row in enumerate(kept[1:-1:3]):
+        cols = np.flatnonzero(v[row] != raster.nodata)
+        v[row, cols[2 + i % 4 :]] = raster.nodata
+    return RectRaster(values=v, xll=raster.xll, yll=raster.yll,
+                      cellsize=raster.cellsize, nodata=raster.nodata)
+
+
+def degraded_runge(level, truncated=False):
+    basis = runge_raster((-5, -5, 5, 5), 60, 60, 1.0)
+    d = degrade_raster(basis, *DEGRADE_LEVELS[level], seed=level)
+    return basis, truncate_rows(d) if truncated else d
+
+
+# (rmse, max_abs, eliminated) of recovery_errors, taken before stencil
+# selection was batched; the repr pins every bit.
+RECOVERY_PINS = {
+    (3, False, "eno"): (0.0010892864868523966, 0.014235512064155964, 2531),
+    (3, False, "of"): (0.0064281315210545295, 0.08709147393762084, 2531),
+    (5, False, "eno"): (0.005585715295440781, 0.07421247293543576, 2667),
+    (5, False, "of"): (0.01642965539465183, 0.2386781465146005, 2667),
+    (5, True, "eno"): (0.13781421506294023, 1.3048702973059372, 2943),
+    (5, True, "of"): (0.022744102895354088, 0.34481380547959767, 2943),
+}
+
+
+@pytest.mark.parametrize("level, truncated, method", list(RECOVERY_PINS))
+def test_recovery_bytes_are_pinned(level, truncated, method):
+    basis, degraded = degraded_runge(level, truncated)
+    out = recovery_errors(basis, degraded, method)
+    assert repr((out["rmse"], out["max_abs"], out["eliminated"])) == repr(
+        RECOVERY_PINS[level, truncated, method]
+    )
+
+
+def test_truncated_rows_are_short_and_edge_limited():
+    _, degraded = degraded_runge(5, truncated=True)
+    lengths = sorted(len(row) for row in build_row_like_grid(degraded).rows)
+    assert {2, 3, 4, 5} <= set(lengths)
+
+
+@pytest.mark.parametrize("method", ["eno", "of"])
+def test_selection_raises_no_float_warnings(method, sr1):
+    # Padded window slots must never divide by zero or overflow.
+    rasters = [sr1, degraded_runge(3)[1], degraded_runge(5, truncated=True)[1]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for raster in rasters:
+            ext = Extension2D(build_row_like_grid(raster), method)
+            xs = raster.x_centers()
+            ext.eval_line(xs, np.linspace(raster.yll - 1, raster.bounds[3] + 1, 40))
 
 
 def test_write_report(tmp_path):

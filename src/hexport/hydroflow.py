@@ -19,6 +19,11 @@ exist; cells with fewer than two neighbors are inert.  NODATA terrain cells
 are holes: excluded from every neighborhood and treated as walls.  With an
 open boundary, faces leaving the grid shed water that is accumulated in an
 outflow ledger; with a closed boundary they are walls too.
+
+Everything runs over all cells at once.  ``_Topology`` is built once per
+grid and hole mask and holds the neighbor gather and opposite-face inflow
+indices and the plane-fit weights; its ``gradient`` is the one plane fit,
+called by :func:`step`, :func:`courant_dt` and :func:`fit_plane`.
 """
 
 from __future__ import annotations
@@ -33,13 +38,14 @@ from .errors import NonFiniteStateError, OutOfRangeError
 from .grid_io import DEFAULT_NODATA, HexRaster
 from .hexgrid import (
     FACE_NORMALS,
+    OPPOSITE_FACE,
     SQRT3,
     HexGrid,
     _OFFSETS_EVEN,
     _OFFSETS_ODD,
 )
 
-_OPP = np.array([3, 4, 5, 0, 1, 2])  # opposite face, 0-based
+_OPP = np.array(OPPOSITE_FACE) - 1  # opposite face, 0-based
 
 
 @dataclass
@@ -93,7 +99,13 @@ class FlowState:
 
 
 class _Topology:
-    """Neighbor indexing and plane-fit weights, fixed for a grid + hole mask."""
+    """Neighbor indexing and plane-fit weights, fixed for a grid + hole mask.
+
+    ``gather`` is ``neigh`` with a missing neighbor pointing one past the last
+    cell, at a padding slot; ``inflow`` indexes the flattened, padded
+    ``(cells + 1, 6)`` face-volume table at the face of each neighbor that
+    looks back at the cell.
+    """
 
     def __init__(self, grid: HexGrid, valid: np.ndarray):
         m, n = grid.nrows, grid.ncols
@@ -118,26 +130,31 @@ class _Topology:
         is_edge[~self.valid] = False
         self.neigh = neigh
         self.is_edge = is_edge
+        self.has = neigh >= 0
+        self.gather = np.where(self.has, neigh, c)
+        self.inflow = self.gather * 6 + _OPP
         self._build_weights(grid)
 
     def _build_weights(self, grid: HexGrid):
-        """Per-cell gradient weights over (self, neighbor 1..6) potentials.
+        """Per-cell gradient weights over the neighbor potentials, faces 1..6.
 
         Interior cells with six neighbors use the symmetric closed form; the
         rest get least-squares weights from the pseudo-inverse of the local
-        plane design matrix.  Cells with fewer than two neighbors stay flat.
+        plane design matrix.  That matrix depends only on which faces have a
+        neighbor, so it is inverted once per face pattern.  Cells with fewer
+        than two neighbors stay flat.
         """
-        c = self.neigh.shape[0]
         r = grid.r
-        wa = np.zeros((c, 7))
-        wb = np.zeros((c, 7))
-        full = self.valid & (self.neigh >= 0).all(axis=1)
-        wa[full, 1:] = np.array([2.0, 1.0, -1.0, -2.0, -1.0, 1.0]) / (6.0 * SQRT3 * r)
-        wb[full, 1:] = np.array([0.0, 1.0, 1.0, 0.0, -1.0, -1.0]) / (6.0 * r)
+        wa = np.zeros(self.neigh.shape)
+        wb = np.zeros(self.neigh.shape)
+        full = self.valid & self.has.all(axis=1)
+        wa[full] = np.array([2.0, 1.0, -1.0, -2.0, -1.0, 1.0]) / (6.0 * SQRT3 * r)
+        wb[full] = np.array([0.0, 1.0, 1.0, 0.0, -1.0, -1.0]) / (6.0 * r)
         rest = np.nonzero(self.valid & ~full)[0]
+        pattern = self.has[rest] @ (1 << np.arange(6))
         big_r = r * SQRT3
-        for idx in rest:
-            faces = np.nonzero(self.neigh[idx] >= 0)[0]
+        for code in np.unique(pattern):
+            faces = np.nonzero(code >> np.arange(6) & 1)[0]
             if faces.size < 2:
                 continue
             design = np.ones((faces.size + 1, 3))
@@ -145,111 +162,37 @@ class _Topology:
             design[1:, 1] = big_r * FACE_NORMALS[faces, 0]
             design[1:, 2] = big_r * FACE_NORMALS[faces, 1]
             pinv = np.linalg.pinv(design)
-            wa[idx, 0] = pinv[1, 0]
-            wb[idx, 0] = pinv[2, 0]
-            wa[idx, faces + 1] = pinv[1, 1:]
-            wb[idx, faces + 1] = pinv[2, 1:]
+            cells = rest[pattern == code][:, None]
+            wa[cells, faces] = pinv[1, 1:]
+            wb[cells, faces] = pinv[2, 1:]
         self.wa = wa
         self.wb = wb
 
-    def gather_neighbor(self, flat_field: np.ndarray, fill: float) -> np.ndarray:
-        """(cells, 6) array of a per-cell field at each neighbor."""
-        padded = np.append(flat_field, fill)
-        idx = np.where(self.neigh < 0, flat_field.size, self.neigh)
-        return padded[idx]
+    def gradient(self, psi: np.ndarray) -> tuple:
+        """Gradient (a, b) of every cell's fitted plane of the raveled potential.
 
-
-@dataclass(frozen=True)
-class CellFlow:
-    """Per-cell routing quantities for one step."""
-
-    a: float
-    b: float
-    s: float
-    tau: Optional[tuple]
-    receptors: frozenset
-    donors_in: frozenset
-
-
-def _cell_flat(state: FlowState, cell) -> int:
-    col, row = cell
-    if not (0 <= col < state.grid.ncols and 0 <= row < state.grid.nrows):
-        raise OutOfRangeError(f"cell {cell} outside grid")
-    return row * state.grid.ncols + col
+        Works with potentials relative to each cell: the gradient of the
+        fitted plane is shift-invariant, and a constant field then gives
+        exactly zero.  Invalid cells and missing neighbors contribute nothing.
+        """
+        psi = np.where(self.valid, psi, 0.0)
+        rel = np.where(self.has, np.append(psi, 0.0)[self.gather] - psi[:, None], 0.0)
+        return (np.einsum("ij,ij->i", self.wa, rel), np.einsum("ij,ij->i", self.wb, rel))
 
 
 def fit_plane(state: FlowState, cell) -> tuple:
     """Gradient (a, b) of the best-fit potential plane around one cell.
 
-    Matches a generic least-squares fit through the cell and its neighbors;
-    the interior case reduces to a symmetric closed form.
+    One cell's entry of :meth:`_Topology.gradient`, the fit that
+    :func:`step` uses; it matches a generic least-squares fit through the
+    cell and its neighbors.
     """
-    topo = state.topology()
-    idx = _cell_flat(state, cell)
-    psi = (state.z + state.h).ravel()
-    neigh = topo.neigh[idx]
-    # Work with potentials relative to the cell: the gradient of the fitted
-    # plane is shift-invariant, and a constant field then gives exactly zero.
-    rel = np.where(neigh >= 0, psi[np.where(neigh >= 0, neigh, 0)] - psi[idx], 0.0)
-    return (float(topo.wa[idx, 1:] @ rel), float(topo.wb[idx, 1:] @ rel))
-
-
-def slope_descent(a: float, b: float):
-    """Slope in [0, 1) and downhill unit direction; None direction when flat."""
-    g2 = a * a + b * b
-    s = math.sqrt(g2 / (1.0 + g2))
-    if g2 == 0.0:
-        return (0.0, None)
-    norm = math.sqrt(g2)
-    return (s, (-a / norm, -b / norm))
-
-
-def classify(state: FlowState, cell, tau) -> frozenset:
-    """Receptor faces: lower-potential neighbor and tau . n strictly positive."""
-    if tau is None:
-        return frozenset()
-    topo = state.topology()
-    idx = _cell_flat(state, cell)
-    psi = (state.z + state.h).ravel()
-    out = []
-    for f in range(6):
-        j = topo.neigh[idx, f]
-        if j < 0:
-            continue
-        dot = tau[0] * FACE_NORMALS[f, 0] + tau[1] * FACE_NORMALS[f, 1]
-        if psi[j] < psi[idx] and dot > 0.0:
-            out.append(f + 1)
-    return frozenset(out)
-
-
-def velocity(h: float, s: float, manning_n: float, tau) -> np.ndarray:
-    """Manning velocity vector: h^(2/3) * sqrt(s) / n along the descent."""
-    if tau is None or h <= 0.0 or s <= 0.0:
-        return np.zeros(2)
-    v = h ** (2.0 / 3.0) * math.sqrt(s) / manning_n
-    return np.array([v * tau[0], v * tau[1]])
-
-
-def cell_flow(state: FlowState, cell) -> CellFlow:
-    """All routing quantities of one cell, including who sheds into it."""
-    a, b = fit_plane(state, cell)
-    s, tau = slope_descent(a, b)
-    receptors = classify(state, cell, tau)
-    topo = state.topology()
-    idx = _cell_flat(state, cell)
-    donors = []
-    for f in range(6):
-        j = topo.neigh[idx, f]
-        if j < 0:
-            continue
-        ncell = (int(j % state.grid.ncols), int(j // state.grid.ncols))
-        na, nb = fit_plane(state, ncell)
-        _, ntau = slope_descent(na, nb)
-        if int(_OPP[f]) + 1 in classify(state, ncell, ntau):
-            donors.append(f + 1)
-    return CellFlow(
-        a=a, b=b, s=s, tau=tau, receptors=receptors, donors_in=frozenset(donors)
-    )
+    col, row = cell
+    if not (0 <= col < state.grid.ncols and 0 <= row < state.grid.nrows):
+        raise OutOfRangeError(f"cell {cell} outside grid")
+    a, b = state.topology().gradient((state.z + state.h).ravel())
+    idx = row * state.grid.ncols + col
+    return (float(a[idx]), float(b[idx]))
 
 
 def step(state: FlowState) -> FlowState:
@@ -263,12 +206,7 @@ def step(state: FlowState) -> FlowState:
         raise NonFiniteStateError(
             f"non-finite water potential entering step {state.step_count + 1}"
         )
-    psi_safe = np.where(valid, psi, 0.0)
-    rel = np.where(
-        topo.neigh >= 0, topo.gather_neighbor(psi_safe, 0.0) - psi_safe[:, None], 0.0
-    )
-    a = np.einsum("ij,ij->i", topo.wa[:, 1:], rel)
-    b = np.einsum("ij,ij->i", topo.wb[:, 1:], rel)
+    a, b = topo.gradient(psi)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         g2 = a * a + b * b
         s = np.sqrt(g2 / (1.0 + g2))
@@ -283,8 +221,8 @@ def step(state: FlowState) -> FlowState:
             tau_x[:, None] * FACE_NORMALS[None, :, 0]
             + tau_y[:, None] * FACE_NORMALS[None, :, 1]
         )
-        psi_neigh = topo.gather_neighbor(psi_safe, np.inf)
-        receptor = (topo.neigh >= 0) & (psi_neigh < psi[:, None]) & (q > 0.0)
+        # A missing neighbor reads +inf, so it is never a receptor.
+        receptor = (np.append(psi, np.inf)[topo.gather] < psi[:, None]) & (q > 0.0)
         transfer_face = receptor
         if state.boundary == "open":
             transfer_face = receptor | (topo.is_edge & (q > 0.0) & moving[:, None])
@@ -298,9 +236,7 @@ def step(state: FlowState) -> FlowState:
         )
         volume *= scale[:, None]
         out = volume.sum(axis=1)
-    padded = np.vstack([volume, np.zeros(6)])
-    idx = np.where(topo.neigh < 0, volume.shape[0], topo.neigh)
-    inflow = padded[idx, _OPP[None, :]].sum(axis=1)
+    inflow = np.append(volume, np.zeros(6))[topo.inflow].sum(axis=1)
     shed = 0.0
     if state.boundary == "open":
         shed = float(volume[topo.is_edge].sum())
@@ -391,12 +327,7 @@ def courant_dt(state: FlowState, courant: float = 0.2) -> float:
     """
     topo = state.topology()
     h = state.h.ravel()
-    psi = np.where(topo.valid, state.z.ravel() + h, 0.0)
-    rel = np.where(
-        topo.neigh >= 0, topo.gather_neighbor(psi, 0.0) - psi[:, None], 0.0
-    )
-    a = np.einsum("ij,ij->i", topo.wa[:, 1:], rel)
-    b = np.einsum("ij,ij->i", topo.wb[:, 1:], rel)
+    a, b = topo.gradient(state.z.ravel() + h)
     g2 = a * a + b * b
     s_max = float(np.sqrt(g2 / (1.0 + g2)).max()) if g2.size else 0.0
     h_max = float(h[topo.valid].max(initial=0.0))

@@ -222,15 +222,14 @@ def recovery_errors(basis: RectRaster, degraded: RectRaster, method: str = ENO) 
     if count == 0:
         return {"rmse": 0.0, "max_abs": 0.0, "eliminated": 0}
     ext = _extension_for(degraded, method)
-    xs_all = basis.x_centers()
+    rows = np.nonzero(eliminated.any(axis=1))[0]
+    ys = np.array([basis.y_center(row) for row in rows])
+    lines = ext.eval_line(basis.x_centers(), ys)
     sq_sum = 0.0
     max_abs = 0.0
-    for row in range(basis.nrows):
+    for row, line in zip(rows, lines):
         mask = eliminated[row]
-        if not mask.any():
-            continue
-        got = ext.eval_line(xs_all[mask], basis.y_center(row))
-        diff = np.abs(got - basis.values[row][mask])
+        diff = np.abs(line[mask] - basis.values[row][mask])
         sq_sum += float((diff * diff).sum())
         max_abs = max(max_abs, float(diff.max()))
     return {

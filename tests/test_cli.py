@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,7 +6,12 @@ import pytest
 
 from hexport import hydroflow
 from hexport.cli import main
-from hexport.grid_io import parse_esri_ascii, read_hex_raster
+from hexport.grid_io import (
+    HexRaster,
+    parse_esri_ascii,
+    read_hex_raster,
+    write_hex_raster,
+)
 
 
 def run_cli(*args):
@@ -97,6 +103,58 @@ class TestErrors:
             assert key in data
 
 
+# `hexport flow` on a holed 30x35 hex terrain, 40 steps: sha256 of the
+# depth and mask outputs and the printed summary, per boundary case.
+FLOW_PINS = {
+    "open": (
+        [],
+        "340a7628eb2fe21ca18b98098d2499eebb0783090a504f3f695dc3082cd91422",
+        "f13be98722ae7f8244a3a19c10949ce014d22c046af974087987def773650ff7",
+        (
+            "dt = 0.019112386913126916\n"
+            "steps = 40\n"
+            "volume_initial = 9.564769459574801\n"
+            "volume_final = 7.498579515899732\n"
+            "outflow_volume = 2.066189943675069\n"
+            "capping_events = 0\n"
+            "masked_cells = 269\n"
+        ),
+    ),
+    "closed": (
+        ["--dt", 0.1],
+        "1af26f807d41857bead848712ae37ceae9149eceb347ef1ebdc6348998effdc3",
+        "f7d38442e47c9314795e49e7eed26bd865fb9023364a3448204e54f7729e7ece",
+        (
+            "dt = 0.1\n"
+            "steps = 40\n"
+            "volume_initial = 9.564769459574801\n"
+            "volume_final = 9.564769459574809\n"
+            "outflow_volume = 0.0\n"
+            "capping_events = 15314\n"
+            "masked_cells = 402\n"
+        ),
+    ),
+}
+
+
+@pytest.fixture()
+def holed_hex(tmp_path):
+    """A 30x35 hex port of a Runge bump with 5% of its cells set to NODATA."""
+    dem = tmp_path / "bump.asc"
+    hexf = tmp_path / "bump.hex"
+    assert run_cli("synth", "--runge", 1.0, "--cols", 21, "--rows", 21,
+                   "--bounds=-5,-5,5,5", "--out", dem) == 0
+    assert run_cli("port", "--in", dem, "--out", hexf,
+                   "--method", "eno", "--cells-across", 30) == 0
+    ported = read_hex_raster(hexf.read_text())
+    values = ported.values.copy()
+    values[np.random.default_rng(11).random(values.shape) < 0.05] = ported.nodata
+    hexf.write_text(write_hex_raster(HexRaster(
+        values=values, x0=ported.x0, y0=ported.y0, r=ported.r, nodata=ported.nodata,
+    )))
+    return hexf
+
+
 class TestFlow:
     def test_zero_steps_keeps_initial_depth(self, small_dem, tmp_path):
         hexf = tmp_path / "dem.hex"
@@ -134,6 +192,20 @@ class TestFlow:
         monkeypatch.setattr(hydroflow._Topology, "__init__", counting_init)
         assert run_cli("flow", "--hex", hexf, "--steps", 3) == 0
         assert len(built) == 1
+
+    @pytest.mark.parametrize("boundary", list(FLOW_PINS))
+    def test_flow_bytes_are_pinned(self, holed_hex, boundary, tmp_path, capsys):
+        extra, depth_sha, mask_sha, summary = FLOW_PINS[boundary]
+        depth = tmp_path / "depth.hex"
+        mask = tmp_path / "mask.hex"
+        capsys.readouterr()
+        assert run_cli("flow", "--hex", holed_hex, "--steps", 40,
+                       "--boundary", boundary, *extra,
+                       "--out-depth", depth, "--out-mask", mask) == 0
+        out = capsys.readouterr().out
+        assert out == summary
+        assert hashlib.sha256(depth.read_bytes()).hexdigest() == depth_sha
+        assert hashlib.sha256(mask.read_bytes()).hexdigest() == mask_sha
 
 
 class TestRender:

@@ -4,19 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hexport.errors import NonFiniteStateError
-from hexport.hexgrid import HexGrid
+from hexport.errors import NonFiniteStateError, OutOfRangeError
+from hexport.hexgrid import FACE_NORMALS, HexGrid
 from hexport.hydroflow import (
     FlowState,
-    cell_flow,
-    classify,
     courant_dt,
     fit_plane,
     run,
-    slope_descent,
     step,
     suggest_dt,
-    velocity,
 )
 
 from conftest import hex_centers
@@ -31,6 +27,52 @@ def make_state(z, h=None, grid=None, **kw):
     kw.setdefault("manning_n", 0.05)
     kw.setdefault("dt", 0.1)
     return FlowState(grid=grid, z=z, h=np.asarray(h, dtype=np.float64), **kw)
+
+
+def probe(z, wet, depth=0.2, **kw):
+    """One step from a state where only the cells in ``wet`` hold water."""
+    z = np.asarray(z, dtype=np.float64)
+    h = np.zeros_like(z)
+    for col, row in wet:
+        h[row, col] = depth
+    before = make_state(z, h=h, **kw)
+    after = step(before)
+    assert after.capping_events == 0
+    return before, after
+
+
+def face_gains(before, after, cell):
+    """Face -> volume gained by the neighbor behind that face of ``cell``."""
+    gains = {}
+    for nb in before.grid.neighbors(*cell):
+        col, row = nb.cell
+        gained = (after.h[row, col] - before.h[row, col]) * before.grid.cell_area
+        if gained > 0.0:
+            gains[nb.face] = gained
+    return gains
+
+
+def manning_face_volumes(state, cell, a, b):
+    """dt * side * h * v * (tau . n) on every face with tau . n > 0."""
+    col, row = cell
+    h = state.h[row, col]
+    g2 = a * a + b * b
+    s = np.sqrt(g2 / (1.0 + g2))
+    tau = np.array([-a, -b]) / np.sqrt(g2)
+    v = h ** (2.0 / 3.0) * np.sqrt(s) / state.manning_n
+    dots = FACE_NORMALS @ tau
+    return {
+        f + 1: state.dt * state.grid.side * h * v * dot
+        for f, dot in enumerate(dots)
+        if dot > 0.0
+    }
+
+
+def tilted(ax, by, n=7):
+    """Plane ax * x + by * y sampled at hex centers of an n x n grid."""
+    g = HexGrid(ncols=n, nrows=n, r=1.0, x0=0.0, y0=0.0)
+    X, Y = hex_centers(g)
+    return g, ax * X + by * Y
 
 
 def lstsq_gradient(grid, psi, cell):
@@ -93,62 +135,85 @@ class TestFitPlane:
             assert a == pytest.approx(ao, rel=1e-9, abs=1e-9)
             assert b == pytest.approx(bo, rel=1e-9, abs=1e-9)
 
+    @pytest.mark.parametrize("cell", [(-1, 0), (5, 0), (0, 5)])
+    def test_cell_outside_grid(self, cell):
+        with pytest.raises(OutOfRangeError):
+            fit_plane(make_state(np.zeros((5, 5))), cell)
+
 
 class TestSlopeDescent:
+    """Slope and descent direction, seen in what one wet cell sheds."""
+
     def test_flat(self):
-        s, tau = slope_descent(0.0, 0.0)
-        assert s == 0.0 and tau is None
+        before, after = probe(np.full((5, 5), 3.0), [(2, 2)])
+        assert fit_plane(before, (2, 2)) == (0.0, 0.0)
+        assert np.array_equal(after.h, before.h)
 
     def test_unit_gradient(self):
-        s, tau = slope_descent(1.0, 0.0)
-        assert s == pytest.approx(1.0 / np.sqrt(2.0))
-        assert tau == pytest.approx((-1.0, 0.0))
+        g, z = tilted(1.0, 0.0)
+        before, after = probe(z, [(3, 3)], grid=g)
+        expected = manning_face_volumes(before, (3, 3), 1.0, 0.0)
+        assert set(expected) == {3, 4, 5}
+        gains = face_gains(before, after, (3, 3))
+        assert gains == pytest.approx(expected, rel=1e-12)
+        # tau = (-1, 0): the west face takes twice what each slanted one does
+        assert gains[4] == pytest.approx(2.0 * gains[3], rel=1e-12)
+        assert gains[3] == pytest.approx(gains[5], rel=1e-12)
 
     def test_three_four(self):
-        s, tau = slope_descent(3.0, 4.0)
-        assert s == pytest.approx(np.sqrt(25.0 / 26.0))
-        assert tau == pytest.approx((-0.6, -0.8))
+        g, z = tilted(3.0, 4.0)
+        before, after = probe(z, [(3, 3)], grid=g)
+        expected = manning_face_volumes(before, (3, 3), 3.0, 4.0)
+        assert set(expected) == {4, 5, 6}
+        assert face_gains(before, after, (3, 3)) == pytest.approx(expected, rel=1e-12)
 
 
 class TestClassify:
+    """Receptor faces: the neighbors that one wet cell's step wets."""
+
     def test_flat_no_receptors(self):
-        st = make_state(np.full((5, 5), 2.0))
-        a, b = fit_plane(st, (2, 2))
-        s, tau = slope_descent(a, b)
-        assert classify(st, (2, 2), tau) == frozenset()
+        before, after = probe(np.full((5, 5), 2.0), [(2, 2)])
+        assert face_gains(before, after, (2, 2)) == {}
 
     def test_eastward_tilt_three_westward_faces(self):
         # For a potential increasing with x the descent points along -x;
-    # faces 3, 4, 5 all have outward normals with a positive component
+        # faces 3, 4, 5 all have outward normals with a positive component
         # along the descent and lower neighbors behind them.
-        g = HexGrid(ncols=7, nrows=7, r=1.0, x0=0.0, y0=0.0)
-        X, _ = hex_centers(g)
-        st = make_state(X, grid=g)
-        _, tau = slope_descent(*fit_plane(st, (3, 3)))
-        assert classify(st, (3, 3), tau) == frozenset({3, 4, 5})
+        g, z = tilted(1.0, 0.0)
+        before, after = probe(z, [(3, 3)], grid=g)
+        assert set(face_gains(before, after, (3, 3))) == {3, 4, 5}
 
     def test_pit_has_no_receptors(self):
         z = np.full((5, 5), 4.0)
         z[2, 2] = 0.0
         z[1, 2] = 3.0  # break symmetry so the fitted plane tilts
-        st = make_state(z)
-        _, tau = slope_descent(*fit_plane(st, (2, 2)))
-        assert tau is not None
-        assert classify(st, (2, 2), tau) == frozenset()
+        before, after = probe(z, [(2, 2)])
+        assert fit_plane(before, (2, 2)) != (0.0, 0.0)
+        assert np.array_equal(after.h, before.h)
 
 
 class TestVelocity:
+    """The Manning speed h^(2/3) * sqrt(s) / n, seen in the shed volume."""
+
     def test_manning_magnitude(self):
-        w = velocity(1.0, 0.5, 1.0, (1.0, 0.0))
-        assert np.hypot(*w) == pytest.approx(np.sqrt(0.5))
+        g, z = tilted(0.3, -0.2)
+        before, after = probe(z, [(3, 3)], depth=0.35, grid=g, manning_n=0.04, dt=0.05)
+        shed = (before.h[3, 3] - after.h[3, 3]) * g.cell_area
+        expected = sum(manning_face_volumes(before, (3, 3), 0.3, -0.2).values())
+        assert shed == pytest.approx(expected, rel=1e-12)
 
     def test_zero_depth(self):
-        assert np.all(velocity(0.0, 0.5, 1.0, (1.0, 0.0)) == 0.0)
+        g, z = tilted(1.0, 0.5)
+        before, after = probe(z, [(3, 3)], depth=0.0, grid=g)
+        assert not after.h.any()
 
     def test_doubling_manning_halves_speed(self):
-        w1 = velocity(1.0, 0.5, 0.03, (0.0, 1.0))
-        w2 = velocity(1.0, 0.5, 0.06, (0.0, 1.0))
-        assert np.hypot(*w1) == pytest.approx(2.0 * np.hypot(*w2))
+        g, z = tilted(0.0, 1.0)
+        sheds = []
+        for manning_n in (0.03, 0.06):
+            before, after = probe(z, [(3, 3)], grid=g, manning_n=manning_n)
+            sheds.append((before.h[3, 3] - after.h[3, 3]) * g.cell_area)
+        assert sheds[0] == pytest.approx(2.0 * sheds[1], rel=1e-12)
 
 
 class TestCourantDt:
@@ -252,14 +317,16 @@ class TestStep:
 
 class TestCellFlow:
     def test_donors_in_reciprocity(self):
-        g = HexGrid(ncols=7, nrows=7, r=1.0, x0=0.0, y0=0.0)
-        X, _ = hex_centers(g)
-        st = make_state(X, h=np.full((7, 7), 0.2), grid=g)
-        flow = cell_flow(st, (3, 3))
+        g, z = tilted(1.0, 0.0)
+        before, after = probe(z, [(3, 3)], grid=g)
+        assert set(face_gains(before, after, (3, 3))) == {3, 4, 5}
         # water arrives from the uphill side: faces 1, 2, 6 point east
-        assert flow.receptors == frozenset({3, 4, 5})
-        assert flow.donors_in == frozenset({1, 2, 6})
-        assert flow.s == pytest.approx(1.0 / np.sqrt(2.0))
+        donors = set()
+        for nb in g.neighbors(3, 3):
+            before, after = probe(z, [nb.cell], grid=g)
+            if after.h[3, 3] > 0.0:
+                donors.add(nb.face)
+        assert donors == {1, 2, 6}
 
 
 class TestRun:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -26,6 +27,25 @@ def _parse_bounds(text: str):
     if len(parts) != 4:
         raise ValueError("bounds must be xmin,ymin,xmax,ymax")
     return tuple(float(p) for p in parts)
+
+
+def _checked(kind, what: str, ok):
+    """An argparse ``type=``: parse with ``kind``, then reject values failing ``ok``."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_POSITIVE_INT = _checked(int, "a positive integer", lambda v: v > 0)
+_NONNEGATIVE_INT = _checked(int, "a nonnegative integer", lambda v: v >= 0)
+_POSITIVE_FLOAT = _checked(float, "a positive finite number", lambda v: 0 < v < math.inf)
+_NONNEGATIVE_FLOAT = _checked(float, "a nonnegative finite number", lambda v: 0 <= v < math.inf)
 
 
 def _read_rect(path: str) -> grid_io.RectRaster:
@@ -162,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic Runge-field raster")
     p.add_argument("--runge", type=float, required=True, help="Runge parameter a")
-    p.add_argument("--cols", type=int, required=True, help="number of columns")
-    p.add_argument("--rows", type=int, required=True, help="number of rows")
+    p.add_argument("--cols", type=_POSITIVE_INT, required=True, help="number of columns")
+    p.add_argument("--rows", type=_POSITIVE_INT, required=True, help="number of rows")
     p.add_argument("--bounds", required=True, help="xmin,ymin,xmax,ymax")
     p.add_argument("--out", required=True, help="output ESRI ASCII path")
     p.set_defaults(func=_cmd_synth)
@@ -176,16 +196,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="extension method (default eno)",
     )
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--cells-across", type=int, help="hex cells per row")
-    group.add_argument("--radius", type=float, help="hex circumradius")
+    group.add_argument("--cells-across", type=_POSITIVE_INT, help="hex cells per row")
+    group.add_argument("--radius", type=_POSITIVE_FLOAT, help="hex circumradius")
     p.set_defaults(func=_cmd_port)
 
     p = sub.add_parser("degrade", help="punch seeded NODATA holes into a raster")
     p.add_argument("--in", required=True, help="input ESRI ASCII raster")
     p.add_argument("--out", required=True, help="output ESRI ASCII path")
-    p.add_argument("--m", type=int, default=3, help="max row gap in cells (default 3)")
-    p.add_argument("--n", type=int, default=3, help="max in-row gap in cells (default 3)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--m", type=_POSITIVE_INT, default=3,
+                   help="max row gap in cells (default 3)")
+    p.add_argument("--n", type=_POSITIVE_INT, default=3,
+                   help="max in-row gap in cells (default 3)")
+    p.add_argument("--seed", type=_NONNEGATIVE_INT, default=0, help="RNG seed (default 0)")
     p.set_defaults(func=_cmd_degrade)
 
     p = sub.add_parser("errors", help="error report for a raster and optional hex port")
@@ -193,16 +215,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hex", help="hex raster ported from it")
     p.add_argument("--method", default="eno", choices=["eno", "of", "crs", "id"])
     p.add_argument("--runge", type=float, help="compare against the Runge field with this a")
-    p.add_argument("--quad", type=int, default=8, help="quadrature subsamples per cell side")
+    p.add_argument("--quad", type=_POSITIVE_INT, default=8,
+                   help="quadrature subsamples per cell side")
     p.add_argument("--report", required=True, help="output report path (text + .json)")
     p.set_defaults(func=_cmd_errors)
 
     p = sub.add_parser("flow", help="route water on a hexagonal terrain raster")
     p.add_argument("--hex", required=True, help="hex terrain raster")
-    p.add_argument("--h0", type=float, default=0.1, help="uniform initial depth (default 0.1)")
-    p.add_argument("--dt", type=float, help="time step (default: from a Courant-like bound)")
-    p.add_argument("--manning", type=float, default=0.03, help="Manning coefficient")
-    p.add_argument("--steps", type=int, required=True, help="number of steps")
+    p.add_argument("--h0", type=_NONNEGATIVE_FLOAT, default=0.1,
+                   help="uniform initial depth (default 0.1)")
+    p.add_argument("--dt", type=_POSITIVE_FLOAT,
+                   help="time step (default: from a Courant-like bound)")
+    p.add_argument("--manning", type=_POSITIVE_FLOAT, default=0.03, help="Manning coefficient")
+    p.add_argument("--steps", type=_NONNEGATIVE_INT, required=True, help="number of steps")
     p.add_argument("--boundary", default="closed", choices=["open", "closed"])
     p.add_argument("--mask-margin", type=float, default=0.0,
                    help="relative excess over the initial depth that marks a mask cell")
@@ -216,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--palette", default="viridis", choices=sorted(grid_io.PALETTES))
     p.add_argument("--min", dest="vmin", type=float, help="explicit range minimum")
     p.add_argument("--max", dest="vmax", type=float, help="explicit range maximum")
-    p.add_argument("--px-per-cell", type=int, default=8)
+    p.add_argument("--px-per-cell", type=_POSITIVE_INT, default=8)
     p.set_defaults(func=_cmd_render)
 
     return parser
@@ -226,8 +251,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "render" and (args.vmin is None) != (args.vmax is None):
-            parser.error("give both --min and --max or neither")
+        if args.command == "render":
+            if (args.vmin is None) != (args.vmax is None):
+                parser.error("give both --min and --max or neither")
+            if args.vmin is not None and not args.vmin < args.vmax:
+                parser.error("--min must be less than --max")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

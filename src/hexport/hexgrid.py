@@ -34,9 +34,13 @@ FACE_NORMALS = np.array(
     ]
 )
 
-# Index offsets (dcol, drow) of the neighbor behind each face, by row parity.
-_OFFSETS_EVEN = ((1, 0), (1, -1), (0, -1), (-1, 0), (0, 1), (1, 1))
-_OFFSETS_ODD = ((1, 0), (0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1))
+# Index offsets (dcol, drow) of the neighbor behind each face: [row parity, face].
+_OFFSETS = np.array(
+    [
+        [(1, 0), (1, -1), (0, -1), (-1, 0), (0, 1), (1, 1)],
+        [(1, 0), (0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1)],
+    ]
+)
 
 # The face of the neighbor that looks back at us: face j pairs with j+3 (mod 6).
 OPPOSITE_FACE = (4, 5, 6, 1, 2, 3)
@@ -109,13 +113,12 @@ class HexGrid:
     def neighbors(self, col: int, row: int):
         """Existing neighbors as (cell, face, outward normal), face 1..6."""
         self._check(col, row)
-        offsets = _OFFSETS_ODD if row % 2 else _OFFSETS_EVEN
         out = []
-        for f, (dc, dr) in enumerate(offsets):
-            c, rw = col + dc, row + dr
-            if 0 <= c < self.ncols and 0 <= rw < self.nrows:
+        for f, idx in enumerate(neighbor_table(self, [col], [row])[:, 0].tolist()):
+            if idx >= 0:
                 n = FACE_NORMALS[f]
-                out.append(Neighbor(cell=(c, rw), face=f + 1, normal=(n[0], n[1])))
+                cell = (idx % self.ncols, idx // self.ncols)
+                out.append(Neighbor(cell=cell, face=f + 1, normal=(n[0], n[1])))
         return out
 
     def locate(self, x: float, y: float) -> Optional[tuple]:
@@ -130,6 +133,23 @@ class HexGrid:
         if not inside[0]:
             return None
         return (int(cols[0]), int(rows[0]))
+
+
+def neighbor_table(grid: HexGrid, cols, rows) -> np.ndarray:
+    """Flat indices ``row * ncols + col`` of the neighbors behind faces 1..6.
+
+    ``cols`` and ``rows`` are equal-length integer sequences of in-grid
+    cells; the result is face-major, ``(6, k)``, with -1 where the neighbor
+    would lie off the grid.
+    """
+    cols = np.asarray(cols, dtype=np.intp)
+    rows = np.asarray(rows, dtype=np.intp)
+    dcol, drow = np.ascontiguousarray(_OFFSETS.transpose(2, 1, 0))  # [face, parity]
+    odd = rows % 2
+    nc = cols + dcol.take(odd, axis=1)
+    nr = rows + drow.take(odd, axis=1)
+    inside = (nc >= 0) & (nc < grid.ncols) & (nr >= 0) & (nr < grid.nrows)
+    return np.where(inside, nr * grid.ncols + nc, -1)
 
 
 def locate_many(grid: HexGrid, xs, ys):

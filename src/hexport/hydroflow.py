@@ -21,9 +21,13 @@ open boundary, faces leaving the grid shed water that is accumulated in an
 outflow ledger; with a closed boundary they are walls too.
 
 Everything runs over all cells at once.  ``_Topology`` is built once per
-grid and hole mask and holds the neighbor gather and opposite-face inflow
-indices and the plane-fit weights; its ``gradient`` is the one plane fit,
-called by :func:`step`, :func:`courant_dt` and :func:`fit_plane`.
+grid and hole mask.  Its tables are face-major, ``(6, cells)``: a
+self-padded neighbor gather (a missing neighbor points at the cell itself),
+the opposite-face inflow indices and the plane-fit weights.  Its
+``gradient`` is the one plane fit, called by :func:`step`,
+:func:`courant_dt` and :func:`fit_plane`.  It also owns a workspace that
+every step reuses, so a warm step allocates nothing face-sized; the depths a
+step returns are always a fresh array.
 """
 
 from __future__ import annotations
@@ -36,14 +40,7 @@ import numpy as np
 
 from .errors import NonFiniteStateError, OutOfRangeError
 from .grid_io import DEFAULT_NODATA, HexRaster
-from .hexgrid import (
-    FACE_NORMALS,
-    OPPOSITE_FACE,
-    SQRT3,
-    HexGrid,
-    _OFFSETS_EVEN,
-    _OFFSETS_ODD,
-)
+from .hexgrid import FACE_NORMALS, OPPOSITE_FACE, SQRT3, HexGrid, neighbor_table
 
 _OPP = np.array(OPPOSITE_FACE) - 1  # opposite face, 0-based
 
@@ -99,41 +96,54 @@ class FlowState:
 
 
 class _Topology:
-    """Neighbor indexing and plane-fit weights, fixed for a grid + hole mask.
+    """Neighbor indexing, plane-fit weights and step workspace of a grid + hole mask.
 
-    ``gather`` is ``neigh`` with a missing neighbor pointing one past the last
-    cell, at a padding slot; ``inflow`` indexes the flattened, padded
-    ``(cells + 1, 6)`` face-volume table at the face of each neighbor that
-    looks back at the cell.
+    Every table is face-major, ``(6, cells)``, so that each face reduction
+    adds six contiguous rows.  ``gather`` is self-padded: a missing neighbor
+    (off the grid, a hole, or any face of a hole) points at the cell itself,
+    so its potential relative to the cell is exactly zero and it is never a
+    lower neighbor.  ``inflow`` indexes the flattened ``(6, cells + 1)``
+    face-volume table at the face of each neighbor that looks back at the
+    cell; a missing neighbor points at the table's last column, which stays
+    zero.  ``shed`` indexes the same table at the open-boundary faces in
+    cell-major order; that order fixes the rounding of the outflow ledger's
+    sum, on which the pinned outputs depend.
+
+    The workspace holds the relative potentials ``rel`` that
+    :meth:`gradient` leaves, the face-volume table, a gather buffer and a
+    few one-row buffers.  Steps and gradients overwrite it, so a topology
+    serves one caller at a time, and no state ever holds a view of it.
     """
 
     def __init__(self, grid: HexGrid, valid: np.ndarray):
-        m, n = grid.nrows, grid.ncols
-        c = m * n
+        c = grid.nrows * grid.ncols
         self.valid = valid.ravel()
-        cols = np.tile(np.arange(n), m)
-        rows = np.repeat(np.arange(m), n)
-        neigh = np.full((c, 6), -1, dtype=np.int64)
-        is_edge = np.zeros((c, 6), dtype=bool)
-        even = np.asarray(_OFFSETS_EVEN)
-        odd = np.asarray(_OFFSETS_ODD)
-        for f in range(6):
-            dc = np.where(rows % 2 == 0, even[f, 0], odd[f, 0])
-            dr = np.where(rows % 2 == 0, even[f, 1], odd[f, 1])
-            nc, nr = cols + dc, rows + dr
-            exists = (nc >= 0) & (nc < n) & (nr >= 0) & (nr < m)
-            flat = np.where(exists, nr * n + nc, 0)
-            usable = exists & self.valid[flat]
-            neigh[:, f] = np.where(usable, flat, -1)
-            is_edge[:, f] = ~exists
-        neigh[~self.valid] = -1
-        is_edge[~self.valid] = False
-        self.neigh = neigh
-        self.is_edge = is_edge
-        self.has = neigh >= 0
-        self.gather = np.where(self.has, neigh, c)
-        self.inflow = self.gather * 6 + _OPP
+        cells = np.arange(c)
+        table = neighbor_table(grid, cells % grid.ncols, cells // grid.ncols)
+        exists = table >= 0
+        # table == -1 reads the last cell's flag; ``exists`` masks it out.
+        self.has = exists & self.valid[table] & self.valid
+        self.is_edge = ~exists & self.valid
+        self.gather = np.where(self.has, table, cells)
+        self.inflow = _OPP[:, None] * (c + 1) + np.where(self.has, table, c)
+        edge_cell, edge_face = np.nonzero(self.is_edge.T)
+        self.shed = edge_face * (c + 1) + edge_cell
         self._build_weights(grid)
+        self.rel = np.empty((6, c))
+        self._gathered = np.empty((6, c))
+        self._volume = np.zeros((6, c + 1))
+        self._rate = np.empty(c)
+        self._term = np.empty(c)
+        self._send = np.empty(c, dtype=bool)
+        self._take = np.empty(c, dtype=bool)
+
+    @property
+    def neigh(self) -> np.ndarray:
+        """Cell-major ``(cells, 6)`` neighbor indices, -1 where missing.
+
+        A transposed view of a table built on each access; nothing keeps it.
+        """
+        return np.where(self.has, self.gather, -1).T
 
     def _build_weights(self, grid: HexGrid):
         """Per-cell gradient weights over the neighbor potentials, faces 1..6.
@@ -145,13 +155,13 @@ class _Topology:
         than two neighbors stay flat.
         """
         r = grid.r
-        wa = np.zeros(self.neigh.shape)
-        wb = np.zeros(self.neigh.shape)
-        full = self.valid & self.has.all(axis=1)
-        wa[full] = np.array([2.0, 1.0, -1.0, -2.0, -1.0, 1.0]) / (6.0 * SQRT3 * r)
-        wb[full] = np.array([0.0, 1.0, 1.0, 0.0, -1.0, -1.0]) / (6.0 * r)
+        wa = np.zeros(self.has.shape)
+        wb = np.zeros(self.has.shape)
+        full = self.valid & self.has.all(axis=0)
+        wa[:, full] = (np.array([2.0, 1.0, -1.0, -2.0, -1.0, 1.0]) / (6.0 * SQRT3 * r))[:, None]
+        wb[:, full] = (np.array([0.0, 1.0, 1.0, 0.0, -1.0, -1.0]) / (6.0 * r))[:, None]
         rest = np.nonzero(self.valid & ~full)[0]
-        pattern = self.has[rest] @ (1 << np.arange(6))
+        pattern = (1 << np.arange(6)) @ self.has[:, rest]
         big_r = r * SQRT3
         for code in np.unique(pattern):
             faces = np.nonzero(code >> np.arange(6) & 1)[0]
@@ -162,9 +172,9 @@ class _Topology:
             design[1:, 1] = big_r * FACE_NORMALS[faces, 0]
             design[1:, 2] = big_r * FACE_NORMALS[faces, 1]
             pinv = np.linalg.pinv(design)
-            cells = rest[pattern == code][:, None]
-            wa[cells, faces] = pinv[1, 1:]
-            wb[cells, faces] = pinv[2, 1:]
+            cells = rest[pattern == code]
+            wa[faces[:, None], cells] = pinv[1, 1:, None]
+            wb[faces[:, None], cells] = pinv[2, 1:, None]
         self.wa = wa
         self.wb = wb
 
@@ -174,10 +184,27 @@ class _Topology:
         Works with potentials relative to each cell: the gradient of the
         fitted plane is shift-invariant, and a constant field then gives
         exactly zero.  Invalid cells and missing neighbors contribute nothing.
+        Leaves the relative potentials in ``rel`` until the next call.
         """
         psi = np.where(self.valid, psi, 0.0)
-        rel = np.where(self.has, np.append(psi, 0.0)[self.gather] - psi[:, None], 0.0)
-        return (np.einsum("ij,ij->i", self.wa, rel), np.einsum("ij,ij->i", self.wb, rel))
+        # Every index is in range; "clip" writes straight into ``out``, where
+        # the default "raise" would fill a temporary first.
+        np.take(psi, self.gather, out=self.rel, mode="clip")
+        self.rel -= psi
+        rel, term = self.rel, self._term
+        out = []
+        for w in (self.wa, self.wb):
+            # The order in which numpy's einsum("ij,ij->i") adds contiguous
+            # six-face rows: faces (0, 2, 4) and (1, 3, 5), then the two
+            # partial sums onto zero, which makes a sum of -0.0 terms +0.0.
+            even, odd = w[0] * rel[0], w[1] * rel[1]
+            for f in (2, 4):
+                even += np.multiply(w[f], rel[f], out=term)
+                odd += np.multiply(w[f + 1], rel[f + 1], out=term)
+            even += odd
+            even += 0.0
+            out.append(even)
+        return tuple(out)
 
 
 def fit_plane(state: FlowState, cell) -> tuple:
@@ -216,30 +243,41 @@ def step(state: FlowState) -> FlowState:
         tau_x = -a * inv
         tau_y = -b * inv
         v = np.where(moving, h ** (2.0 / 3.0) * np.sqrt(s) / state.manning_n, 0.0)
-        # Outward rate through each face: v * (tau . n), where positive.
-        q = v[:, None] * (
-            tau_x[:, None] * FACE_NORMALS[None, :, 0]
-            + tau_y[:, None] * FACE_NORMALS[None, :, 1]
-        )
-        # A missing neighbor reads +inf, so it is never a receptor.
-        receptor = (np.append(psi, np.inf)[topo.gather] < psi[:, None]) & (q > 0.0)
-        transfer_face = receptor
-        if state.boundary == "open":
-            transfer_face = receptor | (topo.is_edge & (q > 0.0) & moving[:, None])
-        volume = state.dt * grid.side * h[:, None] * np.where(transfer_face, q, 0.0)
-        out = volume.sum(axis=1)
+        # Face by face: the outward rate v * (tau . n) and the volume
+        # dt * side * h * rate through the faces that take water.
+        rate, term, send, take = topo._rate, topo._term, topo._send, topo._take
+        depth_side = state.dt * grid.side * h
+        volume = topo._volume[:, :-1]
+        for f, (nx, ny) in enumerate(FACE_NORMALS):
+            np.multiply(tau_x, nx, out=rate)
+            rate += np.multiply(tau_y, ny, out=term)
+            rate *= v
+            np.greater(rate, 0.0, out=send)
+            # A receptor is a lower neighbor; a missing neighbor's relative
+            # potential is 0, so it never is one.
+            np.less(topo.rel[f], 0.0, out=take)
+            take &= send
+            if state.boundary == "open":
+                send &= topo.is_edge[f]
+                send &= moving
+                take |= send
+            volume[f] = 0.0
+            np.copyto(volume[f], rate, where=take)
+            volume[f] *= depth_side
+        out = volume.sum(axis=0)
         avail = h * grid.cell_area
         over = out > avail
         capped = int(np.count_nonzero(over))
-        scale = np.where(
-            over, np.where(out > 0.0, avail / np.where(out > 0.0, out, 1.0), 1.0), 1.0
-        )
-        volume *= scale[:, None]
-        out = volume.sum(axis=1)
-    inflow = np.append(volume, np.zeros(6))[topo.inflow].sum(axis=1)
+        if capped:  # without capping every scale would be 1.0, a no-op
+            scale = np.where(
+                over, np.where(out > 0.0, avail / np.where(out > 0.0, out, 1.0), 1.0), 1.0
+            )
+            volume *= scale
+            out = volume.sum(axis=0)
+    inflow = np.take(topo._volume, topo.inflow, out=topo._gathered, mode="clip").sum(axis=0)
     shed = 0.0
     if state.boundary == "open":
-        shed = float(volume[topo.is_edge].sum())
+        shed = float(topo._volume.take(topo.shed).sum())
     h_new = np.maximum(h + (inflow - out) / grid.cell_area, 0.0)
     if not np.all(np.isfinite(h_new[valid])):
         raise NonFiniteStateError(

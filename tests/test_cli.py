@@ -230,7 +230,65 @@ class TestRender:
         assert not out.exists()
 
 
+# The flag contract: (argv, exit code, stderr fragment).  In argv, {asc} is a
+# 15x15 Runge raster, {hex} its hex port and {out} a path nothing has written.
+SYNTH = ["synth", "--runge", "1", "--bounds=-5,-5,5,5", "--out", "{out}"]
+PORT = ["port", "--in", "{asc}", "--out", "{out}"]
+DEGRADE = ["degrade", "--in", "{asc}", "--out", "{out}"]
+FLOW = ["flow", "--hex", "{hex}", "--out-depth", "{out}"]
+FLAG_CONTRACT = [
+    (SYNTH + ["--cols", "0", "--rows", "5"], 2, "--cols: must be a positive integer, got '0'"),
+    (SYNTH + ["--cols", "5", "--rows", "-2"], 2, "--rows: must be a positive integer"),
+    (SYNTH + ["--cols", "5", "--rows", "5"], 0, ""),
+    (PORT + ["--cells-across", "0"], 2, "--cells-across: must be a positive integer"),
+    (PORT + ["--radius", "-1"], 2, "--radius: must be a positive finite number"),
+    (PORT + ["--radius", "inf"], 2, "--radius: must be a positive finite number"),
+    (PORT + ["--cells-across", "4"], 0, ""),
+    (DEGRADE + ["--m", "0"], 2, "--m: must be a positive integer"),
+    (DEGRADE + ["--n", "-1"], 2, "--n: must be a positive integer"),
+    (DEGRADE + ["--seed", "-1"], 2, "--seed: must be a nonnegative integer"),
+    (DEGRADE + ["--m", "1", "--n", "1", "--seed", "0"], 0, ""),
+    (["errors", "--raster", "{asc}", "--quad", "0", "--report", "{out}"], 2,
+     "--quad: must be a positive integer"),
+    (FLOW + ["--steps", "-1"], 2, "--steps: must be a nonnegative integer"),
+    (FLOW + ["--steps", "1.5"], 2, "--steps: invalid int value: '1.5'"),
+    (FLOW + ["--steps", "1", "--dt", "0"], 2, "--dt: must be a positive finite number"),
+    (FLOW + ["--steps", "1", "--dt", "nan"], 2, "--dt: must be a positive finite number"),
+    (FLOW + ["--steps", "1", "--manning", "0"], 2, "--manning: must be a positive finite number"),
+    (FLOW + ["--steps", "1", "--h0", "-1"], 2, "--h0: must be a nonnegative finite number"),
+    (FLOW + ["--steps", "1", "--h0", "inf"], 2, "--h0: must be a nonnegative finite number"),
+    (FLOW + ["--steps", "0", "--h0", "0"], 0, ""),
+    (["render", "--in", "{asc}", "--out", "{out}.ppm", "--px-per-cell", "0"], 2,
+     "--px-per-cell: must be a positive integer"),
+    (["render", "--in", "{asc}", "--out", "{out}.svg", "--px-per-cell", "0"], 2,
+     "--px-per-cell: must be a positive integer"),
+    (["render", "--in", "{hex}", "--out", "{out}.ppm", "--px-per-cell", "-3"], 2,
+     "--px-per-cell: must be a positive integer"),
+    (["render", "--in", "{asc}", "--out", "{out}.svg", "--min", "1", "--max", "0"], 2,
+     "--min must be less than --max"),
+    (["render", "--in", "{asc}", "--out", "{out}.svg", "--min", "1", "--max", "1"], 2,
+     "--min must be less than --max"),
+    (["render", "--in", "{asc}", "--out", "{out}.svg", "--min", "0", "--max", "1"], 0, ""),
+    (["render", "--in", "{out}", "--out", "{out}.svg"], 1, "error:"),
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv, code, fragment", FLAG_CONTRACT,
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_flag_contract(self, small_dem, tmp_path, capsys, argv, code, fragment):
+        hexf = tmp_path / "dem.hex"
+        assert run_cli("port", "--in", small_dem, "--out", hexf, "--cells-across", 8) == 0
+        out = tmp_path / "out"
+        argv = [a.format(asc=small_dem, hex=hexf, out=out) for a in argv]
+        capsys.readouterr()
+        assert run_cli(*argv) == code
+        assert fragment in capsys.readouterr().err
+        if code:
+            assert not list(tmp_path.glob("out*"))
+
     def test_flag_error_is_2(self):
         assert run_cli("port", "--bogus") == 2
         assert run_cli("nosuchcommand") == 2

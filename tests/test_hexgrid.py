@@ -11,6 +11,7 @@ from hexport.hexgrid import (
     cover_domain,
     hex_vertices,
     locate_many,
+    neighbor_table,
 )
 
 from conftest import hex_centers
@@ -187,6 +188,32 @@ class TestCoverDomain:
         ys = rng.uniform(bounds[1] + w, bounds[3] - w, 2000)
         _, _, inside = locate_many(g, xs, ys)
         assert inside.all()
+
+
+class TestNeighborTable:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1), (7, 6)])
+    def test_face_normal_oracle(self, shape):
+        """Each entry is the cell one width away along its face normal; -1 off-grid."""
+        nrows, ncols = shape
+        g = HexGrid(ncols=ncols, nrows=nrows, r=0.7, x0=1.0, y0=2.0)
+        X, Y = hex_centers(g)
+        x, y = X.ravel(), Y.ravel()
+        cells = np.arange(ncols * nrows)
+        table = neighbor_table(g, cells % ncols, cells // ncols)
+        assert table.shape == (6, cells.size)
+        for f, (nx, ny) in enumerate(FACE_NORMALS):
+            tx = x + g.cell_width * nx
+            ty = y + g.cell_width * ny
+            hit = np.hypot(x[None, :] - tx[:, None], y[None, :] - ty[:, None]) < 1e-9
+            expected = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+            assert np.array_equal(table[f], expected)
+
+    def test_subset_rows_match_full_table(self):
+        g = HexGrid(ncols=5, nrows=6, r=1.0, x0=0.0, y0=0.0)
+        cells = np.arange(30)
+        full = neighbor_table(g, cells % 5, cells // 5)
+        pick = np.array([29, 0, 7, 12, 7])
+        assert np.array_equal(neighbor_table(g, pick % 5, pick // 5), full[:, pick])
 
 
 def test_hex_vertices_pointy_top():

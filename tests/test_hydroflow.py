@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import deque
 from dataclasses import replace
 
@@ -385,3 +386,108 @@ class TestRun:
         res = run(st, 5)
         assert res.summary["volume_initial"] == pytest.approx(res.summary["volume_final"])
         assert res.summary["outflow_volume"] == 0.0
+
+
+def holed(nrows, ncols, seed, **kw):
+    """Seeded rough terrain with 5% NODATA holes and a wet layer."""
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(0.0, 3.0, (nrows, ncols))
+    z[rng.random(z.shape) < 0.05] = -9999.0
+    kw.setdefault("dt", 0.5)
+    return make_state(z, h=np.full(z.shape, 0.1), nodata=-9999.0, **kw)
+
+
+class TestTopology:
+    def test_tables_are_face_major(self):
+        st = holed(9, 11, 5)
+        topo = st.topology()
+        cells = 9 * 11
+        tables = {k: v for k, v in vars(topo).items() if isinstance(v, np.ndarray)}
+        for name in ("gather", "inflow", "wa", "wb", "is_edge", "has", "rel"):
+            assert tables[name].shape == (6, cells), name
+        assert all(v.ndim == 1 or v.shape[0] == 6 for v in tables.values())
+
+    def test_neigh_is_cell_major_without_holes(self):
+        st = holed(9, 11, 6)
+        topo = st.topology()
+        valid = st.valid_mask()
+        neigh = topo.neigh
+        assert neigh.shape == (99, 6)
+        for row in range(9):
+            for col in range(11):
+                expected = [-1] * 6
+                if valid[row, col]:
+                    for nb in st.grid.neighbors(col, row):
+                        c, r = nb.cell
+                        if valid[r, c]:
+                            expected[nb.face - 1] = r * 11 + c
+                assert neigh[row * 11 + col].tolist() == expected
+
+
+    def test_gradient_is_bitwise_the_einsum_reference(self):
+        """The written-out face sum equals numpy's einsum over cell-major rows,
+        signed zeros included."""
+        rng = np.random.default_rng(10)
+        topo = holed(23, 19, 10).topology()
+        valid, neigh = topo.valid, topo.neigh
+        c = valid.size
+        for psi in (
+            rng.uniform(-5.0, 5.0, c),
+            rng.integers(-2, 3, c) * 0.5,
+            np.where(rng.random(c) < 0.5, -0.0, 0.0),
+        ):
+            gradient = topo.gradient(psi)
+            masked = np.where(valid, psi, 0.0)
+            rel = np.where(neigh >= 0, np.append(masked, 0.0)[neigh] - masked[:, None], 0.0)
+            # einsum's order depends on the layout: contiguous rows, as the
+            # cell-major tables were, add faces (0, 2, 4) and (1, 3, 5).
+            rel = np.ascontiguousarray(rel)
+            for got, w in zip(gradient, (topo.wa, topo.wb)):
+                expected = np.einsum("ij,ij->i", np.ascontiguousarray(w.T), rel)
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+class TestWorkspace:
+    """The topology's step workspace never leaks from one state into another."""
+
+    def test_alternating_states_match_states_stepped_apart(self):
+        first = holed(14, 12, 7, boundary="open")
+        first.topology()
+        second = replace(first, h=np.full(first.h.shape, 0.4), boundary="closed", dt=2.0)
+        assert second.topology() is first.topology()
+        apart = []
+        for st in (first, second):
+            st = replace(st, _topo=None)
+            for _ in range(12):
+                st = step(st)
+            apart.append(st)
+        assert apart[0].topology() is not apart[1].topology()
+        assert apart[1].capping_events > 0  # the scale-back path ran
+        shared = [first, second]
+        for _ in range(12):
+            shared = [step(st) for st in shared]
+        for a, b in zip(shared, apart):
+            assert np.array_equal(a.h, b.h)
+            assert (a.outflow_volume, a.capping_events) == (b.outflow_volume, b.capping_events)
+
+    def test_returned_depths_share_no_memory(self):
+        st = holed(10, 13, 8, boundary="open", dt=2.0)
+        topo = st.topology()
+        buffers = [v for v in vars(topo).values() if isinstance(v, np.ndarray)]
+        for _ in range(3):
+            new = step(st)
+            assert not np.shares_memory(new.h, st.h)
+            assert not any(np.shares_memory(new.h, buf) for buf in buffers)
+            st = new
+
+    def test_warm_step_allocates_no_face_tables(self):
+        st = holed(110, 100, 9, boundary="open", dt=0.2)
+        st = step(st)  # builds the topology and its workspace
+        table = 6 * st.h.size * 8
+        tracemalloc.start()
+        try:
+            step(st)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * table

@@ -22,13 +22,6 @@ from .errors import HexportError
 from .porting import PortingConfig, port
 
 
-def _parse_bounds(text: str):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError("bounds must be xmin,ymin,xmax,ymax")
-    return tuple(float(p) for p in parts)
-
-
 def _checked(kind, what: str, ok):
     """An argparse ``type=``: parse with ``kind``, then reject values failing ``ok``."""
 
@@ -46,6 +39,23 @@ _POSITIVE_INT = _checked(int, "a positive integer", lambda v: v > 0)
 _NONNEGATIVE_INT = _checked(int, "a nonnegative integer", lambda v: v >= 0)
 _POSITIVE_FLOAT = _checked(float, "a positive finite number", lambda v: 0 < v < math.inf)
 _NONNEGATIVE_FLOAT = _checked(float, "a nonnegative finite number", lambda v: 0 <= v < math.inf)
+_FINITE_FLOAT = _checked(float, "a finite number", math.isfinite)
+
+
+def _bounds(text: str):
+    """An argparse ``type=`` for ``xmin,ymin,xmax,ymax``: a finite, nonempty box."""
+    try:
+        box = tuple(float(part) for part in text.split(","))
+    except ValueError:
+        box = ()
+    if len(box) != 4 or not all(map(math.isfinite, box)) or not (
+        box[0] < box[2] and box[1] < box[3]
+    ):
+        raise argparse.ArgumentTypeError(
+            f"must be four finite numbers xmin,ymin,xmax,ymax with xmin < xmax "
+            f"and ymin < ymax, got {text!r}"
+        )
+    return box
 
 
 def _read_rect(path: str) -> grid_io.RectRaster:
@@ -73,9 +83,7 @@ def _write_text(path: str, text: str):
 
 
 def _cmd_synth(args) -> int:
-    raster = metrics.runge_raster(
-        _parse_bounds(args.bounds), args.cols, args.rows, args.runge
-    )
+    raster = metrics.runge_raster(args.bounds, args.cols, args.rows, args.runge)
     _write_text(args.out, grid_io.write_esri_ascii(raster))
     print(f"wrote {args.out}: {raster.ncols}x{raster.nrows} cells, runge a={args.runge}")
     return 0
@@ -181,10 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic Runge-field raster")
-    p.add_argument("--runge", type=float, required=True, help="Runge parameter a")
+    p.add_argument("--runge", type=_FINITE_FLOAT, required=True, help="Runge parameter a")
     p.add_argument("--cols", type=_POSITIVE_INT, required=True, help="number of columns")
     p.add_argument("--rows", type=_POSITIVE_INT, required=True, help="number of rows")
-    p.add_argument("--bounds", required=True, help="xmin,ymin,xmax,ymax")
+    p.add_argument("--bounds", type=_bounds, required=True, help="xmin,ymin,xmax,ymax")
     p.add_argument("--out", required=True, help="output ESRI ASCII path")
     p.set_defaults(func=_cmd_synth)
 
@@ -214,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raster", required=True, help="ESRI ASCII raster")
     p.add_argument("--hex", help="hex raster ported from it")
     p.add_argument("--method", default="eno", choices=["eno", "of", "crs", "id"])
-    p.add_argument("--runge", type=float, help="compare against the Runge field with this a")
+    p.add_argument("--runge", type=_FINITE_FLOAT,
+                   help="compare against the Runge field with this a")
     p.add_argument("--quad", type=_POSITIVE_INT, default=8,
                    help="quadrature subsamples per cell side")
     p.add_argument("--report", required=True, help="output report path (text + .json)")
@@ -229,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manning", type=_POSITIVE_FLOAT, default=0.03, help="Manning coefficient")
     p.add_argument("--steps", type=_NONNEGATIVE_INT, required=True, help="number of steps")
     p.add_argument("--boundary", default="closed", choices=["open", "closed"])
-    p.add_argument("--mask-margin", type=float, default=0.0,
+    p.add_argument("--mask-margin", type=_NONNEGATIVE_FLOAT, default=0.0,
                    help="relative excess over the initial depth that marks a mask cell")
     p.add_argument("--out-depth", help="output hex raster of final depths")
     p.add_argument("--out-mask", help="output hex raster of the accumulation mask")

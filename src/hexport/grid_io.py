@@ -63,6 +63,8 @@ class RectRaster:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2 or self.values.size == 0:
             raise ValueError("values must be a nonempty 2D array")
+        if not np.isfinite([self.xll, self.yll, self.cellsize]).all():
+            raise ValueError("RectRaster: xll, yll and cellsize must be finite")
         if not self.cellsize > 0:
             raise ValueError("cellsize must be positive")
         _validate_values(self.values, self.nodata, "RectRaster")
@@ -123,6 +125,8 @@ class HexRaster:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2 or self.values.size == 0:
             raise ValueError("values must be a nonempty 2D array")
+        if not np.isfinite([self.x0, self.y0, self.r]).all():
+            raise ValueError("HexRaster: x0, y0 and radius must be finite")
         if not self.r > 0:
             raise ValueError("radius must be positive")
         _validate_values(self.values, self.nodata, "HexRaster")
@@ -217,6 +221,13 @@ def _is_number(token: str) -> bool:
     return True
 
 
+def _finite_header(header, keys, what):
+    """Reject non-finite geometry: it would only fail later, or pass through."""
+    for key in keys:
+        if key in header and not np.isfinite(header[key]):
+            raise MalformedHeaderError(f"{what}: {key} must be finite")
+
+
 def _int_header(header, key, what):
     v = header[key]
     if v != int(v) or int(v) < 1:
@@ -242,6 +253,8 @@ def parse_esri_ascii(data) -> RectRaster:
             raise MalformedHeaderError(f"esri ascii: both {axis}llcorner and {axis}llcenter")
         if not corner and not center:
             raise MalformedHeaderError(f"esri ascii: missing {axis}llcorner/{axis}llcenter")
+    _finite_header(header, ("ncols", "nrows", "xllcorner", "yllcorner", "xllcenter",
+                            "yllcenter", "cellsize"), "esri ascii")
     ncols = _int_header(header, "ncols", "esri ascii")
     nrows = _int_header(header, "nrows", "esri ascii")
     cellsize = header["cellsize"]
@@ -279,6 +292,7 @@ def read_hex_raster(data) -> HexRaster:
     for key in ("ncols", "nrows", "xcenter0", "ycenter0", "radius", "nodata_value"):
         if key not in header:
             raise MalformedHeaderError(f"hex raster: missing header key {key}")
+    _finite_header(header, ("ncols", "nrows", "xcenter0", "ycenter0", "radius"), "hex raster")
     ncols = _int_header(header, "ncols", "hex raster")
     nrows = _int_header(header, "nrows", "hex raster")
     if not header["radius"] > 0:

@@ -15,6 +15,9 @@ selection rules applied per inter-knot interval:
 
 One batched kernel, :func:`select_stencils`, applies either rule to any
 number of intervals; :func:`eno_select` and :func:`of_select` view one.
+A :class:`KnotTable` keeps many rows and their selected cubics in one flat
+table and evaluates any set of them with one gather and one Horner pass;
+:class:`Extension1D` is a one-row view of it.
 
 Both rules reproduce polynomials up to degree three exactly.  Outside the
 knot range the cubic through the four outermost knots is extrapolated.
@@ -197,7 +200,7 @@ _CANDIDATES = {
     ENO: np.array([(2, 3, 1, 4), (2, 3, 0, 1), (2, 3, 4, 5)]),
     OF: np.array(list(itertools.combinations(range(6), 4))),
 }
-_BLOCK = 4096  # intervals per select_stencils call in select_rows
+_BLOCK = 4096  # block size: intervals per select_stencils call, points per evaluation
 
 
 def _windows(xs, start, n, k):
@@ -219,29 +222,29 @@ def _windows(xs, start, n, k):
 
 
 def select_stencils(wx, wf, valid, method: str):
-    """ENO/OF stencils of N intervals from slot-major ``(6, N)`` windows.
+    """ENO/OF stencils of intervals from slot-major windows: values ``wf``
+    ``(6, *S)``, abscissas ``wx`` and ``valid`` broadcasting against them.
 
-    ``wx`` and ``valid`` may be ``(6, 1)``, shared by all intervals.  Among
-    candidates without invalid slots, a scan in tie-preference order keeping
-    a strict running minimum keeps the first if its score is NaN or unbeaten,
-    else the first least score.  Returns chosen slots, Newton coefficients
-    and Horner nodes, ``(N, 4|4|3)``.
+    Among candidates without invalid slots, a scan in tie-preference order
+    keeping a strict running minimum keeps the first if its score is NaN or
+    unbeaten, else the first least score.  Returns the chosen slots, Newton
+    coefficients and Horner nodes, ``(4|4|3, *S)``.
     """
     cands = _CANDIDATES[method].T
     x, f = list(wx[cands]), list(wf[cands])
     score = (_eno_score_parts(*x, *f) if method == ENO
              else _of_energy(_newton_coeffs(x, f), *x[:3], wx[2], wx[3]))
     usable = valid[cands].all(axis=0)
-    cols = np.arange(score.shape[1])
+    at = np.indices(score.shape[1:], sparse=True)
     first = np.argmax(usable, axis=0)
-    keep_first = np.isnan(score[first, cols])
+    keep_first = np.isnan(score[(first, *at)])
     score = np.where(usable & ~np.isnan(score), score, np.inf)
     best = np.argmin(score, axis=0)
-    best = np.where(keep_first | (score[best, cols] == np.inf), first, best)
-    chosen = cands.T[best]
-    x = np.broadcast_to(wx, wf.shape)[chosen.T, cols]
-    c = _newton_coeffs(list(x), list(wf[chosen.T, cols]))
-    return chosen, np.array(c).T, x[:3].T
+    best = np.where(keep_first | (score[(best, *at)] == np.inf), first, best)
+    chosen = cands[:, best]
+    x = np.broadcast_to(wx, wf.shape)[(chosen, *at)]
+    c = _newton_coeffs(list(x), list(wf[(chosen, *at)]))
+    return chosen, np.array(c), x[:3]
 
 
 def select_rows(rows, method: str):
@@ -257,13 +260,13 @@ def select_rows(rows, method: str):
     n = np.repeat(n, n - 1)
     xs = np.concatenate([row.xs for row in rows] or [[]])
     fs = np.concatenate([row.fs for row in rows] or [[]])
-    idx, c, nodes = np.empty((k.size, 4), np.int64), np.empty((k.size, 4)), np.empty((k.size, 3))
+    idx, c, nodes = np.empty((4, k.size), np.int64), np.empty((4, k.size)), np.empty((3, k.size))
     for lo in range(0, k.size, _BLOCK):
         part = slice(lo, lo + _BLOCK)
         wx, valid, at = _windows(xs, start[part], n[part], k[part])
-        chosen, c[part], nodes[part] = select_stencils(wx, fs[at], valid, method)
-        idx[part] = k[part, None] - 2 + chosen
-    return idx, c, nodes
+        chosen, c[:, part], nodes[:, part] = select_stencils(wx, fs[at], valid, method)
+        idx[:, part] = k[part] - 2 + chosen
+    return idx.T, c.T, nodes.T
 
 
 def _select_one(knots: Knots1D, k: int, method: str) -> Stencil1D:
@@ -275,8 +278,8 @@ def _select_one(knots: Knots1D, k: int, method: str) -> Stencil1D:
         raise InsufficientKnotsError(f"interval {k} has fewer than 4 usable knots")
     wx, valid, at = _windows(knots.xs, 0, n, np.array([k]))
     chosen, c, _ = select_stencils(wx, knots.fs[at], valid, method)
-    idx = tuple((k - 2 + chosen[0]).tolist())
-    return Stencil1D(k=k, idx=idx, method=method, coeffs=tuple(c[0]))
+    idx = tuple((k - 2 + chosen[:, 0]).tolist())
+    return Stencil1D(k=k, idx=idx, method=method, coeffs=tuple(c[:, 0]))
 
 
 def eno_select(knots: Knots1D, k: int) -> Stencil1D:
@@ -297,34 +300,81 @@ def of_select(knots: Knots1D, k: int) -> Stencil1D:
     return _select_one(knots, k, OF)
 
 
-class Extension1D:
-    """An everywhere-defined extension of one knot row.
+class KnotTable:
+    """Knot rows in one flat (CSR) table with the cubic pieces evaluating them.
 
-    Stencils are selected for all intervals in one batched pass, here or by
-    a caller that passes this row's slice of its :func:`select_rows` result
-    as ``tables``.  Evaluation is an interval lookup plus a Horner step,
-    vectorized over query points.  With fewer than four knots the quadratic
-    or linear interpolant through all knots is used instead and a degraded
-    flag is set.
+    Row r holds knots ``xs[start[r] : start[r + 1]]`` and, from ``pieces[r]``
+    on, n + 1 pieces: the cubic on its first four knots (below the row), each
+    interval's stencil, the cubic on its last four knots (above the row), as
+    Newton coefficients ``c`` ``(4, P)`` and Horner nodes ``x`` ``(3, P)``.
+    Rows of 2-3 knots keep their interpolant in ``degraded`` instead.
     """
 
-    def __init__(self, knots: Knots1D, method: str, tables=None):
+    def __init__(self, rows, method: str):
         if method not in _METHODS:
             raise ValueError(f"unknown method {method!r}")
+        self.method = method
+        n = np.array([len(row) for row in rows], dtype=np.int64)
+        self.start = np.concatenate([[0], np.cumsum(n)])
+        self.pieces = np.concatenate([[0], np.cumsum(n + 1)])
+        self.xs = np.concatenate([row.xs for row in rows] or [[]])
+        self.fs = np.concatenate([row.fs for row in rows] or [[]])
+        self.c, self.x = np.zeros((4, self.pieces[-1])), np.zeros((3, self.pieces[-1]))
+        full = n >= 4
+        lo, nf = self.pieces[:-1][full], n[full]
+        _, c, x = select_rows([row for row, f in zip(rows, full) if f], method)
+        at = np.arange(len(c)) + np.repeat(lo + 1 - np.cumsum(nf - 1) + (nf - 1), nf - 1)
+        self.c[:, at], self.x[:, at] = c.T, x.T
+        ends = np.concatenate([self.start[:-1][full], self.start[1:][full] - 4])
+        ends = ends + np.arange(4)[:, None]
+        at = np.concatenate([lo, lo + nf])
+        self.c[:, at] = _newton_coeffs(list(self.xs[ends]), list(self.fs[ends]))
+        self.x[:, at] = self.xs[ends][:3]
+        self.degraded = {r: (_newton_coeffs(list(row.xs), list(row.fs)), list(row.xs))
+                         for r, row in enumerate(rows) if len(row) < 4}
+
+    def eval(self, rows, x) -> np.ndarray:
+        """Rows ``rows`` (an index array) at points ``x``, ``(len(rows), len(x))``:
+        one gather of pieces and one Horner pass, then the degraded rows and
+        the knots (their values, or OF's average of one-sided limits)."""
+        step = max(_BLOCK // max(x.size, 1), 1)  # rows per block of about _BLOCK points
+        if len(rows) > step:
+            blocks = [self.eval(rows[b : b + step], x) for b in range(0, len(rows), step)]
+            return np.concatenate(blocks)
+        s, n = self.start[rows], self.start[rows + 1] - self.start[rows]
+        pos = np.empty((len(rows), x.size), dtype=np.int64)
+        for i, (a, b) in enumerate(zip(s.tolist(), (s + n).tolist())):
+            pos[i] = self.xs[a:b].searchsorted(x)
+        g = self.pieces[rows, None] + pos
+        out = _newton_eval(self.c[:, g], self.x[:, g], x)
+        for i in (n < 4).nonzero()[0].tolist():
+            out[i] = _newton_eval(*self.degraded[int(rows[i])], x)
+        last = (n - 1)[:, None]
+        at = s[:, None] + np.minimum(pos, last)
+        hit = (pos <= last) & (self.xs[at] == x)
+        value = self.fs[at[hit]]
+        if self.method == OF and value.size:
+            i, j = hit.nonzero()
+            p, top = self.pieces[rows[i]] + 1, n[i] - 2
+            vl, vr = (_newton_eval(self.c[:, q], self.x[:, q], x[j])
+                      for q in (np.clip(g[hit] + d, p, p + top) for d in (0, 1)))
+            value = np.where(n[i] < 4, value, 0.5 * (vl + vr))
+        out[hit] = value
+        return out
+
+
+class Extension1D:
+    """An everywhere-defined extension of one knot row: row ``row`` of a
+    :class:`KnotTable`, or of its own one-row table.  Fewer than four knots
+    give the quadratic or linear interpolant through all of them (``degraded``).
+    """
+
+    def __init__(self, knots: Knots1D, method: str, table=None, row: int = 0):
+        self._table = KnotTable([knots], method) if table is None else table
         self.knots = knots
         self.method = method
-        xs, fs = knots.xs, knots.fs
-        n = xs.size
-        self.degraded = n < 4
-        if self.degraded:
-            self._coeffs = _newton_coeffs(list(xs), list(fs))
-            self._cxs = list(xs)
-            return
-        self._c, self._x = select_rows([knots], method)[1:] if tables is None else tables
-        self._lo, self._hi = (
-            (_newton_coeffs(list(xs[end]), list(fs[end])), list(xs[end][:3]))
-            for end in (slice(0, 4), slice(n - 4, n))
-        )
+        self.degraded = len(knots) < 4
+        self._row = np.array([row])
 
     def __call__(self, xi: float) -> float:
         return float(self.eval_many(np.array([xi], dtype=np.float64))[0])
@@ -332,44 +382,7 @@ class Extension1D:
     def eval_many(self, x) -> np.ndarray:
         """Evaluate the extension at an array of points."""
         x = np.asarray(x, dtype=np.float64)
-        xs, fs = self.knots.xs, self.knots.fs
-        n = xs.size
-        pos = np.searchsorted(xs, x)
-        at_knot = (pos < n) & (xs[np.minimum(pos, n - 1)] == x)
-        if self.degraded:
-            out = np.array(_newton_eval(self._coeffs, self._cxs, x), dtype=np.float64)
-            out[at_knot] = fs[pos[at_knot]]
-            return out
-        k = np.clip(pos - 1, 0, n - 2)
-        out = self._horner(self._c[k], self._x[k], x)
-        below = x < xs[0]
-        above = x > xs[-1]
-        if below.any():
-            c, cx = self._lo
-            out[below] = _newton_eval(c, cx, x[below])
-        if above.any():
-            c, cx = self._hi
-            out[above] = _newton_eval(c, cx, x[above])
-        if at_knot.any():
-            j = pos[at_knot]
-            if self.method == ENO:
-                out[at_knot] = fs[j]
-            else:
-                # One-sided polynomial limits, averaged at interior knots.
-                left = np.clip(j - 1, 0, n - 2)
-                right = np.clip(j, 0, n - 2)
-                xa = x[at_knot]
-                vl = self._horner(self._c[left], self._x[left], xa)
-                vr = self._horner(self._c[right], self._x[right], xa)
-                out[at_knot] = 0.5 * (vl + vr)
-        return out
-
-    @staticmethod
-    def _horner(c, cx, x):
-        return c[..., 0] + (x - cx[..., 0]) * (
-            c[..., 1]
-            + (x - cx[..., 1]) * (c[..., 2] + (x - cx[..., 2]) * c[..., 3])
-        )
+        return self._table.eval(self._row, x.ravel())[0].reshape(x.shape)
 
 
 def extend_1d(knots: Knots1D, xi: float, method: str = ENO) -> float:

@@ -11,8 +11,10 @@ Evaluation is batched along horizontal lines: hexagon-row centers and
 quadrature sample rows share a y, so the per-row 1D evaluations and the
 cross-row combination all vectorize over x.  Lines that also share their
 xs (every other hexagon row, the quadrature lines of a raster row) go in
-one call: each knot row is then evaluated once, the cross-row stencil
-selection runs once per y-interval, and only a Horner step runs per line.
+one call: every knot row the lines need is evaluated once, in one pass
+over the flat knot table; the cross-row stencils of every needed
+(interval, column) pair are selected in one blocked kernel call; and one
+Horner pass serves all lines between rows.
 
 Also here: the Catmull-Rom spline baseline (regular grids only) and the
 piecewise-constant cell lookup, both with the same line-batched interface.
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import interp1d
 from .errors import (
     IrregularGridError,
     OutOfBoundsError,
@@ -37,10 +40,10 @@ from .interp1d import (
     OF,
     Extension1D,
     Knots1D,
+    KnotTable,
     _newton_coeffs,
     _newton_eval,
     _windows,
-    select_rows,
     select_stencils,
 )
 
@@ -114,23 +117,6 @@ def build_row_like_grid(raster: RectRaster) -> RowLikeGrid:
     return RowLikeGrid(ys=np.array(ys), rows=tuple(rows), dropped_rows=dropped)
 
 
-class _Window:
-    """Values computed on demand, once per index, dropped as a sweep moves up."""
-
-    def __init__(self, compute):
-        self._compute = compute
-        self._held = {}
-
-    def __getitem__(self, j):
-        if j not in self._held:
-            self._held[j] = self._compute(j)
-        return self._held[j]
-
-    def drop_below(self, j):
-        for key in [key for key in self._held if key < j]:
-            del self._held[key]
-
-
 def _heights(y):
     """Query heights as a 1-D array; ``y`` is a scalar or a 1-D array."""
     lines = np.atleast_1d(np.asarray(y, dtype=np.float64))
@@ -139,79 +125,92 @@ def _heights(y):
     return lines
 
 
-def _line_groups(keys):
-    """(key, line indices) for each distinct key, in increasing key order."""
-    return ((key, np.flatnonzero(keys == key)) for key in sorted(set(keys.tolist())))
-
-
 class Extension2D:
     """Everywhere-defined extension of a row-like grid, ENO or OF flavored.
 
-    Stencils of all knot rows are selected in one batched pass; evaluation
-    batches over points sharing a y (a line) and over lines sharing their
-    xs, which is how rasters and hexagon rows are swept.
+    All knot rows live in one :class:`KnotTable`; ``_rows`` holds a thin
+    :class:`Extension1D` view of each.  Evaluation batches over points
+    sharing a y (a line) and over lines sharing their xs, which is how
+    rasters and hexagon rows are swept.
     """
 
     def __init__(self, grid: RowLikeGrid, method: str = ENO):
-        if method not in (ENO, OF):
-            raise ValueError(f"unknown method {method!r}")
+        self._table = KnotTable(grid.rows, method)
         self.grid = grid
         self.method = method
         self._ywin = _windows(grid.ys, 0, grid.ys.size, np.arange(grid.ys.size - 1))
-        _, c, x = select_rows([row for row in grid.rows if len(row) >= 4], method)
-        at = np.cumsum([0] + [len(row) - 1 if len(row) >= 4 else 0 for row in grid.rows])
-        self._rows = [Extension1D(row, method, (c[a:b], x[a:b]))
-                      for row, a, b in zip(grid.rows, at, at[1:])]
+        self._rows = [Extension1D(row, method, self._table, r) for r, row in enumerate(grid.rows)]
 
     def eval_line(self, xs, y) -> np.ndarray:
         """Evaluate the extension at points (xs[i], y).
 
         ``y`` is a scalar, giving shape ``(len(xs),)``, or a 1-D array of
         heights sharing ``xs``, giving ``(len(y), len(xs))`` whose row i
-        equals the scalar call at ``y[i]`` bit for bit.  Lines are swept
-        bottom-up: each knot row is evaluated once (at most seven held at a
-        time) and the cross-row selection, which does not depend on y, runs
-        once per interval, leaving a Horner step per line.
+        equals the scalar call at ``y[i]`` bit for bit.  Every knot row the
+        lines need is evaluated once, in one table pass; the cross-row
+        stencils of every needed interval and column are selected in one
+        blocked kernel call; one Horner pass then serves all lines.
         """
         xs = np.asarray(xs, dtype=np.float64)
         lines = _heights(y)
         ys = self.grid.ys
         m = ys.size
-        # Sweep key, increasing with y: 2*j on knot row j, 2*k + 1 inside
-        # interval k, with -1 below the rows and 2*m - 1 above them.
-        keys = np.searchsorted(ys, lines) + np.searchsorted(ys, lines, "right") - 1
-        rows = _Window(lambda j: self._rows[j].eval_many(xs))
-        stencils = _Window(lambda k: self._select(k, rows))
+        # Line key: 2*j on knot row j, 2*k + 1 inside interval k, -1 below
+        # the rows and 2*m - 1 above them; key // 2 is the row or interval.
+        key = ys.searchsorted(lines) + ys.searchsorted(lines, "right") - 1
+        j, odd = np.divmod(key, 2)
+        knot = odd == 0
+        mean = knot & (self.method == OF and m >= 4)
+        direct = knot ^ mean
+        if direct.all():  # every line on a knot row, taken as is
+            return self._table.eval(j, xs).reshape(np.shape(y) + xs.shape)
+        # One fixed stencil beyond the rows (or between fewer than four).
+        fixed = ~knot & ((key == -1) | (key == 2 * m - 1) | (m < 4))
+        below = fixed & (key == -1)
+        above = fixed ^ below
+        inner = ~(knot | fixed)
+        left, right = np.maximum(j - 1, 0), np.minimum(j, m - 2)
+        want = np.zeros(m - 1, dtype=bool)
+        want[j[inner]] = want[left[mean]] = want[right[mean]] = True
+        ks = want.nonzero()[0]
+        need = np.zeros(m, dtype=bool)
+        need[j[direct]] = need[self._ywin[2][:, ks]] = True
+        need[:4] |= below.any()
+        need[-4:] |= above.any()
+        rows = need.nonzero()[0]
+        V = np.empty((m, xs.size))
+        V[rows] = self._table.eval(rows, xs)
         out = np.empty((lines.size, xs.size))
-        for key, idx in _line_groups(keys):
-            rows.drop_below(key // 2 - 3)
-            stencils.drop_below(key // 2 - 1)
-            at = lines[idx, None]
-            if key % 2 == 0 and (self.method == ENO or m < 4):
-                out[idx] = rows[key // 2]
-            elif key % 2 == 0:
-                j = key // 2
-                left, right = max(j - 1, 0), min(j, m - 2)
-                vl = _newton_eval(*stencils[left], at)
-                vr = _newton_eval(*stencils[right], at) if right != left else vl
-                out[idx] = 0.5 * (vl + vr)
-            elif m < 4 or key in (-1, 2 * m - 1):
-                # Fewer than four rows, or beyond them: one fixed stencil.
-                fixed = range(m) if m < 4 else range(4) if key == -1 else range(m - 4, m)
-                nodes = [ys[i] for i in fixed]
-                coeffs = _newton_coeffs(nodes, [rows[i] for i in fixed])
-                out[idx] = _newton_eval(coeffs, nodes, at)
-            else:
-                out[idx] = _newton_eval(*stencils[key // 2], at)
+        out[direct] = V[j[direct]]
+        c, nodes = self._select(ks, V)
+        step = max(interp1d._BLOCK // max(xs.size, 1), 1)  # lines per block (bounds gathers)
+
+        def cross(k, at):
+            g = ks.searchsorted(k[at])
+            return _newton_eval(c[:, g], nodes[:, g], lines[at, None])
+
+        at, mid = inner.nonzero()[0], mean.nonzero()[0]
+        for b in range(0, at.size, step):
+            out[at[b : b + step]] = cross(j, at[b : b + step])
+        for b in range(0, mid.size, step):
+            out[mid[b : b + step]] = 0.5 * (cross(left, mid[b : b + step])
+                                            + cross(right, mid[b : b + step]))
+        for four, sel in ((slice(None, 4), below), (slice(-4, None), above)):
+            if sel.any():
+                coeffs = _newton_coeffs(list(ys[four]), list(V[four]))
+                out[sel] = _newton_eval(coeffs, list(ys[four]), lines[sel, None])
         return out if np.ndim(y) else out[0]
 
-    def _select(self, k, rows):
-        """Per-column cross-row stencil of interval k, as the Newton
-        coefficients and heights that :func:`_newton_eval` takes."""
-        wx, valid, at = (w[:, k : k + 1] for w in self._ywin)
-        wf = np.array([rows[j] for j in at[:, 0].tolist()])
-        _, c, nodes = select_stencils(wx, wf, valid, self.method)
-        return c.T, nodes.T
+    def _select(self, k, V):
+        """Cross-row stencils ``(4|3, len(k), ncols)`` of intervals ``k`` at the
+        columns of ``V`` (row j's values in ``V[j]``), in blocks of about ``_BLOCK``."""
+        c, nodes = np.empty((4, k.size, V.shape[1])), np.empty((3, k.size, V.shape[1]))
+        step = max(interp1d._BLOCK // max(V.shape[1], 1), 1)
+        for lo in range(0, k.size, step):
+            part = slice(lo, lo + step)
+            wx, valid, at = (w[:, k[part], None] for w in self._ywin)
+            _, c[:, part], nodes[:, part] = select_stencils(wx, V[at[..., 0]], valid, self.method)
+        return c, nodes
 
     def __call__(self, x: float, y: float) -> float:
         return float(self.eval_line(np.array([x], dtype=np.float64), y)[0])
@@ -277,40 +276,28 @@ class CrsExtension:
             + (t3 - t2) * m1
         )
 
-    def _row_eval(self, row_idx, xs):
-        """Evaluate one knot row at query xs (vectorized)."""
-        knots = self.xs
-        n = knots.size
-        k = np.clip(np.searchsorted(knots, xs) - 1, 0, n - 2)
-        h = knots[k + 1] - knots[k]
-        t = (xs - knots[k]) / h
-        f = self.V[row_idx]
-        m = self._tx[row_idx]
-        return self._hermite(f[k], f[k + 1], m[k], m[k + 1], t)
-
     def eval_line(self, xs, y) -> np.ndarray:
-        """Evaluate at points (xs[i], y); ``y`` as in :meth:`Extension2D.eval_line`."""
+        """Evaluate at points (xs[i], y); ``y`` as in :meth:`Extension2D.eval_line`.
+
+        The knot rows the lines need are evaluated once, in one pass.
+        """
         xs = np.asarray(xs, dtype=np.float64)
         lines = _heights(y)
         ys = self.ys
         m = ys.size
-        segs = np.clip(np.searchsorted(ys, lines) - 1, 0, m - 2)
-        rows = _Window(lambda j: self._row_eval(j, xs))
-        out = np.empty((lines.size, xs.size))
-        for l, idx in _line_groups(segs):
-            rows.drop_below(l - 1)
-            g0 = rows[l]
-            g1 = rows[l + 1]
-            if l - 1 >= 0:
-                m0 = 0.5 * (g1 - rows[l - 1])
-            else:
-                m0 = g1 - g0
-            if l + 2 <= m - 1:
-                m1 = 0.5 * (rows[l + 2] - g0)
-            else:
-                m1 = g1 - g0
-            t = (lines[idx, None] - ys[l]) / (ys[l + 1] - ys[l])
-            out[idx] = self._hermite(g0, g1, m0, m1, t)
+        l = np.clip(np.searchsorted(ys, lines) - 1, 0, m - 2)
+        near = np.clip(l + np.arange(-1, 3)[:, None], 0, m - 1)  # rows l-1 .. l+2
+        rows = np.bincount(near.ravel(), minlength=m).nonzero()[0]
+        k = np.clip(np.searchsorted(self.xs, xs) - 1, 0, self.xs.size - 2)
+        t = (xs - self.xs[k]) / (self.xs[k + 1] - self.xs[k])
+        f, d = self.V[rows], self._tx[rows]
+        G = np.empty((m, xs.size))
+        G[rows] = self._hermite(f[:, k], f[:, k + 1], d[:, k], d[:, k + 1], t)
+        gm, g0, g1, gp = G[near]
+        m0 = np.where((l >= 1)[:, None], 0.5 * (g1 - gm), g1 - g0)
+        m1 = np.where((l + 2 <= m - 1)[:, None], 0.5 * (gp - g0), g1 - g0)
+        t = ((lines - ys[l]) / (ys[l + 1] - ys[l]))[:, None]
+        out = self._hermite(g0, g1, m0, m1, t)
         return out if np.ndim(y) else out[0]
 
     def __call__(self, x: float, y: float) -> float:

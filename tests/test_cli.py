@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,35 @@ FLAG_CONTRACT = [
      "--min must be less than --max"),
     (["render", "--in", "{asc}", "--out", "{out}.svg", "--min", "0", "--max", "1"], 0, ""),
     (["render", "--in", "{out}", "--out", "{out}.svg"], 1, "error:"),
+    (SYNTH + ["--cols", "5", "--rows", "5", "--runge", "nan"], 2,
+     "--runge: must be a finite number, got 'nan'"),
+    (SYNTH + ["--cols", "5", "--rows", "5", "--bounds=0,0,inf,6"], 2,
+     "--bounds: must be four finite numbers"),
+    (SYNTH + ["--cols", "5", "--rows", "5", "--bounds=0,0,1"], 2,
+     "--bounds: must be four finite numbers"),
+    (SYNTH + ["--cols", "5", "--rows", "5", "--bounds=0,0,1,x"], 2,
+     "--bounds: must be four finite numbers"),
+    (SYNTH + ["--cols", "5", "--rows", "5", "--bounds=5,5,-5,-5"], 2,
+     "with xmin < xmax and ymin < ymax, got '5,5,-5,-5'"),
+    (SYNTH + ["--cols", "5", "--rows", "5", "--bounds=0,2,1,2"], 2,
+     "with xmin < xmax and ymin < ymax, got '0,2,1,2'"),
+    (SYNTH + ["--cols", "5", "--rows", "5", "--bounds=0,1,1,2"], 0, ""),
+    (["errors", "--raster", "{asc}", "--runge", "inf", "--report", "{out}"], 2,
+     "--runge: must be a finite number, got 'inf'"),
+    (["errors", "--raster", "{asc}", "--runge", "1", "--quad", "1", "--report", "{out}"], 0, ""),
+    (FLOW + ["--steps", "1", "--mask-margin", "nan"], 2,
+     "--mask-margin: must be a nonnegative finite number, got 'nan'"),
+    (FLOW + ["--steps", "1", "--mask-margin", "-0.5"], 2,
+     "--mask-margin: must be a nonnegative finite number, got '-0.5'"),
+    (FLOW + ["--steps", "1", "--mask-margin", "0.5"], 0, ""),
+]
+
+# A non-finite geometry value in an input header: (command, input kind, key).
+NON_FINITE_HEADER = [
+    (["port", "--in", "{bad}", "--out", "{out}", "--cells-across", "8"], "asc", "cellsize inf"),
+    (["port", "--in", "{bad}", "--out", "{out}", "--cells-across", "8"], "asc", "xllcorner nan"),
+    (FLOW + ["--steps", "1"], "hex", "radius inf"),
+    (FLOW + ["--steps", "1"], "hex", "xcenter0 nan"),
 ]
 
 
@@ -288,6 +318,27 @@ class TestExitCodes:
         assert fragment in capsys.readouterr().err
         if code:
             assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("argv, kind, bad", NON_FINITE_HEADER,
+                             ids=lambda v: v if isinstance(v, str) else None)
+    def test_non_finite_header_is_data_error(self, small_dem, tmp_path, capsys, argv, kind, bad):
+        hexf = tmp_path / "dem.hex"
+        assert run_cli("port", "--in", small_dem, "--out", hexf, "--cells-across", 8) == 0
+        good = small_dem if kind == "asc" else hexf
+        key = bad.split()[0]
+        lines = [bad if line.lower().startswith(key) else line
+                 for line in good.read_text().splitlines()]
+        (tmp_path / "bad").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        argv = [a.format(bad=tmp_path / "bad", hex=tmp_path / "bad", out=out) for a in argv]
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(*argv) == 1
+        assert caught == []
+        assert f"error: {'esri ascii' if kind == 'asc' else 'hex raster'}: {key} must be finite" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
     def test_flag_error_is_2(self):
         assert run_cli("port", "--bogus") == 2

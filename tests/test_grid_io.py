@@ -150,6 +150,49 @@ class TestHexFormat:
             read_hex_raster("ncols 1\nnrows 1\nradius 1\nNODATA_value -9999\n1\n")
 
 
+ESRI_GEOMETRY = ["ncols", "nrows", "xllcorner", "yllcorner", "xllcenter", "yllcenter", "cellsize"]
+HEX_GEOMETRY = ["ncols", "nrows", "xcenter0", "ycenter0", "radius"]
+NON_FINITE = ["nan", "inf", "-inf"]
+
+
+class TestNonFiniteGeometry:
+    """Non-finite header geometry is a data error, not a later crash."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("key", ESRI_GEOMETRY)
+    def test_esri_header(self, key, value):
+        text = MINIMAL
+        if key.endswith("center"):
+            text = text.replace(key.replace("center", "corner") + " 0", key + " 5")
+        text = text.replace(next(line for line in text.splitlines() if line.startswith(key)),
+                            f"{key} {value}")
+        with pytest.raises(MalformedHeaderError, match=f"{key} must be finite"):
+            parse_esri_ascii(text)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("key", HEX_GEOMETRY)
+    def test_hex_header(self, key, value):
+        text = write_hex_raster(HexRaster(values=[[1.0, 2.0]], x0=0.0, y0=0.0, r=1.0))
+        text = text.replace(next(line for line in text.splitlines() if line.startswith(key)),
+                            f"{key} {value}")
+        with pytest.raises(MalformedHeaderError, match=f"{key} must be finite"):
+            read_hex_raster(text)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["xll", "yll", "cellsize"])
+    def test_rect_raster(self, field, value):
+        geometry = {"xll": 0.0, "yll": 0.0, "cellsize": 1.0, field: value}
+        with pytest.raises(ValueError, match="must be finite"):
+            RectRaster(values=[[1.0]], **geometry)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["x0", "y0", "r"])
+    def test_hex_raster(self, field, value):
+        geometry = {"x0": 0.0, "y0": 0.0, "r": 1.0, field: value}
+        with pytest.raises(ValueError, match="must be finite"):
+            HexRaster(values=[[1.0]], **geometry)
+
+
 class TestRender:
     def test_single_hex_svg_has_one_polygon(self):
         hx = HexRaster(values=[[1.0]], x0=0.0, y0=0.0, r=1.0)

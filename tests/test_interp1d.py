@@ -426,6 +426,15 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).tobytes()
 
 
+def row_pieces(table, r):
+    """Bits of row r's pieces in a KnotTable: the interval stencils'
+    coefficients ``(n - 1, 4)`` and nodes ``(n - 1, 3)``, then the end
+    cubics' coefficients and nodes."""
+    lo, hi = table.pieces[r], table.pieces[r + 1] - 1
+    return (bits(table.c[:, lo + 1 : hi].T), bits(table.x[:, lo + 1 : hi].T),
+            bits(table.c[:, [lo, hi]].T), bits(table.x[:, [lo, hi]].T))
+
+
 class TestSelectionKernel:
     """The batched kernel picks what the scalar scan picks, bit for bit."""
 
@@ -445,10 +454,13 @@ class TestSelectionKernel:
         for method in (ENO, OF):
             with mock.patch.object(interp1d, "_BLOCK", block):
                 idx, c, x = select_rows(full, method)
-                exts = [e for e in Extension2D(grid, method)._rows if not e.degraded]
-            assert len(exts) == len(full)
+                ext = Extension2D(grid, method)
+            table = ext._table
+            assert table.pieces.size == len(rows) + 1
+            assert len(ext._rows) == len(rows)  # thin per-row views of the one table
+            assert all(e.knots is row and e._table is table for e, row in zip(ext._rows, rows))
             at = 0
-            for row, ext in zip(full, exts):
+            for r, row in [(r, row) for r, row in enumerate(rows) if len(row) >= 4]:
                 want = [scalar_select(row.xs, row.fs, k, method) for k in range(len(row) - 1)]
                 span = slice(at, at + len(row) - 1)
                 at += len(row) - 1
@@ -456,9 +468,12 @@ class TestSelectionKernel:
                 want_c = bits([w[1] for w in want])
                 want_x = bits([w[2] for w in want])
                 assert bits(c[span]) == want_c and bits(x[span]) == want_x
-                assert bits(ext._c) == want_c and bits(ext._x) == want_x
-                alone = Extension1D(row, method)
-                assert bits(alone._c) == want_c and bits(alone._x) == want_x
+                ends = [(_newton_coeffs(list(row.xs[e]), list(row.fs[e])), row.xs[e][:3])
+                        for e in (slice(0, 4), slice(len(row) - 4, len(row)))]
+                want_ends = bits([e[0] for e in ends]), bits([e[1] for e in ends])
+                assert row_pieces(table, r) == (want_c, want_x, *want_ends)
+                alone = Extension1D(row, method)._table
+                assert row_pieces(alone, 0) == (want_c, want_x, *want_ends)
                 select = eno_select if method == ENO else of_select
                 for k in (0, 1, len(row) - 3, len(row) - 2):
                     st_k = select(row, k)
@@ -470,24 +485,27 @@ class TestSelectionKernel:
         seed=st.integers(0, 2**32 - 1),
         nrows=st.integers(4, 9),
         values=st.sampled_from(["uniform", "rounded", "constant"]),
+        block=st.sampled_from([3, 15, 4096]),
     )
-    def test_cross_row_selection_matches_scalar_scan(self, seed, nrows, values):
-        # Extension2D._select runs the kernel on one height window shared
-        # by every column; each column must get its own scalar-scan stencil.
+    def test_cross_row_selection_matches_scalar_scan(self, seed, nrows, values, block):
+        # Extension2D._select runs the kernel on blocks of intervals whose
+        # heights are shared by every column; each (interval, column) pair
+        # must get its own scalar-scan stencil.
         rng = np.random.default_rng(seed)
         ys = np.cumsum(rng.uniform(0.2, 1.5, nrows))
         cols = [row.fs for row in ragged_rows(seed, [nrows] * 7, values)]
         V = np.stack(cols, axis=1)  # V[j] holds knot row j's values per column
         grid = RowLikeGrid(ys=ys, rows=tuple(Knots1D(np.arange(2.0), np.zeros(2))
                                              for _ in ys))
+        ks = rng.permutation(nrows - 1)
         for method in (ENO, OF):
-            ext = Extension2D(grid, method)
-            for k in range(nrows - 1):
-                c, nodes = ext._select(k, V)
+            with mock.patch.object(interp1d, "_BLOCK", block):
+                c, nodes = Extension2D(grid, method)._select(ks, V)
+            for i, k in enumerate(ks):
                 for col in range(V.shape[1]):
                     _, want_c, want_x = scalar_select(ys, V[:, col], k, method)
-                    assert bits([ci[col] for ci in c]) == bits(want_c)
-                    assert bits([xi[col] for xi in nodes]) == bits(want_x)
+                    assert bits(c[:, i, col]) == bits(want_c)
+                    assert bits(nodes[:, i, col]) == bits(want_x)
 
     def test_overflowing_scores_resolve_as_the_scan_does(self):
         # Huge values overflow scores to inf and NaN; the scan then keeps

@@ -1,11 +1,13 @@
 import bisect
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hexport import interp1d
 from hexport.errors import (
     IrregularGridError,
     OutOfBoundsError,
@@ -13,7 +15,17 @@ from hexport.errors import (
     TooSparseError,
 )
 from hexport.grid_io import RectRaster
-from hexport.interp1d import ENO, OF, Knots1D, extend_1d
+from hexport.interp1d import (
+    ENO,
+    OF,
+    Knots1D,
+    _newton_coeffs,
+    _newton_eval,
+    _windows,
+    extend_1d,
+    select_rows,
+    select_stencils,
+)
 from hexport.interp2d import (
     CrsExtension,
     Extension2D,
@@ -333,3 +345,118 @@ class TestBatchedLines:
             assert ext.eval_line(xs, np.empty(0)).shape == (0, 7)
         with pytest.raises(ValueError):
             Extension2D(g, ENO).eval_line(xs, np.ones((2, 2)))
+
+
+def sweep_row(knots, method, x):
+    """One knot row at points x, evaluated on its own: a copy of the
+    per-row evaluation that the flat knot table replaced."""
+    xs, fs = knots.xs, knots.fs
+    n = xs.size
+    pos = np.searchsorted(xs, x)
+    at_knot = (pos < n) & (xs[np.minimum(pos, n - 1)] == x)
+    if n < 4:
+        out = np.array(_newton_eval(_newton_coeffs(list(xs), list(fs)), list(xs), x))
+        out[at_knot] = fs[pos[at_knot]]
+        return out
+    _, c, cx = select_rows([knots], method)
+
+    def horner(k, at):
+        return _newton_eval(c[k].T, cx[k].T, at)
+
+    out = horner(np.clip(pos - 1, 0, n - 2), x)
+    for side, end in ((x < xs[0], slice(0, 4)), (x > xs[-1], slice(n - 4, n))):
+        ends = _newton_coeffs(list(xs[end]), list(fs[end]))
+        out[side] = _newton_eval(ends, list(xs[end][:3]), x[side])
+    j = pos[at_knot]
+    if method == ENO:
+        out[at_knot] = fs[j]
+    else:
+        at = x[at_knot]
+        out[at_knot] = 0.5 * (horner(np.clip(j - 1, 0, n - 2), at)
+                              + horner(np.clip(j, 0, n - 2), at))
+    return out
+
+
+def sweep_eval_line(grid, method, xs, lines):
+    """A copy of the bottom-up sweep that the flat path replaced: each knot
+    row evaluated once on its own, one cross-row selection per interval on
+    heights shared by all columns, and a Horner step per group of lines."""
+    ys, m = grid.ys, grid.ys.size
+    keys = np.searchsorted(ys, lines) + np.searchsorted(ys, lines, "right") - 1
+    rows = {j: sweep_row(row, method, xs) for j, row in enumerate(grid.rows)}
+
+    def stencil(k):
+        wx, valid, at = _windows(ys, 0, m, np.array([k]))
+        wf = np.array([rows[j] for j in at[:, 0].tolist()])
+        return select_stencils(wx, wf, valid, method)[1:]
+
+    out = np.empty((lines.size, xs.size))
+    for key in sorted(set(keys.tolist())):
+        idx = np.flatnonzero(keys == key)
+        at = lines[idx, None]
+        if key % 2 == 0 and (method == ENO or m < 4):
+            out[idx] = rows[key // 2]
+        elif key % 2 == 0:
+            j = key // 2
+            left, right = max(j - 1, 0), min(j, m - 2)
+            vl = _newton_eval(*stencil(left), at)
+            vr = _newton_eval(*stencil(right), at) if right != left else vl
+            out[idx] = 0.5 * (vl + vr)
+        elif m < 4 or key in (-1, 2 * m - 1):
+            fixed = range(m) if m < 4 else range(4) if key == -1 else range(m - 4, m)
+            nodes = [ys[i] for i in fixed]
+            coeffs = _newton_coeffs(nodes, [rows[i] for i in fixed])
+            out[idx] = _newton_eval(coeffs, nodes, at)
+        else:
+            out[idx] = _newton_eval(*stencil(key // 2), at)
+    return out
+
+
+class TestFlatPath:
+    """eval_line equals the per-row, per-interval sweep it replaced, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lengths=st.lists(st.one_of(st.sampled_from([2, 3, 4, 5]), st.integers(4, 12)),
+                         min_size=2, max_size=9),
+        holes=st.sampled_from([None, 0.0, 0.3, 0.6]),
+        rounded=st.booleans(),
+        block=st.sampled_from([3, 40, 4096]),
+    )
+    def test_matches_the_sweep_it_replaced(self, seed, lengths, holes, rounded, block):
+        # Grids are ragged rows of given lengths, or rasters with NODATA holes.
+        rng = np.random.default_rng(seed)
+        if holes is None:
+            rows = []
+            for n in lengths:
+                xs = np.cumsum(rng.uniform(0.2, 1.5, n)) + rng.uniform(-2, 2)
+                rows.append(Knots1D(xs, rng.uniform(-3, 3, n)))
+            grid = RowLikeGrid(ys=np.cumsum(rng.uniform(0.3, 1.5, len(rows))), rows=rows)
+        else:
+            vals = rng.uniform(-3, 3, (len(lengths), max(lengths)))
+            vals[rng.uniform(0, 1, vals.shape) < holes] = -9999.0
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", SparseDataWarning)
+                    grid = build_row_like_grid(RectRaster(values=vals, xll=-1.0, yll=0.5,
+                                                          cellsize=0.7))
+            except TooSparseError:
+                assume(False)
+        if rounded:  # ties in the stencil scores
+            grid = RowLikeGrid(ys=grid.ys, rows=[Knots1D(r.xs, np.round(r.fs)) for r in grid.rows])
+        knots = np.concatenate([row.xs for row in grid.rows])
+        hull = knots.min() - 1.5, knots.max() + 1.5
+        xs = np.concatenate([rng.choice(knots, 6), hull, rng.uniform(*hull, 6)])
+        ys = grid.ys
+        lines = np.concatenate([ys, ys[rng.integers(0, ys.size, 3)], [ys[0] - 0.8, ys[-1] + 2],
+                                rng.uniform(ys[0] - 1, ys[-1] + 1, 6)])
+        rng.shuffle(lines)
+        for method in (ENO, OF):
+            ext = Extension2D(grid, method)
+            want = sweep_eval_line(grid, method, xs, lines)
+            with mock.patch.object(interp1d, "_BLOCK", block):
+                got = ext.eval_line(xs, lines)
+                one = ext.eval_line(xs, float(lines[0]))
+            assert got.tobytes() == want.tobytes()
+            assert one.tobytes() == want[0].tobytes()

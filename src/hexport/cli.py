@@ -58,23 +58,9 @@ def _bounds(text: str):
     return box
 
 
-def _read_rect(path: str) -> grid_io.RectRaster:
+def _read(path: str, reader):
     with open(path, "r", encoding="utf-8") as fh:
-        return grid_io.parse_esri_ascii(fh.read())
-
-
-def _read_hex(path: str) -> grid_io.HexRaster:
-    with open(path, "r", encoding="utf-8") as fh:
-        return grid_io.read_hex_raster(fh.read())
-
-
-def _read_any(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    head = text.lstrip().lower()
-    if head.startswith("ncols") and "xcenter0" in head[:200]:
-        return grid_io.read_hex_raster(text)
-    return grid_io.parse_esri_ascii(text)
+        return reader(fh.read())
 
 
 def _write_text(path: str, text: str):
@@ -90,7 +76,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_port(args) -> int:
-    raster = _read_rect(getattr(args, "in"))
+    raster = _read(getattr(args, "in"), grid_io.parse_esri_ascii)
     config = PortingConfig(
         method=args.method, cells_across=args.cells_across, radius=args.radius
     )
@@ -104,7 +90,7 @@ def _cmd_port(args) -> int:
 
 
 def _cmd_degrade(args) -> int:
-    raster = _read_rect(getattr(args, "in"))
+    raster = _read(getattr(args, "in"), grid_io.parse_esri_ascii)
     degraded = metrics.degrade_raster(raster, args.m, args.n, seed=args.seed)
     _write_text(args.out, grid_io.write_esri_ascii(degraded))
     kept = int((degraded.values != degraded.nodata).sum())
@@ -114,7 +100,7 @@ def _cmd_degrade(args) -> int:
 
 
 def _cmd_errors(args) -> int:
-    raster = _read_rect(args.raster)
+    raster = _read(args.raster, grid_io.parse_esri_ascii)
     field = metrics.RungeField(args.runge) if args.runge is not None else None
     report = {
         "raster": args.raster,
@@ -127,7 +113,7 @@ def _cmd_errors(args) -> int:
         metrics.extension_l1_errors(raster, method=args.method, field=field, quad=args.quad)
     )
     if args.hex is not None:
-        hexraster = _read_hex(args.hex)
+        hexraster = _read(args.hex, grid_io.read_hex_raster)
         report["hex"] = args.hex
         report.update(metrics.l1_errors(raster, hexraster, field=field, quad=args.quad))
     metrics.write_report(args.report, report)
@@ -137,7 +123,7 @@ def _cmd_errors(args) -> int:
 
 
 def _cmd_flow(args) -> int:
-    hexraster = _read_hex(args.hex)
+    hexraster = _read(args.hex, grid_io.read_hex_raster)
     grid = hexraster.to_grid()
     state = hydroflow.FlowState(
         grid=grid,
@@ -162,7 +148,7 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    raster = _read_any(getattr(args, "in"))
+    raster = _read(getattr(args, "in"), grid_io.read_raster)
     fmt = "svg" if args.out.lower().endswith(".svg") else "ppm"
     value_range = None
     if args.vmin is not None:

@@ -1,19 +1,24 @@
 """Raster file formats and heatmap rendering.
 
-Two text formats are supported, both whitespace-tolerant and line-ending
-agnostic, with numbers serialized in shortest round-trip decimal form so a
-write/parse cycle is bit-exact:
+Both raster kinds share one model: ``values`` (nrows, ncols, top row first),
+three geometry numbers (a position and a positive cell size) and a finite
+``nodata`` sentinel, validated and compared by one base class.  Both text
+formats share one header reader and one writer.  A header is a run of
+``key value`` lines, keys case-insensitive and in any order, followed by
+nrows lines of ncols values; the formats are whitespace-tolerant and
+line-ending agnostic, with numbers serialized in shortest round-trip decimal
+form so a write/parse cycle is bit-exact:
 
 * ESRI ASCII grid for square rasters (``ncols/nrows/xllcorner|xllcenter/
-  yllcorner|yllcenter/cellsize/NODATA_value`` header, then nrows lines of
-  ncols values, top row first).  An ``xllcenter`` header is converted to the
-  corner convention on read.
-* A hexagonal raster format of the same flavor: six header lines
-  ``ncols, nrows, xcenter0, ycenter0, radius, NODATA_value`` followed by
-  nrows lines of ncols values.  ``(xcenter0, ycenter0)`` is the center of
-  the upper-left cell; odd rows (0-based) are implicitly offset half a cell
-  width to the left, so no per-cell coordinates are stored.
+  yllcorner|yllcenter/cellsize/NODATA_value`` header).  An ``xllcenter``
+  header is converted to the corner convention on read.
+* A hexagonal raster format of the same flavor, with the six header keys
+  ``ncols, nrows, xcenter0, ycenter0, radius, NODATA_value``.
+  ``(xcenter0, ycenter0)`` is the center of the upper-left cell; odd rows
+  (0-based) are implicitly offset half a cell width to the left, so no
+  per-cell coordinates are stored.
 
+:func:`read_raster` reads either format, chosen by its header keys.
 Rendering emits SVG 1.1 or binary PPM (P6) with one filled polygon per
 cell, a linear color map, and a configurable gap color for NODATA cells.
 """
@@ -36,16 +41,50 @@ from .hexgrid import HexGrid, hex_vertices, locate_many
 DEFAULT_NODATA = -9999.0
 
 
-def _validate_values(values, nodata, what):
-    if not np.isfinite(nodata):
-        raise ValueError(f"{what}: nodata sentinel must be finite")
-    bad = ~(np.isfinite(values) | (values == nodata))
-    if bad.any():
-        raise ValueError(f"{what}: values must be finite or equal the nodata sentinel")
+class _Raster:
+    """What both raster kinds share: validation, shape and equality.
+
+    A subclass is a dataclass with fields ``values``, its three geometry
+    fields and ``nodata``; ``_keys`` maps each geometry field, the positive
+    cell size last, to its key in the text header.
+    """
+
+    _keys: dict
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.ndim != 2 or self.values.size == 0:
+            raise ValueError("values must be a nonempty 2D array")
+        kind = type(self).__name__
+        if not np.isfinite([getattr(self, name) for name in self._keys]).all():
+            raise ValueError(f"{kind}: {', '.join(self._keys)} must be finite")
+        size = list(self._keys)[-1]
+        if not getattr(self, size) > 0:
+            raise ValueError(f"{kind}: {size} must be positive")
+        if not np.isfinite(self.nodata):
+            raise ValueError(f"{kind}: nodata sentinel must be finite")
+        bad = ~(np.isfinite(self.values) | (self.values == self.nodata))
+        if bad.any():
+            raise ValueError(f"{kind}: values must be finite or equal the nodata sentinel")
+
+    @property
+    def nrows(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def ncols(self) -> int:
+        return self.values.shape[1]
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name) for name in (*self._keys, "nodata")
+        ) and np.array_equal(self.values, other.values)
 
 
 @dataclass(eq=False)
-class RectRaster:
+class RectRaster(_Raster):
     """A square-cell raster: (nrows, ncols) values, top row first.
 
     ``(xll, yll)`` is the lower-left corner of the lower-left cell and
@@ -59,23 +98,7 @@ class RectRaster:
     cellsize: float
     nodata: float = DEFAULT_NODATA
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.size == 0:
-            raise ValueError("values must be a nonempty 2D array")
-        if not np.isfinite([self.xll, self.yll, self.cellsize]).all():
-            raise ValueError("RectRaster: xll, yll and cellsize must be finite")
-        if not self.cellsize > 0:
-            raise ValueError("cellsize must be positive")
-        _validate_values(self.values, self.nodata, "RectRaster")
-
-    @property
-    def nrows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def ncols(self) -> int:
-        return self.values.shape[1]
+    _keys = {"xll": "xllcorner", "yll": "yllcorner", "cellsize": "cellsize"}
 
     @property
     def bounds(self):
@@ -93,21 +116,9 @@ class RectRaster:
     def y_center(self, row: int) -> float:
         return self.yll + (self.nrows - row - 0.5) * self.cellsize
 
-    def __eq__(self, other):
-        if not isinstance(other, RectRaster):
-            return NotImplemented
-        return (
-            self.xll == other.xll
-            and self.yll == other.yll
-            and self.cellsize == other.cellsize
-            and self.nodata == other.nodata
-            and self.values.shape == other.values.shape
-            and np.array_equal(self.values, other.values)
-        )
-
 
 @dataclass(eq=False)
-class HexRaster:
+class HexRaster(_Raster):
     """A hexagonal raster: (nrows, ncols) values on a pointy-top tessellation.
 
     ``(x0, y0)`` is the center of the upper-left cell, ``r`` the circumradius
@@ -121,39 +132,11 @@ class HexRaster:
     r: float
     nodata: float = DEFAULT_NODATA
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.size == 0:
-            raise ValueError("values must be a nonempty 2D array")
-        if not np.isfinite([self.x0, self.y0, self.r]).all():
-            raise ValueError("HexRaster: x0, y0 and radius must be finite")
-        if not self.r > 0:
-            raise ValueError("radius must be positive")
-        _validate_values(self.values, self.nodata, "HexRaster")
-
-    @property
-    def nrows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def ncols(self) -> int:
-        return self.values.shape[1]
+    _keys = {"x0": "xcenter0", "y0": "ycenter0", "r": "radius"}
 
     def to_grid(self) -> HexGrid:
         return HexGrid(
             ncols=self.ncols, nrows=self.nrows, r=self.r, x0=self.x0, y0=self.y0
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, HexRaster):
-            return NotImplemented
-        return (
-            self.x0 == other.x0
-            and self.y0 == other.y0
-            and self.r == other.r
-            and self.nodata == other.nodata
-            and self.values.shape == other.values.shape
-            and np.array_equal(self.values, other.values)
         )
 
 
@@ -168,36 +151,71 @@ def _decode(data) -> str:
     return data
 
 
-def _parse_grid_text(text, keys_required, keys_optional, what):
-    """Shared header+body tokenizer for both raster formats."""
-    lines = _decode(text).splitlines()
-    known = set(keys_required) | set(keys_optional)
-    header = {}
-    body_start = 0
+# Header keys per format: each group lists alternatives, exactly one of which
+# must be present.
+_ESRI_KEYS = (("ncols",), ("nrows",), ("cellsize",), ("xllcorner", "xllcenter"),
+              ("yllcorner", "yllcenter"))
+_HEX_KEYS = (("ncols",), ("nrows",), ("xcenter0",), ("ycenter0",), ("radius",),
+             ("nodata_value",))
+_ALL_KEYS = {key for group in _ESRI_KEYS + _HEX_KEYS for key in group}
+
+
+def _header_lines(lines, known):
+    """(line number, tokens) of the leading lines that are blank or start with a known key."""
     for lineno, line in enumerate(lines):
         tokens = line.split()
+        if tokens and tokens[0].lower() not in known:
+            return
+        yield lineno, tokens
+
+
+def _read_text(data, what, required, size):
+    """Both formats' reader: the checked header and the (nrows, ncols) values.
+
+    The header may hold ``nodata_value`` and must hold one key of each
+    ``required`` group; every key but ``nodata_value`` must be finite,
+    ``ncols`` and ``nrows`` positive integers and ``size`` positive.
+    """
+    lines = _decode(data).splitlines()
+    known = {key for group in required for key in group} | {"nodata_value"}
+    header = {}
+    body_start = 0
+    for lineno, tokens in _header_lines(lines, known):
+        body_start = lineno + 1
         if not tokens:
-            body_start = lineno + 1
             continue
         key = tokens[0].lower()
-        if key in known:
-            if len(tokens) != 2:
-                raise MalformedHeaderError(
-                    f"{what}: header line {lineno + 1} needs exactly one value"
-                )
-            if key in header:
-                raise MalformedHeaderError(f"{what}: duplicate header key {key}")
-            try:
-                header[key] = float(tokens[1])
-            except ValueError:
-                raise NonNumericTokenError(
-                    f"{what}: bad number {tokens[1]!r} for header key {key}"
-                ) from None
-            body_start = lineno + 1
-        else:
-            break
+        if len(tokens) != 2:
+            raise MalformedHeaderError(
+                f"{what}: header line {lineno + 1} needs exactly one value"
+            )
+        if key in header:
+            raise MalformedHeaderError(f"{what}: duplicate header key {key}")
+        try:
+            header[key] = float(tokens[1])
+        except ValueError:
+            raise NonNumericTokenError(
+                f"{what}: bad number {tokens[1]!r} for header key {key}"
+            ) from None
     tokens = " ".join(lines[body_start:]).split()
-    return header, tokens
+    for group in required:
+        present = [key for key in group if key in header]
+        if not present:
+            raise MalformedHeaderError(f"{what}: missing header key {'/'.join(group)}")
+        if len(present) > 1:
+            raise MalformedHeaderError(f"{what}: both {' and '.join(present)}")
+    # Non-finite geometry would only fail later, or pass through.
+    for key, value in header.items():
+        if key != "nodata_value" and not np.isfinite(value):
+            raise MalformedHeaderError(f"{what}: {key} must be finite")
+    for key in ("ncols", "nrows"):
+        v = header[key]
+        if v != int(v) or int(v) < 1:
+            raise MalformedHeaderError(f"{what}: {key} must be a positive integer")
+        header[key] = int(v)
+    if not header[size] > 0:
+        raise MalformedHeaderError(f"{what}: {size} must be positive")
+    return header, _parse_body(tokens, header["nrows"], header["ncols"], what)
 
 
 def _parse_body(tokens, nrows, ncols, what):
@@ -221,103 +239,46 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def _finite_header(header, keys, what):
-    """Reject non-finite geometry: it would only fail later, or pass through."""
-    for key in keys:
-        if key in header and not np.isfinite(header[key]):
-            raise MalformedHeaderError(f"{what}: {key} must be finite")
-
-
-def _int_header(header, key, what):
-    v = header[key]
-    if v != int(v) or int(v) < 1:
-        raise MalformedHeaderError(f"{what}: {key} must be a positive integer")
-    return int(v)
+def _write_text(raster) -> str:
+    """Both formats' writer: the header, then one line per row, top row first."""
+    out = [f"ncols {raster.ncols}", f"nrows {raster.nrows}"]
+    out.extend(f"{key} {_fmt(getattr(raster, name))}" for name, key in raster._keys.items())
+    out.append(f"NODATA_value {_fmt(raster.nodata)}")
+    out.extend(" ".join(map(repr, row.tolist())) for row in raster.values)
+    return "\n".join(out) + "\n"
 
 
 def parse_esri_ascii(data) -> RectRaster:
     """Parse an ESRI ASCII grid from bytes or text."""
-    header, tokens = _parse_grid_text(
-        data,
-        keys_required=("ncols", "nrows", "cellsize"),
-        keys_optional=("xllcorner", "xllcenter", "yllcorner", "yllcenter", "nodata_value"),
-        what="esri ascii",
-    )
-    for key in ("ncols", "nrows", "cellsize"):
-        if key not in header:
-            raise MalformedHeaderError(f"esri ascii: missing header key {key}")
-    for axis in ("x", "y"):
-        corner = f"{axis}llcorner" in header
-        center = f"{axis}llcenter" in header
-        if corner and center:
-            raise MalformedHeaderError(f"esri ascii: both {axis}llcorner and {axis}llcenter")
-        if not corner and not center:
-            raise MalformedHeaderError(f"esri ascii: missing {axis}llcorner/{axis}llcenter")
-    _finite_header(header, ("ncols", "nrows", "xllcorner", "yllcorner", "xllcenter",
-                            "yllcenter", "cellsize"), "esri ascii")
-    ncols = _int_header(header, "ncols", "esri ascii")
-    nrows = _int_header(header, "nrows", "esri ascii")
+    header, values = _read_text(data, "esri ascii", _ESRI_KEYS, "cellsize")
     cellsize = header["cellsize"]
-    if not cellsize > 0:
-        raise MalformedHeaderError("esri ascii: cellsize must be positive")
     xll = header.get("xllcorner", header.get("xllcenter", 0.0) - cellsize / 2.0)
     yll = header.get("yllcorner", header.get("yllcenter", 0.0) - cellsize / 2.0)
     nodata = header.get("nodata_value", DEFAULT_NODATA)
-    values = _parse_body(tokens, nrows, ncols, "esri ascii")
     return RectRaster(values=values, xll=xll, yll=yll, cellsize=cellsize, nodata=nodata)
 
 
 def write_esri_ascii(raster: RectRaster) -> str:
     """Serialize a raster so that parsing the result reproduces it exactly."""
-    out = [
-        f"ncols {raster.ncols}",
-        f"nrows {raster.nrows}",
-        f"xllcorner {_fmt(raster.xll)}",
-        f"yllcorner {_fmt(raster.yll)}",
-        f"cellsize {_fmt(raster.cellsize)}",
-        f"NODATA_value {_fmt(raster.nodata)}",
-    ]
-    out.extend(" ".join(map(repr, row.tolist())) for row in raster.values)
-    return "\n".join(out) + "\n"
+    return _write_text(raster)
 
 
 def read_hex_raster(data) -> HexRaster:
     """Parse the hexagonal raster text format."""
-    header, tokens = _parse_grid_text(
-        data,
-        keys_required=("ncols", "nrows", "xcenter0", "ycenter0", "radius", "nodata_value"),
-        keys_optional=(),
-        what="hex raster",
-    )
-    for key in ("ncols", "nrows", "xcenter0", "ycenter0", "radius", "nodata_value"):
-        if key not in header:
-            raise MalformedHeaderError(f"hex raster: missing header key {key}")
-    _finite_header(header, ("ncols", "nrows", "xcenter0", "ycenter0", "radius"), "hex raster")
-    ncols = _int_header(header, "ncols", "hex raster")
-    nrows = _int_header(header, "nrows", "hex raster")
-    if not header["radius"] > 0:
-        raise MalformedHeaderError("hex raster: radius must be positive")
-    values = _parse_body(tokens, nrows, ncols, "hex raster")
-    return HexRaster(
-        values=values,
-        x0=header["xcenter0"],
-        y0=header["ycenter0"],
-        r=header["radius"],
-        nodata=header["nodata_value"],
-    )
+    header, values = _read_text(data, "hex raster", _HEX_KEYS, "radius")
+    geometry = {name: header[key] for name, key in HexRaster._keys.items()}
+    return HexRaster(values=values, **geometry, nodata=header["nodata_value"])
 
 
 def write_hex_raster(raster: HexRaster) -> str:
-    out = [
-        f"ncols {raster.ncols}",
-        f"nrows {raster.nrows}",
-        f"xcenter0 {_fmt(raster.x0)}",
-        f"ycenter0 {_fmt(raster.y0)}",
-        f"radius {_fmt(raster.r)}",
-        f"NODATA_value {_fmt(raster.nodata)}",
-    ]
-    out.extend(" ".join(map(repr, row.tolist())) for row in raster.values)
-    return "\n".join(out) + "\n"
+    return _write_text(raster)
+
+
+def read_raster(data):
+    """Parse either format; a ``xcenter0`` header key means the hexagonal one."""
+    lines = _decode(data).splitlines()
+    keys = {tokens[0].lower() for _, tokens in _header_lines(lines, _ALL_KEYS) if tokens}
+    return (read_hex_raster if "xcenter0" in keys else parse_esri_ascii)(data)
 
 
 PALETTES = {
@@ -372,15 +333,17 @@ def _colorize(values, nodata, palette, value_range):
     return rgb
 
 
-def _svg_header(xmin, ymin, xmax, ymax, scale):
+def _svg(bounds, scale, cells) -> bytes:
+    """An SVG document of the ``bounds`` box at ``scale`` holding the ``cells`` elements."""
+    xmin, ymin, xmax, ymax = bounds
     w = (xmax - xmin) * scale
     h = (ymax - ymin) * scale
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{w:.2f}" height="{h:.2f}" '
-        f'viewBox="0 0 {w:.6f} {h:.6f}">\n'
-    )
+        f'viewBox="0 0 {w:.6f} {h:.6f}">\n' + "".join(cells) + "</svg>\n"
+    ).encode("utf-8")
 
 
 def render(raster, fmt: str, palette="viridis", value_range=None, px_per_cell=8) -> bytes:
@@ -406,19 +369,12 @@ def render(raster, fmt: str, palette="viridis", value_range=None, px_per_cell=8)
 
 def _rect_svg(raster: RectRaster, colors, px_per_cell) -> bytes:
     scale = px_per_cell / raster.cellsize
-    xmin, ymin, xmax, ymax = raster.bounds
-    parts = [_svg_header(xmin, ymin, xmax, ymax, scale)]
     cs = raster.cellsize * scale
-    for row in range(raster.nrows):
-        y = row * cs
-        for col in range(raster.ncols):
-            r, g, b = colors[row * raster.ncols + col]
-            parts.append(
-                f'<rect x="{col * cs:.4f}" y="{y:.4f}" width="{cs:.4f}" '
-                f'height="{cs:.4f}" fill="#{r:02x}{g:02x}{b:02x}"/>\n'
-            )
-    parts.append("</svg>\n")
-    return "".join(parts).encode("utf-8")
+    return _svg(raster.bounds, scale, (
+        f'<rect x="{col * cs:.4f}" y="{row * cs:.4f}" width="{cs:.4f}" '
+        f'height="{cs:.4f}" fill="#{r:02x}{g:02x}{b:02x}"/>\n'
+        for (row, col), (r, g, b) in zip(np.ndindex(raster.values.shape), colors)
+    ))
 
 
 def _rect_ppm(raster: RectRaster, colors, px_per_cell) -> bytes:
@@ -441,20 +397,17 @@ def _hex_bbox(raster: HexRaster):
 def _hex_svg(raster: HexRaster, colors, px_per_cell) -> bytes:
     grid = raster.to_grid()
     scale = px_per_cell / grid.cell_width
-    xmin, ymin, xmax, ymax = _hex_bbox(raster)
-    parts = [_svg_header(xmin, ymin, xmax, ymax, scale)]
-    for row in range(raster.nrows):
-        for col in range(raster.ncols):
-            cx, cy = grid.cell_center(col, row)
-            verts = hex_vertices(cx, cy, grid.r)
-            pts = " ".join(
-                f"{(vx - xmin) * scale:.4f},{(ymax - vy) * scale:.4f}"
-                for vx, vy in verts
-            )
-            r, g, b = colors[row * raster.ncols + col]
-            parts.append(f'<polygon points="{pts}" fill="#{r:02x}{g:02x}{b:02x}"/>\n')
-    parts.append("</svg>\n")
-    return "".join(parts).encode("utf-8")
+    bounds = _hex_bbox(raster)
+    xmin, _, _, ymax = bounds
+    cells = []
+    for (row, col), (r, g, b) in zip(np.ndindex(raster.values.shape), colors):
+        verts = hex_vertices(*grid.cell_center(col, row), grid.r)
+        pts = " ".join(
+            f"{(vx - xmin) * scale:.4f},{(ymax - vy) * scale:.4f}"
+            for vx, vy in verts
+        )
+        cells.append(f'<polygon points="{pts}" fill="#{r:02x}{g:02x}{b:02x}"/>\n')
+    return _svg(bounds, scale, cells)
 
 
 def _hex_ppm(raster: HexRaster, colors, px_per_cell) -> bytes:

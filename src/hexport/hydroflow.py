@@ -44,6 +44,9 @@ from .hexgrid import FACE_NORMALS, OPPOSITE_FACE, SQRT3, HexGrid, neighbor_table
 
 _OPP = np.array(OPPOSITE_FACE) - 1  # opposite face, 0-based
 
+# The Courant-like bound dt * side * v_max / cell_area that courant_dt keeps.
+COURANT = 0.2
+
 
 @dataclass
 class FlowState:
@@ -343,7 +346,6 @@ def suggest_dt(
     h0: float,
     manning_n: float,
     nodata: Optional[float] = None,
-    courant: float = 0.2,
 ) -> float:
     """:func:`courant_dt` of a uniform starting depth ``h0`` on terrain ``z``."""
     probe = FlowState(
@@ -354,11 +356,11 @@ def suggest_dt(
         dt=1.0,
         nodata=nodata,
     )
-    return courant_dt(probe, courant)
+    return courant_dt(probe)
 
 
-def courant_dt(state: FlowState, courant: float = 0.2) -> float:
-    """Time step keeping dt * side * v_max / cell_area at or below ``courant``.
+def courant_dt(state: FlowState) -> float:
+    """Time step keeping dt * side * v_max / cell_area at or below :data:`COURANT`.
 
     Bounds the Manning velocity by the steepest slope and the deepest water
     of ``state``.  Builds the state's topology, which its steps then reuse.
@@ -372,4 +374,4 @@ def courant_dt(state: FlowState, courant: float = 0.2) -> float:
     v_max = h_max ** (2.0 / 3.0) * math.sqrt(s_max) / state.manning_n
     if v_max <= 0.0:
         return 1.0
-    return courant * state.grid.cell_area / (state.grid.side * v_max)
+    return COURANT * state.grid.cell_area / (state.grid.side * v_max)

@@ -17,7 +17,8 @@ over the flat knot table; the cross-row stencils of every needed
 Horner pass serves all lines between rows.
 
 Also here: the Catmull-Rom spline baseline (regular grids only) and the
-piecewise-constant cell lookup, both with the same line-batched interface.
+piecewise-constant cell lookup, both with the same line-batched interface,
+and :func:`make_extension`, which builds any of the four by method name.
 """
 
 from __future__ import annotations
@@ -349,3 +350,13 @@ class IdExtension:
 def extend_id(raster: RectRaster, x: float, y: float) -> float:
     """Value of the raster cell containing (x, y); OutOfBounds outside."""
     return IdExtension(raster)(x, y)
+
+
+def make_extension(raster: RectRaster, method: str):
+    """The ``id``, ``crs``, ``eno`` or ``of`` extension of ``raster``."""
+    if method == "id":
+        return IdExtension(raster)
+    grid = build_row_like_grid(raster)
+    if method == "crs":
+        return CrsExtension(grid)
+    return Extension2D(grid, method)

@@ -24,12 +24,7 @@ from .errors import (
 from .grid_io import HexRaster, RectRaster
 from .hexgrid import locate_many
 from .interp1d import ENO
-from .interp2d import (
-    CrsExtension,
-    Extension2D,
-    IdExtension,
-    build_row_like_grid,
-)
+from .interp2d import make_extension
 
 # Degradation presets: level -> (max row gap, max in-row gap) in cell units.
 DEGRADE_LEVELS = {1: (3, 3), 2: (4, 3), 3: (5, 3), 4: (5, 4), 5: (5, 5)}
@@ -109,15 +104,6 @@ def l1_errors(raster: RectRaster, hexraster: HexRaster, field=None, quad: int = 
     return out
 
 
-def _extension_for(raster: RectRaster, method: str):
-    if method == "id":
-        return IdExtension(raster)
-    grid = build_row_like_grid(raster)
-    if method == "crs":
-        return CrsExtension(grid)
-    return Extension2D(grid, method)
-
-
 def extension_l1_errors(
     raster: RectRaster, method: str = ENO, field=None, quad: int = 8
 ) -> dict:
@@ -129,7 +115,7 @@ def extension_l1_errors(
     """
     if quad < 1:
         raise ValueError("quad must be at least 1")
-    ext = _extension_for(raster, method)
+    ext = make_extension(raster, method)
     xs, ys = _sample_points(raster, quad)
     sum_er = 0.0
     sum_ea = 0.0
@@ -221,7 +207,7 @@ def recovery_errors(basis: RectRaster, degraded: RectRaster, method: str = ENO) 
     count = int(eliminated.sum())
     if count == 0:
         return {"rmse": 0.0, "max_abs": 0.0, "eliminated": 0}
-    ext = _extension_for(degraded, method)
+    ext = make_extension(degraded, method)
     rows = np.nonzero(eliminated.any(axis=1))[0]
     ys = np.array([basis.y_center(row) for row in rows])
     lines = ext.eval_line(basis.x_centers(), ys)

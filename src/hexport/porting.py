@@ -21,12 +21,7 @@ import numpy as np
 from .grid_io import HexRaster, RectRaster
 from .hexgrid import cover_domain
 from .interp1d import ENO, OF
-from .interp2d import (
-    CrsExtension,
-    Extension2D,
-    IdExtension,
-    build_row_like_grid,
-)
+from .interp2d import make_extension
 
 METHODS = (ENO, OF, "crs", "id")
 
@@ -55,16 +50,8 @@ def port(raster: RectRaster, config: PortingConfig) -> HexRaster:
     grid = cover_domain(
         raster.bounds, cells_across=config.cells_across, radius=config.radius
     )
-    if config.method == "id":
-        ext = IdExtension(raster)
-        fill = {"fill": raster.nodata}
-    else:
-        rowgrid = build_row_like_grid(raster)
-        if config.method == "crs":
-            ext = CrsExtension(rowgrid)
-        else:
-            ext = Extension2D(rowgrid, config.method)
-        fill = {}
+    ext = make_extension(raster, config.method)
+    fill = {"fill": raster.nodata} if config.method == "id" else {}
     ys = np.array([grid.row_y(j) for j in range(grid.nrows)])
     values = np.empty((grid.nrows, grid.ncols), dtype=np.float64)
     for parity in range(min(2, grid.nrows)):

@@ -223,6 +223,19 @@ class TestRender:
         assert run_cli("render", "--in", hexf, "--out", out) == 0
         assert out.read_bytes().startswith(b"P6\n")
 
+    @pytest.mark.parametrize("suffix", ["svg", "ppm"])
+    def test_reader_follows_header_keys(self, small_dem, tmp_path, suffix):
+        hexf = tmp_path / "dem.hex"
+        run_cli("port", "--in", small_dem, "--out", hexf,
+                "--method", "eno", "--cells-across", 10)
+        ncols, nrows, rest = hexf.read_text().split("\n", 2)
+        reordered = tmp_path / "nrows_first.hex"
+        reordered.write_text("\n".join([nrows, ncols, rest]))
+        images = [tmp_path / f"{src.stem}.{suffix}" for src in (hexf, reordered)]
+        for src, image in zip((hexf, reordered), images):
+            assert run_cli("render", "--in", src, "--out", image) == 0
+        assert images[0].read_bytes() == images[1].read_bytes()
+
     @pytest.mark.parametrize("flag", ["--min", "--max"])
     def test_half_range_is_flag_error(self, small_dem, tmp_path, flag, capsys):
         out = tmp_path / "img.svg"
@@ -230,6 +243,50 @@ class TestRender:
         assert "give both --min and --max or neither" in capsys.readouterr().err
         assert not out.exists()
 
+
+# sha256 of the outputs of synth, degrade, errors and render.  The inputs are
+# SR1 (41x41 Runge raster, a=1) and its 40-across eno port; commands run in
+# their directory, so the error report names them by relative path.
+SR1_SYNTH = ["synth", "--runge", "1", "--cols", "41", "--rows", "41",
+             "--bounds=-20,-20,20,20", "--out"]
+OUTPUT_PINS = {
+    "synth": (SR1_SYNTH + ["out.asc"], {
+        "out.asc": "a4bb951556f0d3c6e687d7663e3f8bfaa11dcbe0a87d92c4f5fa48697e49948d",
+    }),
+    "degrade": (["degrade", "--in", "sr1.asc", "--out", "out.asc",
+                 "--m", "3", "--n", "2", "--seed", "7"], {
+        "out.asc": "1bb19a48db6165e1a370f9062be94d19773936d67a33ff468cdbbca4be59d8de",
+    }),
+    "errors": (["errors", "--raster", "sr1.asc", "--hex", "sr1.hex", "--runge", "1",
+                "--quad", "4", "--report", "rep.txt"], {
+        "rep.txt": "8c45612734f2862ac32b61994608d8cf631e394f6988250e41455f9b94cb7233",
+        "rep.txt.json": "c230e753a8361f82766aa147fe13794d5f36dee21e84fd7154b6570b9841e9ca",
+    }),
+    "render asc svg": (["render", "--in", "sr1.asc", "--out", "out.svg"], {
+        "out.svg": "f6f9bafab1926b7f1c3099f98ae5ff073eeff1d085fdcbedd6b9c3c435e207e2",
+    }),
+    "render asc ppm": (["render", "--in", "sr1.asc", "--out", "out.ppm"], {
+        "out.ppm": "8b1852e0cc9a0a40f41aa5acb805d93572158cdaaa9f92c56f658d820e9f7852",
+    }),
+    "render hex svg": (["render", "--in", "sr1.hex", "--out", "out.svg"], {
+        "out.svg": "8ac66eb50baed7c9a544e6140cc4b7a6081d50e1ead07af8b9ddd3f8a5ce59d7",
+    }),
+    "render hex ppm": (["render", "--in", "sr1.hex", "--out", "out.ppm"], {
+        "out.ppm": "1b5921fb68d28cefb130250c075a8adb5976cb9abc4bb0b4fe3c3a34b89ba1fe",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", list(OUTPUT_PINS))
+def test_output_bytes_are_pinned(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*SR1_SYNTH, "sr1.asc") == 0
+    assert run_cli("port", "--in", "sr1.asc", "--out", "sr1.hex",
+                   "--method", "eno", "--cells-across", 40) == 0
+    argv, outputs = OUTPUT_PINS[name]
+    assert run_cli(*argv) == 0
+    for path, sha in outputs.items():
+        assert hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() == sha
 
 # The flag contract: (argv, exit code, stderr fragment).  In argv, {asc} is a
 # 15x15 Runge raster, {hex} its hex port and {out} a path nothing has written.

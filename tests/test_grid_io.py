@@ -16,6 +16,7 @@ from hexport.grid_io import (
     RectRaster,
     parse_esri_ascii,
     read_hex_raster,
+    read_raster,
     render,
     write_esri_ascii,
     write_hex_raster,
@@ -150,6 +151,28 @@ class TestHexFormat:
             read_hex_raster("ncols 1\nnrows 1\nradius 1\nNODATA_value -9999\n1\n")
 
 
+class TestHeaderOrder:
+    """Header keys may come in any order; read_raster picks the format by key."""
+
+    HEX = HexRaster(values=[[1.0, 2.0]], x0=0.5, y0=-1.0, r=2.0)
+
+    def test_reversed_hex_header(self):
+        lines = write_hex_raster(self.HEX).splitlines()
+        text = "\n".join(lines[5::-1] + lines[6:]) + "\n"
+        assert text.startswith("NODATA_value")
+        assert read_hex_raster(text) == self.HEX
+        assert read_raster(text) == self.HEX
+
+    def test_reversed_esri_header(self):
+        lines = MINIMAL.splitlines()
+        text = "\n".join(lines[4::-1] + lines[5:]) + "\n"
+        assert parse_esri_ascii(text) == parse_esri_ascii(MINIMAL)
+        assert read_raster(text.encode()) == parse_esri_ascii(MINIMAL)
+
+    def test_both_corner_and_center(self):
+        with pytest.raises(MalformedHeaderError, match="both xllcorner and xllcenter"):
+            parse_esri_ascii(MINIMAL.replace("xllcorner 0\n", "xllcorner 0\nxllcenter 5\n"))
+
 ESRI_GEOMETRY = ["ncols", "nrows", "xllcorner", "yllcorner", "xllcenter", "yllcenter", "cellsize"]
 HEX_GEOMETRY = ["ncols", "nrows", "xcenter0", "ycenter0", "radius"]
 NON_FINITE = ["nan", "inf", "-inf"]
@@ -191,6 +214,59 @@ class TestNonFiniteGeometry:
         geometry = {"x0": 0.0, "y0": 0.0, "r": 1.0, field: value}
         with pytest.raises(ValueError, match="must be finite"):
             HexRaster(values=[[1.0]], **geometry)
+
+
+# Both raster kinds as (class, position and size field names).
+KINDS = [(RectRaster, ("xll", "yll", "cellsize")), (HexRaster, ("x0", "y0", "r"))]
+VALUES = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+
+
+def make_raster(cls, names, values=VALUES, x=1.0, y=-2.0, size=0.5, nodata=-9999.0):
+    return cls(values, **dict(zip(names, (x, y, size))), nodata=nodata)
+
+
+class TestRasterKinds:
+    """Construction and equality, checked alike for both raster kinds."""
+
+    @pytest.mark.parametrize("fault", [
+        {"values": [1.0, 2.0]},
+        {"values": np.empty((0, 3))},
+        {"values": [[1.0, np.nan]]},
+        {"values": [[1.0, np.inf]]},
+        {"x": np.nan},
+        {"y": -np.inf},
+        {"size": np.inf},
+        {"size": np.nan},
+        {"size": 0.0},
+        {"size": -1.0},
+        {"nodata": np.nan},
+        {"nodata": np.inf},
+    ], ids=repr)
+    @pytest.mark.parametrize("cls, names", KINDS, ids=["rect", "hex"])
+    def test_constructor_rejects(self, cls, names, fault):
+        with pytest.raises(ValueError):
+            make_raster(cls, names, **fault)
+
+    @pytest.mark.parametrize("change", [
+        {"x": 1.5},
+        {"y": -2.5},
+        {"size": 0.25},
+        {"nodata": -1.0},
+        {"values": [[1.0, 2.0, 3.0], [4.0, 5.0, 7.0]]},
+        {"values": [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]},
+        {"values": [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]},
+    ], ids=repr)
+    @pytest.mark.parametrize("cls, names", KINDS, ids=["rect", "hex"])
+    def test_equality_sees_every_field(self, cls, names, change):
+        base = make_raster(cls, names)
+        assert base == make_raster(cls, names)
+        other = make_raster(cls, names, **change)
+        assert base != other and other != base
+
+    def test_kinds_never_compare_equal(self):
+        rect = make_raster(*KINDS[0])
+        hexr = make_raster(*KINDS[1])
+        assert rect != hexr and hexr != rect
 
 
 class TestRender:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hexport import interp1d
+from hexport import interp1d, interp2d
 from hexport.errors import (
     IrregularGridError,
     OutOfBoundsError,
@@ -35,6 +35,7 @@ from hexport.interp2d import (
     extend_2d,
     extend_crs,
     extend_id,
+    make_extension,
 )
 
 
@@ -288,6 +289,20 @@ class TestId:
         r = RectRaster(values=[[1.0, 2.0]], xll=0, yll=0, cellsize=1.0)
         got = IdExtension(r).eval_line(np.array([-0.5, 0.5, 2.5]), 0.5, fill=-1.0)
         assert list(got) == [-1.0, 1.0, -1.0]
+
+
+class TestMakeExtension:
+    @pytest.mark.parametrize("method, kind", [
+        ("id", IdExtension), ("crs", CrsExtension), (ENO, Extension2D), (OF, Extension2D),
+    ])
+    def test_method_picks_the_extension(self, method, kind):
+        r = raster_from_fn(lambda x, y: x * y + y, (0, 0, 8, 8), 8, 8)
+        with mock.patch.object(interp2d, "build_row_like_grid",
+                               wraps=build_row_like_grid) as built:
+            ext = make_extension(r, method)
+        assert type(ext) is kind
+        assert built.call_count == (method != "id")
+        assert getattr(ext, "method", method) == method
 
 
 class TestBatchedLines:

@@ -147,9 +147,14 @@ def _cmd_flow(args) -> int:
     return 0
 
 
+def _image_format(path: str) -> str:
+    """The render format named by an output path's suffix, in any letter case."""
+    return path.lower().rpartition(".")[2]
+
+
 def _cmd_render(args) -> int:
     raster = _read(getattr(args, "in"), grid_io.read_raster)
-    fmt = "svg" if args.out.lower().endswith(".svg") else "ppm"
+    fmt = _image_format(args.out)
     value_range = None
     if args.vmin is not None:
         value_range = (args.vmin, args.vmax)
@@ -251,6 +256,8 @@ def main(argv=None) -> int:
                 parser.error("give both --min and --max or neither")
             if args.vmin is not None and not args.vmin < args.vmax:
                 parser.error("--min must be less than --max")
+            if _image_format(args.out) not in ("svg", "ppm"):
+                parser.error(f"--out: must end in .svg or .ppm, got {args.out!r}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

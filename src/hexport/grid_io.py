@@ -224,7 +224,7 @@ def _parse_body(tokens, nrows, ncols, what):
             f"{what}: expected {nrows * ncols} values, found {len(tokens)}"
         )
     try:
-        flat = np.array([float(t) for t in tokens], dtype=np.float64)
+        flat = np.fromiter(map(float, tokens), np.float64, count=len(tokens))
     except ValueError:
         bad = next(t for t in tokens if not _is_number(t))
         raise NonNumericTokenError(f"{what}: bad value token {bad!r}") from None

@@ -144,16 +144,28 @@ def _thin_indices(count: int, max_gap: int, rng) -> np.ndarray:
     """Kept indices of a line scan: ends always kept, gaps at most max_gap.
 
     Walks left to right; each interior index is dropped with probability 1/2
-    unless keeping it is forced to honor the gap bound.
+    unless keeping it is forced to honor the gap bound.  Each unforced index
+    takes one int64 coin ``rng.integers(0, 2)``, in order, and forced ones
+    take none.  The coins come from one batched draw per scan, which is the
+    same stream as scalar draws; the generator is then rewound and advanced
+    by exactly the coins used, so it ends where the scalar scan leaves it.
     """
     if count <= 2:
         return np.arange(count)
+    state = rng.bit_generator.state
+    coins = rng.integers(0, 2, size=count - 2).tolist()
     kept = [0]
+    used = 0
     for j in range(1, count - 1):
-        forced = j - kept[-1] == max_gap
-        if forced or rng.integers(0, 2) == 1:
+        if j - kept[-1] == max_gap:
             kept.append(j)
+        else:
+            if coins[used]:
+                kept.append(j)
+            used += 1
     kept.append(count - 1)
+    rng.bit_generator.state = state
+    rng.integers(0, 2, size=used)
     return np.array(kept)
 
 
@@ -164,6 +176,11 @@ def degrade_raster(raster: RectRaster, m: int, n: int, seed: int = 0) -> RectRas
     consecutive surviving rows at most ``m`` apart), then cells within each
     surviving row (first and last cells always survive, gaps at most ``n``).
     ``m = n = 1`` therefore returns the raster unchanged.
+
+    The holes are a fixed function of ``seed``: one ``PCG64(seed)``
+    generator gives one int64 ``integers(0, 2)`` coin per unforced index
+    (1 keeps it), first for the row scan, then for each kept row's columns,
+    rows top to bottom.  Any faster draw must keep that stream.
     """
     if int(m) != m or int(n) != n or m < 1 or n < 1:
         raise ConstraintInfeasibleError("gap multipliers m and n must be integers >= 1")

@@ -245,10 +245,23 @@ class TestRender:
 
 
 # sha256 of the outputs of synth, degrade, errors and render.  The inputs are
-# SR1 (41x41 Runge raster, a=1) and its 40-across eno port; commands run in
-# their directory, so the error report names them by relative path.
+# SR1 (41x41 Runge raster, a=1), its 40-across eno port and a non-square
+# Runge raster (23 columns, 37 rows); commands run in their directory, so the
+# error report names them by relative path.
 SR1_SYNTH = ["synth", "--runge", "1", "--cols", "41", "--rows", "41",
              "--bounds=-20,-20,20,20", "--out"]
+TALL_SYNTH = ["synth", "--runge", "1", "--cols", "23", "--rows", "37",
+              "--bounds=-5,-5,5,5", "--out"]
+# `degrade` of the non-square raster: level -> (m, n, seed, sha256); level 0
+# is m = n = 1, which returns the input bytes.
+DEGRADE_PINS = {
+    0: (1, 1, 0, "374f95cdbaa56bc0025068660107521dc4753dc03b821eada9c92efbd2699f37"),
+    1: (3, 3, 1, "4cb03c69b562526df41e73e9f1ad56126acd19a376ce09ad443e356bcf62f0ee"),
+    2: (4, 3, 2, "5dffb077c42e174b1d9b25007b07007729a1cb17e6f7d770d8696c201f16bf62"),
+    3: (5, 3, 3, "7354d84c4f072db9f327f7ec8b4c7363159b4cde6bb9970fb299e5b77fefc21f"),
+    4: (5, 4, 4, "d2798aaf6f6f4453b266e8f2cee25a71ca29b6704b3a01f1ac4d34d5d21e96b2"),
+    5: (5, 5, 5, "e2cdce593cf0abf39260f8f0c4666482aea18d1151819e944136c0da78e771b1"),
+}
 OUTPUT_PINS = {
     "synth": (SR1_SYNTH + ["out.asc"], {
         "out.asc": "a4bb951556f0d3c6e687d7663e3f8bfaa11dcbe0a87d92c4f5fa48697e49948d",
@@ -274,6 +287,17 @@ OUTPUT_PINS = {
     "render hex ppm": (["render", "--in", "sr1.hex", "--out", "out.ppm"], {
         "out.ppm": "1b5921fb68d28cefb130250c075a8adb5976cb9abc4bb0b4fe3c3a34b89ba1fe",
     }),
+    "synth 23x37": (TALL_SYNTH + ["out.asc"], {
+        "out.asc": DEGRADE_PINS[0][3],
+    }),
+    **{
+        f"degrade 23x37 level {level}": (
+            ["degrade", "--in", "tall.asc", "--out", "out.asc",
+             "--m", m, "--n", n, "--seed", seed],
+            {"out.asc": sha},
+        )
+        for level, (m, n, seed, sha) in DEGRADE_PINS.items()
+    },
 }
 
 
@@ -283,6 +307,7 @@ def test_output_bytes_are_pinned(name, tmp_path, monkeypatch):
     assert run_cli(*SR1_SYNTH, "sr1.asc") == 0
     assert run_cli("port", "--in", "sr1.asc", "--out", "sr1.hex",
                    "--method", "eno", "--cells-across", 40) == 0
+    assert run_cli(*TALL_SYNTH, "tall.asc") == 0
     argv, outputs = OUTPUT_PINS[name]
     assert run_cli(*argv) == 0
     for path, sha in outputs.items():
@@ -328,6 +353,11 @@ FLAG_CONTRACT = [
      "--min must be less than --max"),
     (["render", "--in", "{asc}", "--out", "{out}.svg", "--min", "0", "--max", "1"], 0, ""),
     (["render", "--in", "{out}", "--out", "{out}.svg"], 1, "error:"),
+    (["render", "--in", "{asc}", "--out", "{out}.png"], 2,
+     "--out: must end in .svg or .ppm"),
+    (["render", "--in", "{asc}", "--out", "{out}"], 2, "--out: must end in .svg or .ppm"),
+    (["render", "--in", "{asc}", "--out", "{out}.PPM"], 0, ""),
+    (["render", "--in", "{hex}", "--out", "{out}.Svg"], 0, ""),
     (SYNTH + ["--cols", "5", "--rows", "5", "--runge", "nan"], 2,
      "--runge: must be a finite number, got 'nan'"),
     (SYNTH + ["--cols", "5", "--rows", "5", "--bounds=0,0,inf,6"], 2,

@@ -12,6 +12,7 @@ from hexport.interp2d import Extension2D, build_row_like_grid
 from hexport.metrics import (
     DEGRADE_LEVELS,
     RungeField,
+    _thin_indices,
     degrade_raster,
     extension_l1_errors,
     l1_errors,
@@ -133,6 +134,78 @@ class TestDegrade:
         a = degrade_raster(r, 4, 3, seed=9)
         b = degrade_raster(r, 4, 3, seed=9)
         assert a == b
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nrows=st.integers(1, 40),
+        ncols=st.integers(1, 40),
+        m=st.integers(1, 7),
+        n=st.integers(1, 7),
+        seed=st.integers(0, 10**6),
+        holes=st.floats(0.0, 0.5),
+    )
+    def test_matches_scalar_scan(self, nrows, ncols, m, n, seed, holes):
+        values = np.arange(nrows * ncols, dtype=float).reshape(nrows, ncols)
+        values[np.random.default_rng(seed).random((nrows, ncols)) < holes] = -1.0
+        r = RectRaster(values=values, xll=0, yll=0, cellsize=1.0, nodata=-1.0)
+        got = degrade_raster(r, m, n, seed=seed)
+        want = scalar_degrade(r, m, n, seed)
+        assert got.values.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 60), min_size=1, max_size=4),
+        max_gap=st.integers(1, 7),
+        seed=st.integers(0, 10**6),
+    )
+    def test_generator_ends_where_scalar_scan_does(self, counts, max_gap, seed):
+        batched = np.random.Generator(np.random.PCG64(seed))
+        scalar = np.random.Generator(np.random.PCG64(seed))
+        for count in counts:
+            kept = _thin_indices(count, max_gap, batched)
+            assert kept.tolist() == scalar_thin(count, max_gap, scalar).tolist()
+            assert batched.bit_generator.state == scalar.bit_generator.state
+
+    def test_generator_calls_per_scan_not_per_cell(self, monkeypatch):
+        calls = []
+
+        class Counting(np.random.Generator):
+            def integers(self, *args, **kwargs):
+                calls.append(args)
+                return super().integers(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", Counting)
+        r = RectRaster(values=np.ones((200, 150)), xll=0, yll=0, cellsize=1.0)
+        d = degrade_raster(r, *DEGRADE_LEVELS[3], seed=4)
+        scans = 1 + int((d.values != d.nodata).any(axis=1).sum())
+        assert scans <= len(calls) <= 2 * scans
+
+
+def scalar_thin(count, max_gap, rng):
+    """The reference line scan: one scalar coin per unforced index."""
+    if count <= 2:
+        return np.arange(count)
+    kept = [0]
+    for j in range(1, count - 1):
+        if j - kept[-1] == max_gap or rng.integers(0, 2) == 1:
+            kept.append(j)
+    kept.append(count - 1)
+    return np.array(kept)
+
+
+def scalar_degrade(raster, m, n, seed):
+    """Degraded values of ``degrade_raster`` drawn by the reference scan."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    values = raster.values.copy()
+    kept_rows = scalar_thin(raster.nrows, m, rng)
+    dropped = np.ones(raster.nrows, dtype=bool)
+    dropped[kept_rows] = False
+    values[dropped] = raster.nodata
+    for row in kept_rows:
+        keep = np.zeros(raster.ncols, dtype=bool)
+        keep[scalar_thin(raster.ncols, n, rng)] = True
+        values[row, ~keep] = raster.nodata
+    return values
 
 
 class TestRecovery:

@@ -63,14 +63,15 @@ def _read(path: str, reader):
         return reader(fh.read())
 
 
-def _write_text(path: str, text: str):
+def _write(path: str, writer, raster):
+    """Stream ``raster`` to ``path`` through ``writer`` (``grid_io.write_*``)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        writer(raster, fh)
 
 
 def _cmd_synth(args) -> int:
     raster = metrics.runge_raster(args.bounds, args.cols, args.rows, args.runge)
-    _write_text(args.out, grid_io.write_esri_ascii(raster))
+    _write(args.out, grid_io.write_esri_ascii, raster)
     print(f"wrote {args.out}: {raster.ncols}x{raster.nrows} cells, runge a={args.runge}")
     return 0
 
@@ -81,7 +82,7 @@ def _cmd_port(args) -> int:
         method=args.method, cells_across=args.cells_across, radius=args.radius
     )
     result = port(raster, config)
-    _write_text(args.out, grid_io.write_hex_raster(result))
+    _write(args.out, grid_io.write_hex_raster, result)
     print(
         f"wrote {args.out}: {result.ncols}x{result.nrows} hex cells, "
         f"r={result.r!r}, method={args.method}"
@@ -92,7 +93,7 @@ def _cmd_port(args) -> int:
 def _cmd_degrade(args) -> int:
     raster = _read(getattr(args, "in"), grid_io.parse_esri_ascii)
     degraded = metrics.degrade_raster(raster, args.m, args.n, seed=args.seed)
-    _write_text(args.out, grid_io.write_esri_ascii(degraded))
+    _write(args.out, grid_io.write_esri_ascii, degraded)
     kept = int((degraded.values != degraded.nodata).sum())
     print(f"wrote {args.out}: seed = {args.seed}, m = {args.m}, n = {args.n}")
     print(f"retained {kept} of {raster.values.size} cells")
@@ -138,9 +139,9 @@ def _cmd_flow(args) -> int:
         state = dataclasses.replace(state, dt=hydroflow.courant_dt(state))
     result = hydroflow.run(state, args.steps, mask_margin=args.mask_margin)
     if args.out_depth:
-        _write_text(args.out_depth, grid_io.write_hex_raster(result.depth))
+        _write(args.out_depth, grid_io.write_hex_raster, result.depth)
     if args.out_mask:
-        _write_text(args.out_mask, grid_io.write_hex_raster(result.mask))
+        _write(args.out_mask, grid_io.write_hex_raster, result.mask)
     print(f"dt = {state.dt!r}")
     for key, value in result.summary.items():
         print(f"{key} = {value}")
@@ -239,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", required=True, help="input raster (.asc or .hex)")
     p.add_argument("--out", required=True, help="output image (.svg or .ppm)")
     p.add_argument("--palette", default="viridis", choices=sorted(grid_io.PALETTES))
-    p.add_argument("--min", dest="vmin", type=float, help="explicit range minimum")
-    p.add_argument("--max", dest="vmax", type=float, help="explicit range maximum")
+    p.add_argument("--min", dest="vmin", type=_FINITE_FLOAT, help="explicit range minimum")
+    p.add_argument("--max", dest="vmax", type=_FINITE_FLOAT, help="explicit range maximum")
     p.add_argument("--px-per-cell", type=_POSITIVE_INT, default=8)
     p.set_defaults(func=_cmd_render)
 

@@ -21,10 +21,17 @@ form so a write/parse cycle is bit-exact:
 :func:`read_raster` reads either format, chosen by its header keys.
 Rendering emits SVG 1.1 or binary PPM (P6) with one filled polygon per
 cell, a linear color map, and a configurable gap color for NODATA cells.
+
+Memory: beyond the input text, its list of lines and the values array, a
+read or a write holds O(one row).  The body is parsed line by line; only a
+faulty body is tokenized whole, to report a count mismatch before a bad
+token.  The writers return the text, or write it row by row to an open
+text file ``out``.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -169,14 +176,14 @@ def _header_lines(lines, known):
         yield lineno, tokens
 
 
-def _read_text(data, what, required, size):
+def _read_text(lines, what, required, size):
     """Both formats' reader: the checked header and the (nrows, ncols) values.
 
-    The header may hold ``nodata_value`` and must hold one key of each
-    ``required`` group; every key but ``nodata_value`` must be finite,
-    ``ncols`` and ``nrows`` positive integers and ``size`` positive.
+    ``lines`` is the whole text split into lines.  The header may hold
+    ``nodata_value`` and must hold one key of each ``required`` group; every
+    key but ``nodata_value`` must be finite, ``ncols`` and ``nrows`` positive
+    integers and ``size`` positive.
     """
-    lines = _decode(data).splitlines()
     known = {key for group in required for key in group} | {"nodata_value"}
     header = {}
     body_start = 0
@@ -197,7 +204,6 @@ def _read_text(data, what, required, size):
             raise NonNumericTokenError(
                 f"{what}: bad number {tokens[1]!r} for header key {key}"
             ) from None
-    tokens = " ".join(lines[body_start:]).split()
     for group in required:
         present = [key for key in group if key in header]
         if not present:
@@ -215,20 +221,28 @@ def _read_text(data, what, required, size):
         header[key] = int(v)
     if not header[size] > 0:
         raise MalformedHeaderError(f"{what}: {size} must be positive")
-    return header, _parse_body(tokens, header["nrows"], header["ncols"], what)
+    return header, _parse_body(lines[body_start:], header["nrows"], header["ncols"], what)
 
 
-def _parse_body(tokens, nrows, ncols, what):
-    if len(tokens) != nrows * ncols:
-        raise CountMismatchError(
-            f"{what}: expected {nrows * ncols} values, found {len(tokens)}"
-        )
+def _parse_body(lines, nrows, ncols, what):
+    """The (nrows, ncols) values of the body ``lines``, read one line at a time.
+
+    Only a faulty body builds the whole-body token list, to report the count
+    before a bad token.
+    """
+    count = nrows * ncols
+    tokens = itertools.chain.from_iterable(map(str.split, lines))
     try:
-        flat = np.fromiter(map(float, tokens), np.float64, count=len(tokens))
+        flat = np.fromiter(map(float, tokens), np.float64, count=count)
+        if next(tokens, None) is None:
+            return flat.reshape(nrows, ncols)
     except ValueError:
-        bad = next(t for t in tokens if not _is_number(t))
-        raise NonNumericTokenError(f"{what}: bad value token {bad!r}") from None
-    return flat.reshape(nrows, ncols)
+        pass
+    tokens = " ".join(lines).split()
+    if len(tokens) != count:
+        raise CountMismatchError(f"{what}: expected {count} values, found {len(tokens)}")
+    bad = next(t for t in tokens if not _is_number(t))
+    raise NonNumericTokenError(f"{what}: bad value token {bad!r}")
 
 
 def _is_number(token: str) -> bool:
@@ -239,18 +253,32 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def _write_text(raster) -> str:
+def _write_text(raster):
     """Both formats' writer: the header, then one line per row, top row first."""
-    out = [f"ncols {raster.ncols}", f"nrows {raster.nrows}"]
-    out.extend(f"{key} {_fmt(getattr(raster, name))}" for name, key in raster._keys.items())
-    out.append(f"NODATA_value {_fmt(raster.nodata)}")
-    out.extend(" ".join(map(repr, row.tolist())) for row in raster.values)
-    return "\n".join(out) + "\n"
+    yield f"ncols {raster.ncols}\n"
+    yield f"nrows {raster.nrows}\n"
+    for name, key in raster._keys.items():
+        yield f"{key} {_fmt(getattr(raster, name))}\n"
+    yield f"NODATA_value {_fmt(raster.nodata)}\n"
+    for row in raster.values:
+        yield " ".join(map(repr, row.tolist())) + "\n"
+
+
+def _deliver(lines, out):
+    """The joined ``lines``, or None once they are written to the text file ``out``."""
+    if out is None:
+        return "".join(lines)
+    out.writelines(lines)
+    return None
 
 
 def parse_esri_ascii(data) -> RectRaster:
     """Parse an ESRI ASCII grid from bytes or text."""
-    header, values = _read_text(data, "esri ascii", _ESRI_KEYS, "cellsize")
+    return _esri(_decode(data).splitlines())
+
+
+def _esri(lines) -> RectRaster:
+    header, values = _read_text(lines, "esri ascii", _ESRI_KEYS, "cellsize")
     cellsize = header["cellsize"]
     xll = header.get("xllcorner", header.get("xllcenter", 0.0) - cellsize / 2.0)
     yll = header.get("yllcorner", header.get("yllcenter", 0.0) - cellsize / 2.0)
@@ -258,27 +286,36 @@ def parse_esri_ascii(data) -> RectRaster:
     return RectRaster(values=values, xll=xll, yll=yll, cellsize=cellsize, nodata=nodata)
 
 
-def write_esri_ascii(raster: RectRaster) -> str:
-    """Serialize a raster so that parsing the result reproduces it exactly."""
-    return _write_text(raster)
+def write_esri_ascii(raster: RectRaster, out=None) -> str | None:
+    """Serialize a raster so that parsing the result reproduces it exactly.
+
+    Returns the text, or, given an open text file ``out``, writes it there
+    row by row and returns None.
+    """
+    return _deliver(_write_text(raster), out)
 
 
 def read_hex_raster(data) -> HexRaster:
     """Parse the hexagonal raster text format."""
-    header, values = _read_text(data, "hex raster", _HEX_KEYS, "radius")
+    return _hex(_decode(data).splitlines())
+
+
+def _hex(lines) -> HexRaster:
+    header, values = _read_text(lines, "hex raster", _HEX_KEYS, "radius")
     geometry = {name: header[key] for name, key in HexRaster._keys.items()}
     return HexRaster(values=values, **geometry, nodata=header["nodata_value"])
 
 
-def write_hex_raster(raster: HexRaster) -> str:
-    return _write_text(raster)
+def write_hex_raster(raster: HexRaster, out=None) -> str | None:
+    """Serialize a hex raster; like :func:`write_esri_ascii`, to ``out`` if given."""
+    return _deliver(_write_text(raster), out)
 
 
 def read_raster(data):
     """Parse either format; a ``xcenter0`` header key means the hexagonal one."""
     lines = _decode(data).splitlines()
     keys = {tokens[0].lower() for _, tokens in _header_lines(lines, _ALL_KEYS) if tokens}
-    return (read_hex_raster if "xcenter0" in keys else parse_esri_ascii)(data)
+    return (_hex if "xcenter0" in keys else _esri)(lines)
 
 
 PALETTES = {
@@ -355,6 +392,8 @@ def render(raster, fmt: str, palette="viridis", value_range=None, px_per_cell=8)
     """
     if fmt not in ("svg", "ppm"):
         raise ValueError(f"unknown render format {fmt!r}")
+    if value_range is not None and not np.isfinite(value_range).all():
+        raise ValueError(f"value_range must be finite, got {value_range!r}")
     colors = _colorize(raster.values, raster.nodata, palette, value_range)
     if isinstance(raster, RectRaster):
         if fmt == "svg":

@@ -352,6 +352,12 @@ FLAG_CONTRACT = [
     (["render", "--in", "{asc}", "--out", "{out}.svg", "--min", "1", "--max", "1"], 2,
      "--min must be less than --max"),
     (["render", "--in", "{asc}", "--out", "{out}.svg", "--min", "0", "--max", "1"], 0, ""),
+    (["render", "--in", "{asc}", "--out", "{out}.ppm", "--min=-inf", "--max=inf"], 2,
+     "--min: must be a finite number, got '-inf'"),
+    (["render", "--in", "{asc}", "--out", "{out}.ppm", "--min", "0", "--max", "inf"], 2,
+     "--max: must be a finite number, got 'inf'"),
+    (["render", "--in", "{hex}", "--out", "{out}.svg", "--min=nan", "--max", "1"], 2,
+     "--min: must be a finite number, got 'nan'"),
     (["render", "--in", "{out}", "--out", "{out}.svg"], 1, "error:"),
     (["render", "--in", "{asc}", "--out", "{out}.png"], 2,
      "--out: must end in .svg or .ppm"),

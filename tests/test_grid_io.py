@@ -1,3 +1,5 @@
+import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -310,6 +312,12 @@ class TestRender:
             warnings.simplefilter("error")
             render(r, "ppm", value_range=(0.0, 10.0))
 
+    @pytest.mark.parametrize("value_range", [(-np.inf, np.inf), (0.0, np.inf), (np.nan, 1.0)])
+    def test_non_finite_range_rejected(self, value_range):
+        r = RectRaster(values=[[5.0, 6.0]], xll=0, yll=0, cellsize=1.0)
+        with pytest.raises(ValueError, match="value_range must be finite"):
+            render(r, "ppm", value_range=value_range)
+
     def test_hex_svg_cell_count(self):
         hx = HexRaster(values=np.arange(6.0).reshape(2, 3), x0=0.0, y0=0.0, r=1.0)
         svg = render(hx, "svg").decode()
@@ -331,3 +339,119 @@ class TestRender:
         hx = HexRaster(values=np.arange(12.0).reshape(3, 4), x0=0.0, y0=0.0, r=1.0)
         ppm = render(hx, "ppm", px_per_cell=6)
         assert ppm.startswith(b"P6\n")
+
+
+def old_parse_body(lines, nrows, ncols, what):
+    """The body parse the streaming one replaced: join the body, then one split."""
+    tokens = " ".join(lines).split()
+    if len(tokens) != nrows * ncols:
+        raise CountMismatchError(f"{what}: expected {nrows * ncols} values, found {len(tokens)}")
+    try:
+        flat = np.array([float(t) for t in tokens])
+    except ValueError:
+        bad = next(t for t in tokens if not _is_number(t))
+        raise NonNumericTokenError(f"{what}: bad value token {bad!r}") from None
+    return flat.reshape(nrows, ncols)
+
+
+def _is_number(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def outcome(parse, *args):
+    """The values ``parse`` returns, or the class and message of what it raises."""
+    try:
+        result = parse(*args)
+    except (CountMismatchError, NonNumericTokenError) as exc:
+        return type(exc), str(exc)
+    return getattr(result, "values", result).tobytes()
+
+
+# (raster kind, position and size field names, reader, writer, error prefix)
+CODECS = [
+    (RectRaster, ("xll", "yll", "cellsize"), parse_esri_ascii, write_esri_ascii, "esri ascii"),
+    (HexRaster, ("x0", "y0", "r"), read_hex_raster, write_hex_raster, "hex raster"),
+]
+# Whatever separates two body values: whitespace runs, every line ending,
+# blank lines, trailing whitespace, form feeds and vertical tabs.
+SEPARATORS = [" ", "   ", "\t", " \t ", "\n", "\r\n", "\r", "\n\n", " \n", "\t\r\n",
+              "\r\n \r\n", "\f", "\v", " \x0c\n"]
+BAD_TOKENS = ["abc", "1.2.3", "0x1p3", "1,5", "--2", "e5", "1e"]
+FAULTS = [(), ("missing",), ("extra",), ("bad",), ("missing", "bad"), ("extra", "bad")]
+
+
+class TestStreamingCodec:
+    """The line-by-line parse and the row-by-row write change no result."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        codec=st.sampled_from(CODECS),
+        nrows=st.integers(1, 6),
+        ncols=st.integers(1, 6),
+        faults=st.sampled_from(FAULTS),
+        data=st.data(),
+    )
+    def test_matches_whole_body_parse(self, codec, nrows, ncols, faults, data):
+        cls, names, read, write, what = codec
+        values = data.draw(st.lists(finite, min_size=nrows * ncols, max_size=nrows * ncols))
+        raster = cls(np.array(values).reshape(nrows, ncols), **dict(zip(names, (1.0, -2.0, 0.5))))
+        text = write(raster)
+        buf = io.StringIO()
+        assert write(raster, out=buf) is None
+        assert buf.getvalue() == text
+
+        lines = text.splitlines()
+        tokens = " ".join(lines[6:]).split()
+        index = st.integers(0, len(tokens))
+        if "extra" in faults:
+            tokens.insert(data.draw(index), data.draw(st.sampled_from(["1.5", "-0", "7"])))
+        if "missing" in faults:
+            del tokens[data.draw(index) % len(tokens)]
+        if "bad" in faults and tokens:
+            tokens[data.draw(index) % len(tokens)] = data.draw(st.sampled_from(BAD_TOKENS))
+        seps = data.draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(tokens) + 1,
+                                  max_size=len(tokens) + 1))
+        body = data.draw(st.sampled_from(["", " ", "\n"])) + "".join(
+            token + sep for token, sep in zip(tokens, seps)
+        )
+        text = "\n".join(lines[:6]) + "\n" + body
+
+        expected = outcome(old_parse_body, text.splitlines()[6:], nrows, ncols, what)
+        assert outcome(read, text) == expected
+        assert outcome(read_raster, text) == expected
+        if not faults:
+            assert expected == raster.values.tobytes()
+
+
+class TestCodecMemory:
+    """A read or write holds the text, its lines and the values, plus O(one row)."""
+
+    RASTER = HexRaster(values=np.random.default_rng(0).normal(size=(300, 300)),
+                       x0=0.0, y0=0.0, r=1.0)
+
+    @staticmethod
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_parse_holds_no_token_list(self):
+        text = write_hex_raster(self.RASTER)
+        peak = self.peak(read_hex_raster, text)
+        assert peak <= 1.5 * len(text) + 8 * self.RASTER.values.size
+
+    @pytest.mark.parametrize("nrows", [30, 300])
+    def test_write_holds_one_row(self, tmp_path, nrows):
+        raster = HexRaster(values=self.RASTER.values[:nrows], x0=0.0, y0=0.0, r=1.0)
+        row = len(write_hex_raster(raster).splitlines()[-1]) + 1
+        with open(tmp_path / "out.hex", "w", encoding="utf-8", newline="\n") as fh:
+            peak = self.peak(write_hex_raster, raster, fh)
+        assert peak < 12 * row
+        assert (tmp_path / "out.hex").read_text() == write_hex_raster(raster)

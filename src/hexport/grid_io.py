@@ -387,13 +387,16 @@ def render(raster, fmt: str, palette="viridis", value_range=None, px_per_cell=8)
     """Render a raster as an SVG or binary PPM heatmap.
 
     ``px_per_cell`` sets the pixel block size (PPM) or the on-screen cell
-    size (SVG).  When all values are equal and no ``value_range`` is given a
-    single color is rendered and a :class:`DegenerateRangeWarning` issued.
+    size (SVG).  A ``value_range`` must be finite with min < max.  When all
+    values are equal and no ``value_range`` is given a single color is
+    rendered and a :class:`DegenerateRangeWarning` issued.
     """
     if fmt not in ("svg", "ppm"):
         raise ValueError(f"unknown render format {fmt!r}")
     if value_range is not None and not np.isfinite(value_range).all():
         raise ValueError(f"value_range must be finite, got {value_range!r}")
+    if value_range is not None and not value_range[0] < value_range[1]:
+        raise ValueError(f"value_range must have min < max, got {value_range!r}")
     colors = _colorize(raster.values, raster.nodata, palette, value_range)
     if isinstance(raster, RectRaster):
         if fmt == "svg":

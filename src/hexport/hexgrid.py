@@ -74,10 +74,6 @@ class HexGrid:
         return self.r * SQRT3
 
     @property
-    def row_pitch(self) -> float:
-        return 1.5 * self.r
-
-    @property
     def side(self) -> float:
         return self.r
 

@@ -17,7 +17,10 @@ One batched kernel, :func:`select_stencils`, applies either rule to any
 number of intervals; :func:`eno_select` and :func:`of_select` view one.
 A :class:`KnotTable` keeps many rows and their selected cubics in one flat
 table and evaluates any set of them with one gather and one Horner pass;
-:class:`Extension1D` is a one-row view of it.
+:class:`Extension1D` is a one-row view of it.  The table is the one place
+that builds pieces: it sweeps them in blocks of ``_BLOCK``, selecting each
+block's stencils in one kernel call and writing them straight into the
+table, so a build holds the table plus O(``_BLOCK``) temporaries.
 
 Both rules reproduce polynomials up to degree three exactly.  Outside the
 knot range the cubic through the four outermost knots is extrapolated.
@@ -200,7 +203,7 @@ _CANDIDATES = {
     ENO: np.array([(2, 3, 1, 4), (2, 3, 0, 1), (2, 3, 4, 5)]),
     OF: np.array(list(itertools.combinations(range(6), 4))),
 }
-_BLOCK = 4096  # block size: intervals per select_stencils call, points per evaluation
+_BLOCK = 4096  # block size: pieces per build step, points per evaluation
 
 
 def _windows(xs, start, n, k):
@@ -247,28 +250,6 @@ def select_stencils(wx, wf, valid, method: str):
     return chosen, np.array(c), x[:3]
 
 
-def select_rows(rows, method: str):
-    """:func:`select_stencils` over every interval of rows of 4+ knots.
-
-    Intervals go row after row, in blocks of ``_BLOCK`` to bound the
-    temporaries.  Returns knot indices within each row, Newton coefficients
-    and Horner nodes, ``(N, 4|4|3)``.
-    """
-    n = np.array([len(row) for row in rows], dtype=np.int64)
-    start = np.repeat(np.cumsum(n) - n, n - 1)
-    k = np.arange(start.size) - np.repeat(np.cumsum(n - 1) - (n - 1), n - 1)
-    n = np.repeat(n, n - 1)
-    xs = np.concatenate([row.xs for row in rows] or [[]])
-    fs = np.concatenate([row.fs for row in rows] or [[]])
-    idx, c, nodes = np.empty((4, k.size), np.int64), np.empty((4, k.size)), np.empty((3, k.size))
-    for lo in range(0, k.size, _BLOCK):
-        part = slice(lo, lo + _BLOCK)
-        wx, valid, at = _windows(xs, start[part], n[part], k[part])
-        chosen, c[:, part], nodes[:, part] = select_stencils(wx, fs[at], valid, method)
-        idx[:, part] = k[part] - 2 + chosen
-    return idx.T, c.T, nodes.T
-
-
 def _select_one(knots: Knots1D, k: int, method: str) -> Stencil1D:
     """One-interval view of :func:`select_stencils`."""
     n = len(knots)
@@ -308,6 +289,12 @@ class KnotTable:
     interval's stencil, the cubic on its last four knots (above the row), as
     Newton coefficients ``c`` ``(4, P)`` and Horner nodes ``x`` ``(3, P)``.
     Rows of 2-3 knots keep their interpolant in ``degraded`` instead.
+
+    The build sweeps the pieces in blocks of ``_BLOCK``: one
+    :func:`select_stencils` call per block, end pieces overwritten with the
+    Newton cubic on window slots 2-5 (below) or 0-3 (above), each block
+    written into ``c`` and ``x`` in place.  Beyond the table it holds
+    O(``_BLOCK``) memory.
     """
 
     def __init__(self, rows, method: str):
@@ -320,16 +307,19 @@ class KnotTable:
         self.xs = np.concatenate([row.xs for row in rows] or [[]])
         self.fs = np.concatenate([row.fs for row in rows] or [[]])
         self.c, self.x = np.zeros((4, self.pieces[-1])), np.zeros((3, self.pieces[-1]))
-        full = n >= 4
-        lo, nf = self.pieces[:-1][full], n[full]
-        _, c, x = select_rows([row for row, f in zip(rows, full) if f], method)
-        at = np.arange(len(c)) + np.repeat(lo + 1 - np.cumsum(nf - 1) + (nf - 1), nf - 1)
-        self.c[:, at], self.x[:, at] = c.T, x.T
-        ends = np.concatenate([self.start[:-1][full], self.start[1:][full] - 4])
-        ends = ends + np.arange(4)[:, None]
-        at = np.concatenate([lo, lo + nf])
-        self.c[:, at] = _newton_coeffs(list(self.xs[ends]), list(self.fs[ends]))
-        self.x[:, at] = self.xs[ends][:3]
+        for lo in range(0, self.pieces[-1], _BLOCK):
+            p = np.arange(lo, min(lo + _BLOCK, self.pieces[-1]))
+            r = self.pieces.searchsorted(p, "right") - 1
+            p, r = p[n[r] >= 4], r[n[r] >= 4]
+            k, nr = p - self.pieces[r] - 1, n[r]  # k = -1 below the row, nr - 1 above it
+            wx, valid, at = _windows(self.xs, self.start[r], nr, np.clip(k, 0, nr - 2))
+            wf = self.fs[at]
+            _, c, x = select_stencils(wx, wf, valid, method)
+            end = ((k < 0) | (k == nr - 1)).nonzero()[0]
+            slots = np.where(k[end] < 0, 2, 0) + np.arange(4)[:, None]
+            c[:, end] = _newton_coeffs(list(wx[slots, end]), list(wf[slots, end]))
+            x[:, end] = wx[slots[:3], end]
+            self.c[:, p], self.x[:, p] = c, x
         self.degraded = {r: (_newton_coeffs(list(row.xs), list(row.fs)), list(row.xs))
                          for r, row in enumerate(rows) if len(row) < 4}
 

@@ -130,9 +130,11 @@ class Extension2D:
     """Everywhere-defined extension of a row-like grid, ENO or OF flavored.
 
     All knot rows live in one :class:`KnotTable`; ``_rows`` holds a thin
-    :class:`Extension1D` view of each.  Evaluation batches over points
-    sharing a y (a line) and over lines sharing their xs, which is how
-    rasters and hexagon rows are swept.
+    :class:`Extension1D` view of each.  No evaluation reads ``_rows``: it
+    stays because the benchmark's ``interp1d.build`` span wraps
+    ``Extension1D.__init__``, and ``hexbench/test_bench.py`` expects that
+    span.  Evaluation batches over points sharing a y (a line) and over
+    lines sharing their xs, which is how rasters and hexagon rows are swept.
     """
 
     def __init__(self, grid: RowLikeGrid, method: str = ENO):

@@ -318,6 +318,16 @@ class TestRender:
         with pytest.raises(ValueError, match="value_range must be finite"):
             render(r, "ppm", value_range=value_range)
 
+    @pytest.mark.parametrize("value_range", [(1.0, 1.0), (2.0, 1.0)])
+    @pytest.mark.parametrize("fmt", ["ppm", "svg"])
+    def test_empty_or_inverted_range_rejected(self, value_range, fmt):
+        # An equal pair divided by zero in _colorize; a falling one rendered
+        # the palette backwards.  Both are refused before any colour is mapped.
+        hx = HexRaster(values=[[5.0, 6.0]], x0=0.0, y0=0.0, r=1.0)
+        for raster in (RectRaster(values=[[5.0, 6.0]], xll=0, yll=0, cellsize=1.0), hx):
+            with pytest.raises(ValueError, match="value_range must have min < max"):
+                render(raster, fmt, value_range=value_range)
+
     def test_hex_svg_cell_count(self):
         hx = HexRaster(values=np.arange(6.0).reshape(2, 3), x0=0.0, y0=0.0, r=1.0)
         svg = render(hx, "svg").decode()

@@ -1,4 +1,7 @@
+import importlib.util
 import itertools
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,6 +16,7 @@ from hexport.interp1d import (
     OF,
     Extension1D,
     Knots1D,
+    KnotTable,
     Stencil1D,
     _eno_score_parts,
     _newton_coeffs,
@@ -24,9 +28,8 @@ from hexport.interp1d import (
     newton_cubic_eval,
     of_objective,
     of_select,
-    select_rows,
 )
-from hexport.interp2d import Extension2D, RowLikeGrid
+from hexport.interp2d import Extension2D, RowLikeGrid, build_row_like_grid
 
 GAUSS5 = np.polynomial.legendre.leggauss(5)
 
@@ -453,29 +456,24 @@ class TestSelectionKernel:
         grid = RowLikeGrid(ys=np.arange(float(len(rows))), rows=tuple(rows))
         for method in (ENO, OF):
             with mock.patch.object(interp1d, "_BLOCK", block):
-                idx, c, x = select_rows(full, method)
                 ext = Extension2D(grid, method)
+                alone = [Extension1D(row, method)._table for row in full]
             table = ext._table
             assert table.pieces.size == len(rows) + 1
             assert len(ext._rows) == len(rows)  # thin per-row views of the one table
             assert all(e.knots is row and e._table is table for e, row in zip(ext._rows, rows))
-            at = 0
-            for r, row in [(r, row) for r, row in enumerate(rows) if len(row) >= 4]:
+            select = eno_select if method == ENO else of_select
+            for (r, row), one in zip([(r, row) for r, row in enumerate(rows) if len(row) >= 4],
+                                     alone):
                 want = [scalar_select(row.xs, row.fs, k, method) for k in range(len(row) - 1)]
-                span = slice(at, at + len(row) - 1)
-                at += len(row) - 1
-                assert [tuple(i) for i in idx[span].tolist()] == [w[0] for w in want]
                 want_c = bits([w[1] for w in want])
                 want_x = bits([w[2] for w in want])
-                assert bits(c[span]) == want_c and bits(x[span]) == want_x
                 ends = [(_newton_coeffs(list(row.xs[e]), list(row.fs[e])), row.xs[e][:3])
                         for e in (slice(0, 4), slice(len(row) - 4, len(row)))]
                 want_ends = bits([e[0] for e in ends]), bits([e[1] for e in ends])
                 assert row_pieces(table, r) == (want_c, want_x, *want_ends)
-                alone = Extension1D(row, method)._table
-                assert row_pieces(alone, 0) == (want_c, want_x, *want_ends)
-                select = eno_select if method == ENO else of_select
-                for k in (0, 1, len(row) - 3, len(row) - 2):
+                assert row_pieces(one, 0) == (want_c, want_x, *want_ends)
+                for k in range(len(row) - 1):
                     st_k = select(row, k)
                     assert st_k.idx == want[k][0]
                     assert bits(st_k.coeffs) == bits(want[k][1])
@@ -518,8 +516,37 @@ class TestSelectionKernel:
         ]
         with np.errstate(all="ignore"):
             for method in (ENO, OF):
-                idx, c, _ = select_rows(rows, method)
-                want = [scalar_select(row.xs, row.fs, k, method)
-                        for row in rows for k in range(len(row) - 1)]
-                assert [tuple(i) for i in idx.tolist()] == [w[0] for w in want]
-                assert bits(c) == bits([w[1] for w in want])
+                table = KnotTable(rows, method)
+                select = eno_select if method == ENO else of_select
+                for r, row in enumerate(rows):
+                    want = [scalar_select(row.xs, row.fs, k, method) for k in range(len(row) - 1)]
+                    assert [select(row, k).idx for k in range(len(row) - 1)] == [w[0] for w in want]
+                    assert row_pieces(table, r)[0] == bits([w[1] for w in want])
+
+
+def terrain_raster(size, seed):
+    """The benchmark's seeded DEM (``hexbench/inputs.py``), loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "hexbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.terrain_raster(size, seed)
+
+
+class TestBuildMemory:
+    """A table build holds the table it keeps plus O(_BLOCK), not per-interval
+    index tables or a second copy of the knots."""
+
+    @pytest.mark.parametrize("method", [ENO, OF])
+    def test_build_holds_table_plus_blocks(self, method):
+        rows = build_row_like_grid(terrain_raster(150, 11)).rows
+        block = 256
+        with mock.patch.object(interp1d, "_BLOCK", block):
+            tracemalloc.start()
+            try:
+                table = KnotTable(rows, method)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert table.pieces[-1] == 150 * 151
+        assert peak - kept < 400 * block * 8

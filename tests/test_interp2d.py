@@ -19,11 +19,11 @@ from hexport.interp1d import (
     ENO,
     OF,
     Knots1D,
+    KnotTable,
     _newton_coeffs,
     _newton_eval,
     _windows,
     extend_1d,
-    select_rows,
     select_stencils,
 )
 from hexport.interp2d import (
@@ -364,7 +364,9 @@ class TestBatchedLines:
 
 def sweep_row(knots, method, x):
     """One knot row at points x, evaluated on its own: a copy of the
-    per-row evaluation that the flat knot table replaced."""
+    per-row evaluation that the flat knot table replaced.  Its interval
+    stencils are the row's one-row table pieces, which test_interp1d checks
+    against the scalar scan bit for bit."""
     xs, fs = knots.xs, knots.fs
     n = xs.size
     pos = np.searchsorted(xs, x)
@@ -373,7 +375,8 @@ def sweep_row(knots, method, x):
         out = np.array(_newton_eval(_newton_coeffs(list(xs), list(fs)), list(xs), x))
         out[at_knot] = fs[pos[at_knot]]
         return out
-    _, c, cx = select_rows([knots], method)
+    table = KnotTable([knots], method)  # its interval pieces are 1..n-1
+    c, cx = table.c[:, 1:n].T, table.x[:, 1:n].T
 
     def horner(k, at):
         return _newton_eval(c[k].T, cx[k].T, at)

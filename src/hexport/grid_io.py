@@ -227,8 +227,8 @@ def _read_text(lines, what, required, size):
 def _parse_body(lines, nrows, ncols, what):
     """The (nrows, ncols) values of the body ``lines``, read one line at a time.
 
-    Only a faulty body builds the whole-body token list, to report the count
-    before a bad token.
+    Only a faulty body, or a declared count too large to allocate, builds the
+    whole-body token list, to report the count before a bad token.
     """
     count = nrows * ncols
     tokens = itertools.chain.from_iterable(map(str.split, lines))
@@ -236,7 +236,7 @@ def _parse_body(lines, nrows, ncols, what):
         flat = np.fromiter(map(float, tokens), np.float64, count=count)
         if next(tokens, None) is None:
             return flat.reshape(nrows, ncols)
-    except ValueError:
+    except (ValueError, MemoryError, OverflowError):
         pass
     tokens = " ".join(lines).split()
     if len(tokens) != count:

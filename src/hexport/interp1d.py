@@ -15,12 +15,14 @@ selection rules applied per inter-knot interval:
 
 One batched kernel, :func:`select_stencils`, applies either rule to any
 number of intervals; :func:`eno_select` and :func:`of_select` view one.
-A :class:`KnotTable` keeps many rows and their selected cubics in one flat
+One builder, ``_pieces``, turns any set of intervals into cubic pieces,
+the end cubics beyond a row included; its values may carry trailing
+columns that share the knots, which is how the 2D cross-row combine uses
+it.  A :class:`KnotTable` keeps many rows and their pieces in one flat
 table and evaluates any set of them with one gather and one Horner pass;
-:class:`Extension1D` is a one-row view of it.  The table is the one place
-that builds pieces: it sweeps them in blocks of ``_BLOCK``, selecting each
-block's stencils in one kernel call and writing them straight into the
-table, so a build holds the table plus O(``_BLOCK``) temporaries.
+:class:`Extension1D` is a one-row view of it.  The table calls the builder
+once per block of ``_BLOCK`` pieces and writes each block straight into
+the table, so a build holds the table plus O(``_BLOCK``) temporaries.
 
 Both rules reproduce polynomials up to degree three exactly.  Outside the
 knot range the cubic through the four outermost knots is extrapolated.
@@ -250,6 +252,24 @@ def select_stencils(wx, wf, valid, method: str):
     return chosen, np.array(c), x[:3]
 
 
+def _pieces(xs, fs, start, n, k, method: str):
+    """Cubic pieces ``k`` of rows ``xs[start : start + n]``: interval k's
+    selected stencil, or the cubic on the row's first four knots (``k = -1``)
+    or last four (``k = n - 1``), as Newton coefficients ``(4, *S)`` and
+    Horner nodes ``(3, *S)``.  Trailing axes of ``fs`` are columns that share
+    the knots."""
+    wx, valid, at = _windows(xs, start, n, np.clip(k, 0, n - 2))
+    wx, valid = (np.expand_dims(w, tuple(range(2, fs.ndim + 1))) for w in (wx, valid))
+    wf = fs[at]
+    _, c, x = select_stencils(wx, wf, valid, method)
+    end = ((k < 0) | (k == n - 1)).nonzero()[0]
+    if end.size:
+        slots = np.where(k[end] < 0, 2, 0) + np.arange(4)[:, None]  # window slots 2-5 or 0-3
+        c[:, end] = _newton_coeffs(list(wx[slots, end]), list(wf[slots, end]))
+        x[:, end] = wx[slots[:3], end]
+    return c, x
+
+
 def _select_one(knots: Knots1D, k: int, method: str) -> Stencil1D:
     """One-interval view of :func:`select_stencils`."""
     n = len(knots)
@@ -290,11 +310,9 @@ class KnotTable:
     Newton coefficients ``c`` ``(4, P)`` and Horner nodes ``x`` ``(3, P)``.
     Rows of 2-3 knots keep their interpolant in ``degraded`` instead.
 
-    The build sweeps the pieces in blocks of ``_BLOCK``: one
-    :func:`select_stencils` call per block, end pieces overwritten with the
-    Newton cubic on window slots 2-5 (below) or 0-3 (above), each block
-    written into ``c`` and ``x`` in place.  Beyond the table it holds
-    O(``_BLOCK``) memory.
+    The build sweeps the pieces in blocks of ``_BLOCK``, one ``_pieces``
+    call per block, each block written into ``c`` and ``x`` in place.
+    Beyond the table it holds O(``_BLOCK``) memory.
     """
 
     def __init__(self, rows, method: str):
@@ -311,15 +329,8 @@ class KnotTable:
             p = np.arange(lo, min(lo + _BLOCK, self.pieces[-1]))
             r = self.pieces.searchsorted(p, "right") - 1
             p, r = p[n[r] >= 4], r[n[r] >= 4]
-            k, nr = p - self.pieces[r] - 1, n[r]  # k = -1 below the row, nr - 1 above it
-            wx, valid, at = _windows(self.xs, self.start[r], nr, np.clip(k, 0, nr - 2))
-            wf = self.fs[at]
-            _, c, x = select_stencils(wx, wf, valid, method)
-            end = ((k < 0) | (k == nr - 1)).nonzero()[0]
-            slots = np.where(k[end] < 0, 2, 0) + np.arange(4)[:, None]
-            c[:, end] = _newton_coeffs(list(wx[slots, end]), list(wf[slots, end]))
-            x[:, end] = wx[slots[:3], end]
-            self.c[:, p], self.x[:, p] = c, x
+            self.c[:, p], self.x[:, p] = _pieces(self.xs, self.fs, self.start[r], n[r],
+                                                 p - self.pieces[r] - 1, method)
         self.degraded = {r: (_newton_coeffs(list(row.xs), list(row.fs)), list(row.xs))
                          for r, row in enumerate(rows) if len(row) < 4}
 

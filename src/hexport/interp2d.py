@@ -12,9 +12,9 @@ quadrature sample rows share a y, so the per-row 1D evaluations and the
 cross-row combination all vectorize over x.  Lines that also share their
 xs (every other hexagon row, the quadrature lines of a raster row) go in
 one call: every knot row the lines need is evaluated once, in one pass
-over the flat knot table; the cross-row stencils of every needed
-(interval, column) pair are selected in one blocked kernel call; and one
-Horner pass serves all lines between rows.
+over the flat knot table; the knot table's own piece builder makes the
+cross-row pieces, end cubics included, with each column of row values as
+its knot values; and one Horner pass serves all lines.
 
 Also here: the Catmull-Rom spline baseline (regular grids only) and the
 piecewise-constant cell lookup, both with the same line-batched interface,
@@ -44,8 +44,8 @@ from .interp1d import (
     KnotTable,
     _newton_coeffs,
     _newton_eval,
+    _pieces,
     _windows,
-    select_stencils,
 )
 
 
@@ -141,7 +141,6 @@ class Extension2D:
         self._table = KnotTable(grid.rows, method)
         self.grid = grid
         self.method = method
-        self._ywin = _windows(grid.ys, 0, grid.ys.size, np.arange(grid.ys.size - 1))
         self._rows = [Extension1D(row, method, self._table, r) for r, row in enumerate(grid.rows)]
 
     def eval_line(self, xs, y) -> np.ndarray:
@@ -149,71 +148,50 @@ class Extension2D:
 
         ``y`` is a scalar, giving shape ``(len(xs),)``, or a 1-D array of
         heights sharing ``xs``, giving ``(len(y), len(xs))`` whose row i
-        equals the scalar call at ``y[i]`` bit for bit.  Every knot row the
-        lines need is evaluated once, in one table pass; the cross-row
-        stencils of every needed interval and column are selected in one
-        blocked kernel call; one Horner pass then serves all lines.
+        equals the scalar call at ``y[i]`` bit for bit.  Each line finds its
+        cross-row piece as :meth:`KnotTable.eval` finds a point's.  Every knot
+        row the lines need is evaluated once, in one table pass; the knot
+        table's builder makes the pieces, a block of intervals per call; one
+        Horner pass then serves all lines.
         """
         xs = np.asarray(xs, dtype=np.float64)
         lines = _heights(y)
         ys = self.grid.ys
         m = ys.size
-        # Line key: 2*j on knot row j, 2*k + 1 inside interval k, -1 below
-        # the rows and 2*m - 1 above them; key // 2 is the row or interval.
-        key = ys.searchsorted(lines) + ys.searchsorted(lines, "right") - 1
-        j, odd = np.divmod(key, 2)
-        knot = odd == 0
-        mean = knot & (self.method == OF and m >= 4)
-        direct = knot ^ mean
+        pos = ys.searchsorted(lines)
+        hit = (pos < m) & (ys[np.minimum(pos, m - 1)] == lines)
+        mean = hit & (self.method == OF and m >= 4)
+        direct = hit ^ mean
         if direct.all():  # every line on a knot row, taken as is
-            return self._table.eval(j, xs).reshape(np.shape(y) + xs.shape)
-        # One fixed stencil beyond the rows (or between fewer than four).
-        fixed = ~knot & ((key == -1) | (key == 2 * m - 1) | (m < 4))
-        below = fixed & (key == -1)
-        above = fixed ^ below
-        inner = ~(knot | fixed)
-        left, right = np.maximum(j - 1, 0), np.minimum(j, m - 2)
-        want = np.zeros(m - 1, dtype=bool)
-        want[j[inner]] = want[left[mean]] = want[right[mean]] = True
-        ks = want.nonzero()[0]
-        need = np.zeros(m, dtype=bool)
-        need[j[direct]] = need[self._ywin[2][:, ks]] = True
-        need[:4] |= below.any()
-        need[-4:] |= above.any()
-        rows = need.nonzero()[0]
+            return self._table.eval(pos, xs).reshape(np.shape(y) + xs.shape)
+        if m < 4:  # the interpolant through all rows, as for a knot row of 2-3 knots
+            V = self._table.eval(np.arange(m), xs)
+            out = _newton_eval(_newton_coeffs(list(ys), list(V)), list(ys), lines[:, None])
+            out[hit] = V[pos[hit]]
+            return out if np.ndim(y) else out[0]
+        # Piece k is interval k's stencil, or the end cubic below (-1) or above (m - 1).
+        lo, hi = np.where(mean, np.maximum(pos - 1, 0), pos - 1), np.minimum(pos, m - 2)
+        ks = np.bincount(np.concatenate([lo[~direct], hi[mean]]) + 1).nonzero()[0] - 1
+        near = _windows(ys, 0, m, np.clip(ks, 0, m - 2))[2]  # the rows each piece reads
+        rows = np.bincount(np.concatenate([pos[direct], near.ravel()])).nonzero()[0]
         V = np.empty((m, xs.size))
         V[rows] = self._table.eval(rows, xs)
         out = np.empty((lines.size, xs.size))
-        out[direct] = V[j[direct]]
-        c, nodes = self._select(ks, V)
-        step = max(interp1d._BLOCK // max(xs.size, 1), 1)  # lines per block (bounds gathers)
-
-        def cross(k, at):
-            g = ks.searchsorted(k[at])
-            return _newton_eval(c[:, g], nodes[:, g], lines[at, None])
-
-        at, mid = inner.nonzero()[0], mean.nonzero()[0]
+        out[direct] = V[pos[direct]]
+        c, nodes = np.empty((4, ks.size, xs.size)), np.empty((3, ks.size, xs.size))
+        step = max(interp1d._BLOCK // max(xs.size, 1), 1)  # pieces or lines per block
+        for b in range(0, ks.size, step):
+            part = slice(b, b + step)
+            c[:, part], nodes[:, part] = _pieces(ys, V, 0, m, ks[part], self.method)
+        g, h = ks.searchsorted(lo), ks.searchsorted(hi)  # each line's pieces in c and nodes
+        at = (~direct).nonzero()[0]
         for b in range(0, at.size, step):
-            out[at[b : b + step]] = cross(j, at[b : b + step])
-        for b in range(0, mid.size, step):
-            out[mid[b : b + step]] = 0.5 * (cross(left, mid[b : b + step])
-                                            + cross(right, mid[b : b + step]))
-        for four, sel in ((slice(None, 4), below), (slice(-4, None), above)):
-            if sel.any():
-                coeffs = _newton_coeffs(list(ys[four]), list(V[four]))
-                out[sel] = _newton_eval(coeffs, list(ys[four]), lines[sel, None])
+            i = at[b : b + step]
+            out[i] = _newton_eval(c[:, g[i]], nodes[:, g[i]], lines[i, None])
+            i = i[mean[i]]
+            if i.size:
+                out[i] = 0.5 * (out[i] + _newton_eval(c[:, h[i]], nodes[:, h[i]], lines[i, None]))
         return out if np.ndim(y) else out[0]
-
-    def _select(self, k, V):
-        """Cross-row stencils ``(4|3, len(k), ncols)`` of intervals ``k`` at the
-        columns of ``V`` (row j's values in ``V[j]``), in blocks of about ``_BLOCK``."""
-        c, nodes = np.empty((4, k.size, V.shape[1])), np.empty((3, k.size, V.shape[1]))
-        step = max(interp1d._BLOCK // max(V.shape[1], 1), 1)
-        for lo in range(0, k.size, step):
-            part = slice(lo, lo + step)
-            wx, valid, at = (w[:, k[part], None] for w in self._ywin)
-            _, c[:, part], nodes[:, part] = select_stencils(wx, V[at[..., 0]], valid, self.method)
-        return c, nodes
 
     def __call__(self, x: float, y: float) -> float:
         return float(self.eval_line(np.array([x], dtype=np.float64), y)[0])

@@ -52,8 +52,8 @@ def port(raster: RectRaster, config: PortingConfig) -> HexRaster:
     )
     ext = make_extension(raster, config.method)
     fill = {"fill": raster.nodata} if config.method == "id" else {}
+    values = np.empty((grid.nrows, grid.ncols), dtype=np.float64)  # fails at once if too large
     ys = np.array([grid.row_y(j) for j in range(grid.nrows)])
-    values = np.empty((grid.nrows, grid.ncols), dtype=np.float64)
     for parity in range(min(2, grid.nrows)):
         values[parity::2] = ext.eval_line(grid.row_centers_x(parity), ys[parity::2], **fill)
     return HexRaster(

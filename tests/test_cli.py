@@ -385,6 +385,7 @@ FLAG_CONTRACT = [
     (FLOW + ["--steps", "1", "--mask-margin", "-0.5"], 2,
      "--mask-margin: must be a nonnegative finite number, got '-0.5'"),
     (FLOW + ["--steps", "1", "--mask-margin", "0.5"], 0, ""),
+    (PORT + ["--radius", "1e-8"], 1, "error: Unable to allocate"),  # a hex grid too large
 ]
 
 # A non-finite geometry value in an input header: (command, input kind, key).
@@ -430,6 +431,21 @@ class TestExitCodes:
             assert run_cli(*argv) == 1
         assert caught == []
         assert f"error: {'esri ascii' if kind == 'asc' else 'hex raster'}: {key} must be finite" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, what, geometry", [
+        (["degrade", "--in", "{bad}", "--out", "{out}"], "esri ascii",
+         "xllcorner 0\nyllcorner 0\ncellsize 1\n"),
+        (["flow", "--hex", "{bad}", "--out-depth", "{out}", "--steps", "1"], "hex raster",
+         "xcenter0 0\nycenter0 0\nradius 1\n"),
+    ], ids=["esri", "hex"])
+    def test_oversize_header_is_count_mismatch(self, tmp_path, capsys, argv, what, geometry):
+        bad = tmp_path / "bad"
+        bad.write_text(f"ncols 10000000\nnrows 10000000\n{geometry}NODATA_value -9999\n1 2 3 4\n")
+        out = tmp_path / "out"
+        assert run_cli(*[a.format(bad=bad, out=out) for a in argv]) == 1
+        assert f"error: {what}: expected 100000000000000 values, found 4" \
             in capsys.readouterr().err
         assert not out.exists()
 

@@ -437,6 +437,22 @@ class TestStreamingCodec:
             assert expected == raster.values.tobytes()
 
 
+class TestOversizeHeader:
+    """A header declaring more cells than memory can hold, or than an array
+    can index, is a count mismatch like any other, not an allocation failure."""
+
+    @pytest.mark.parametrize("codec", CODECS, ids=lambda codec: codec[4])
+    @pytest.mark.parametrize("side", [10**7, 10**10])
+    def test_reports_the_count(self, codec, side):
+        cls, names, read, write, what = codec
+        lines = write(cls(np.zeros((2, 2)), **dict(zip(names, (1.0, -2.0, 0.5))))).splitlines()
+        text = f"ncols {side}\nnrows {side}\n" + "\n".join(lines[2:]) + "\n"
+        for parse in (read, read_raster):
+            with pytest.raises(CountMismatchError,
+                               match=f"^{what}: expected {side * side} values, found 4$"):
+                parse(text)
+
+
 class TestCodecMemory:
     """A read or write holds the text, its lines and the values, plus O(one row)."""
 

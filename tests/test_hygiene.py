@@ -1,7 +1,8 @@
 """Source hygiene: every top-level import in a hexport module is used, every
-module-level private name is read somewhere in the package, and every public
+module-level private name is read somewhere in the package, every public
 module function and class member is read somewhere in the package, its tests
-or its benchmark."""
+or its benchmark, and so is every private method and ``self._name``
+attribute of a package class."""
 
 import ast
 from pathlib import Path
@@ -93,6 +94,13 @@ def test_no_unused_private_names():
     assert unused_private_names(sources) == []
 
 
+def project_sources() -> dict:
+    """Every Python source under ``src``, ``tests`` and ``hexbench``, by path."""
+    root = Path(__file__).resolve().parents[1]
+    return {str(path): path.read_text(encoding="utf-8")
+            for folder in ("src", "tests", "hexbench") for path in (root / folder).rglob("*.py")}
+
+
 def unused_public_names(package: dict, readers: dict, exempt=()) -> list:
     """(module, name) of public module functions and class members of
     ``package`` that :func:`read_names` finds in no source of ``readers``.
@@ -136,8 +144,65 @@ def test_scanner_flags_an_unused_public_name():
 
 
 def test_no_unused_public_names():
-    root = Path(__file__).resolve().parents[1]
     package = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
-    readers = {str(path): path.read_text(encoding="utf-8")
-               for folder in ("src", "tests", "hexbench") for path in (root / folder).rglob("*.py")}
+    readers = project_sources()
     assert unused_public_names(package, readers, exempt=[("cli.py", "main")]) == []
+
+
+def private_members(source: str) -> list:
+    """``_name`` methods of the module's classes, and the ``self._name``
+    attributes their methods store; dunders are skipped."""
+    members = []
+    for cls in ast.parse(source).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node in cls.body:
+                members.append(node.name)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                members.append(node.attr)
+    return [name for name in members if name.startswith("_") and not name.startswith("__")]
+
+
+def loaded_attributes(sources) -> set:
+    """Attribute names the sources load, and every whole string constant
+    (``getattr`` and ``mock.patch.object`` targets)."""
+    loaded = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                loaded.add(node.value)
+    return loaded
+
+
+def unused_private_members(package: dict, readers: dict) -> list:
+    """(module, name) of :func:`private_members` of ``package`` that no
+    source of ``readers`` loads as an attribute or spells as a string."""
+    loaded = loaded_attributes(readers.values())
+    return sorted({(module, name) for module, source in package.items()
+                   for name in private_members(source) if name not in loaded})
+
+
+def test_scanner_flags_an_unused_private_member():
+    package = {
+        "a.py": "class Box:\n    def __init__(self):\n        self._kept = 1\n"
+                "        self._gone = 2\n        self._spelled = 3\n        other._far = 4\n"
+                "        self._count = 0\n        self._count += 1\n"
+                "    def _used(self):\n        return self._kept\n"
+                "    def _dead(self):\n        pass\n"
+                "    def __len__(self):\n        return self._used()\n"
+                "def _helper():\n    pass\n",
+    }
+    readers = {**package, "test_b.py": "getattr(box, '_spelled')\n"}
+    assert unused_private_members(package, readers) == [
+        ("a.py", "_count"), ("a.py", "_dead"), ("a.py", "_gone"),
+    ]
+
+
+def test_no_unused_private_members():
+    package = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    readers = project_sources()
+    assert unused_private_members(package, readers) == []

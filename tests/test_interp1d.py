@@ -21,6 +21,7 @@ from hexport.interp1d import (
     _eno_score_parts,
     _newton_coeffs,
     _of_energy,
+    _pieces,
     divided_difference,
     eno_score,
     eno_select,
@@ -486,22 +487,28 @@ class TestSelectionKernel:
         block=st.sampled_from([3, 15, 4096]),
     )
     def test_cross_row_selection_matches_scalar_scan(self, seed, nrows, values, block):
-        # Extension2D._select runs the kernel on blocks of intervals whose
-        # heights are shared by every column; each (interval, column) pair
-        # must get its own scalar-scan stencil.
+        # Extension2D.eval_line builds cross-row pieces with _pieces, the
+        # values of every column sharing the row heights; each (piece,
+        # column) pair must get its own scalar-scan stencil, or its end cubic,
+        # however the pieces are split into calls.
         rng = np.random.default_rng(seed)
         ys = np.cumsum(rng.uniform(0.2, 1.5, nrows))
         cols = [row.fs for row in ragged_rows(seed, [nrows] * 7, values)]
         V = np.stack(cols, axis=1)  # V[j] holds knot row j's values per column
-        grid = RowLikeGrid(ys=ys, rows=tuple(Knots1D(np.arange(2.0), np.zeros(2))
-                                             for _ in ys))
-        ks = rng.permutation(nrows - 1)
+        ks = rng.permutation(np.arange(-1, nrows))  # -1 and nrows - 1: the end cubics
+        ends = {-1: slice(0, 4), nrows - 1: slice(nrows - 4, nrows)}
         for method in (ENO, OF):
-            with mock.patch.object(interp1d, "_BLOCK", block):
-                c, nodes = Extension2D(grid, method)._select(ks, V)
+            parts = [_pieces(ys, V, 0, nrows, ks[b : b + block], method)
+                     for b in range(0, ks.size, block)]
+            c, nodes = (np.concatenate(part, axis=1) for part in zip(*parts))
             for i, k in enumerate(ks):
                 for col in range(V.shape[1]):
-                    _, want_c, want_x = scalar_select(ys, V[:, col], k, method)
+                    if k in ends:
+                        four = ends[k]
+                        want_c = _newton_coeffs(list(ys[four]), list(V[four, col]))
+                        want_x = ys[four][:3]
+                    else:
+                        _, want_c, want_x = scalar_select(ys, V[:, col], k, method)
                     assert bits(c[:, i, col]) == bits(want_c)
                     assert bits(nodes[:, i, col]) == bits(want_x)
 

@@ -60,7 +60,7 @@ def _bounds(text: str):
 
 def _read(path: str, reader):
     with open(path, "r", encoding="utf-8") as fh:
-        return reader(fh.read())
+        return reader(fh)
 
 
 def _write(path: str, writer, raster):

@@ -22,11 +22,13 @@ form so a write/parse cycle is bit-exact:
 Rendering emits SVG 1.1 or binary PPM (P6) with one filled polygon per
 cell, a linear color map, and a configurable gap color for NODATA cells.
 
-Memory: beyond the input text, its list of lines and the values array, a
-read or a write holds O(one row).  The body is parsed line by line; only a
-faulty body is tokenized whole, to report a count mismatch before a bad
-token.  The writers return the text, or write it row by row to an open
-text file ``out``.
+Memory: the readers take bytes, text or an open text file.  Beyond the
+values array and its validity masks, a read from a file holds O(one row):
+the file is read a line at a time, and a faulty body is counted to its end
+the same way, to report a count mismatch before a bad token.  A read of
+bytes or text also holds that text and its list of lines.  The writers
+return the text, or write it row by row to an open text file ``out``, and
+then hold O(one row).
 """
 
 from __future__ import annotations
@@ -70,8 +72,9 @@ class _Raster:
             raise ValueError(f"{kind}: {size} must be positive")
         if not np.isfinite(self.nodata):
             raise ValueError(f"{kind}: nodata sentinel must be finite")
-        bad = ~(np.isfinite(self.values) | (self.values == self.nodata))
-        if bad.any():
+        ok = np.isfinite(self.values)
+        ok |= self.values == self.nodata
+        if not ok.all():
             raise ValueError(f"{kind}: values must be finite or equal the nodata sentinel")
 
     @property
@@ -152,12 +155,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _decode(data) -> str:
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
-
-
 # Header keys per format: each group lists alternatives, exactly one of which
 # must be present.
 _ESRI_KEYS = (("ncols",), ("nrows",), ("cellsize",), ("xllcorner", "xllcenter"),
@@ -167,28 +164,45 @@ _HEX_KEYS = (("ncols",), ("nrows",), ("xcenter0",), ("ycenter0",), ("radius",),
 _ALL_KEYS = {key for group in _ESRI_KEYS + _HEX_KEYS for key in group}
 
 
-def _header_lines(lines, known):
-    """(line number, tokens) of the leading lines that are blank or start with a known key."""
-    for lineno, line in enumerate(lines):
+def _lines(data):
+    """An iterator over the lines of bytes, text or an open text file.
+
+    A file is read a line at a time, and each line it yields is cut again by
+    ``str.splitlines``, so the lines are those of the whole text.
+    """
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
+    if isinstance(data, str):
+        return iter(data.splitlines())
+    return itertools.chain.from_iterable(map(str.splitlines, data))
+
+
+def _split_header(lines, known):
+    """The leading ``lines`` that are blank or start with a known key, and an
+    iterator over the rest."""
+    lines = iter(lines)
+    head = []
+    for line in lines:
         tokens = line.split()
         if tokens and tokens[0].lower() not in known:
-            return
-        yield lineno, tokens
+            return head, itertools.chain([line], lines)
+        head.append(line)
+    return head, lines
 
 
 def _read_text(lines, what, required, size):
     """Both formats' reader: the checked header and the (nrows, ncols) values.
 
-    ``lines`` is the whole text split into lines.  The header may hold
+    ``lines`` is an iterator over the text's lines.  The header may hold
     ``nodata_value`` and must hold one key of each ``required`` group; every
     key but ``nodata_value`` must be finite, ``ncols`` and ``nrows`` positive
     integers and ``size`` positive.
     """
     known = {key for group in required for key in group} | {"nodata_value"}
     header = {}
-    body_start = 0
-    for lineno, tokens in _header_lines(lines, known):
-        body_start = lineno + 1
+    head, body = _split_header(lines, known)
+    for lineno, line in enumerate(head):
+        tokens = line.split()
         if not tokens:
             continue
         key = tokens[0].lower()
@@ -221,27 +235,40 @@ def _read_text(lines, what, required, size):
         header[key] = int(v)
     if not header[size] > 0:
         raise MalformedHeaderError(f"{what}: {size} must be positive")
-    return header, _parse_body(lines[body_start:], header["nrows"], header["ncols"], what)
+    return header, _parse_body(body, header["nrows"], header["ncols"], what)
 
 
 def _parse_body(lines, nrows, ncols, what):
     """The (nrows, ncols) values of the body ``lines``, read one line at a time.
 
-    Only a faulty body, or a declared count too large to allocate, builds the
-    whole-body token list, to report the count before a bad token.
+    A faulty body, or a declared count too large to allocate, is then counted
+    to its end, still a line at a time, to report the count before a bad
+    token.  Every token before the line being read was a number, so a bad
+    token is looked for in that line only.
     """
     count = nrows * ncols
-    tokens = itertools.chain.from_iterable(map(str.split, lines))
+    before, current = 0, []  # tokens of the lines already read; of the line being read
+
+    def split(line):
+        nonlocal before, current
+        before += len(current)
+        current = line.split()
+        return current
+
+    tokens = itertools.chain.from_iterable(map(split, lines))
     try:
         flat = np.fromiter(map(float, tokens), np.float64, count=count)
         if next(tokens, None) is None:
             return flat.reshape(nrows, ncols)
-    except (ValueError, MemoryError, OverflowError):
-        pass
-    tokens = " ".join(lines).split()
-    if len(tokens) != count:
-        raise CountMismatchError(f"{what}: expected {count} values, found {len(tokens)}")
-    bad = next(t for t in tokens if not _is_number(t))
+        failure = None
+    except (ValueError, MemoryError, OverflowError) as exc:
+        failure = exc
+    found = before + len(current) + sum(len(line.split()) for line in lines)
+    if found != count:
+        raise CountMismatchError(f"{what}: expected {count} values, found {found}")
+    bad = next((t for t in current if not _is_number(t)), None)
+    if bad is None:
+        raise failure
     raise NonNumericTokenError(f"{what}: bad value token {bad!r}")
 
 
@@ -273,8 +300,8 @@ def _deliver(lines, out):
 
 
 def parse_esri_ascii(data) -> RectRaster:
-    """Parse an ESRI ASCII grid from bytes or text."""
-    return _esri(_decode(data).splitlines())
+    """Parse an ESRI ASCII grid from bytes, text or an open text file."""
+    return _esri(_lines(data))
 
 
 def _esri(lines) -> RectRaster:
@@ -296,8 +323,8 @@ def write_esri_ascii(raster: RectRaster, out=None) -> str | None:
 
 
 def read_hex_raster(data) -> HexRaster:
-    """Parse the hexagonal raster text format."""
-    return _hex(_decode(data).splitlines())
+    """Parse the hexagonal raster text format from bytes, text or an open text file."""
+    return _hex(_lines(data))
 
 
 def _hex(lines) -> HexRaster:
@@ -313,9 +340,9 @@ def write_hex_raster(raster: HexRaster, out=None) -> str | None:
 
 def read_raster(data):
     """Parse either format; a ``xcenter0`` header key means the hexagonal one."""
-    lines = _decode(data).splitlines()
-    keys = {tokens[0].lower() for _, tokens in _header_lines(lines, _ALL_KEYS) if tokens}
-    return (_hex if "xcenter0" in keys else _esri)(lines)
+    head, rest = _split_header(_lines(data), _ALL_KEYS)
+    keys = {tokens[0].lower() for tokens in map(str.split, head) if tokens}
+    return (_hex if "xcenter0" in keys else _esri)(itertools.chain(head, rest))
 
 
 PALETTES = {

@@ -148,6 +148,28 @@ def neighbor_table(grid: HexGrid, cols, rows) -> np.ndarray:
     return np.where(inside, nr * grid.ncols + nc, -1)
 
 
+def face_slices(nrows: int, ncols: int) -> list:
+    """Every cell's neighbors as slices: per face 1..6, a ``(cells, neighbors)``
+    pair for each row parity.
+
+    ``cells`` selects the rows of that parity from an ``(nrows, ncols)``
+    array; ``neighbors`` selects the equal-shaped block of the same array
+    padded by one cell on every side that holds, for each of those cells,
+    the neighbor behind the face.  Neighbors off the grid fall in the
+    padding.  This is :func:`neighbor_table` for whole arrays.
+    """
+    out = []
+    for face in range(6):
+        pairs = []
+        for parity in (0, 1):
+            dcol, drow = (int(d) for d in _OFFSETS[parity, face])
+            top = parity + 1 + drow
+            pairs.append((np.s_[parity::2],
+                          np.s_[top : top + nrows - parity : 2, 1 + dcol : 1 + dcol + ncols]))
+        out.append(pairs)
+    return out
+
+
 def locate_many(grid: HexGrid, xs, ys):
     """Vectorized point-to-cell lookup.
 

@@ -21,10 +21,12 @@ open boundary, faces leaving the grid shed water that is accumulated in an
 outflow ledger; with a closed boundary they are walls too.
 
 Everything runs over all cells at once.  ``_Topology`` is built once per
-grid and hole mask.  Its tables are face-major, ``(6, cells)``: a
-self-padded neighbor gather (a missing neighbor points at the cell itself),
-the opposite-face inflow indices and the plane-fit weights.  Its
-``gradient`` is the one plane fit, called by :func:`step`,
+grid and hole mask.  It reaches neighbors by shifted slices of arrays
+padded by one cell on every side (:func:`~hexport.hexgrid.face_slices`),
+so it keeps no index table: only the face-major ``(6, cells)`` masks of
+which neighbors exist, the (face, cell) entries without one, one plane-fit
+weight per face for interior cells and least-squares weights for the rest.
+Its ``gradient`` is the one plane fit, called by :func:`step`,
 :func:`courant_dt` and :func:`fit_plane`.  It also owns a workspace that
 every step reuses, so a warm step allocates nothing face-sized; the depths a
 step returns are always a fresh array.
@@ -40,7 +42,7 @@ import numpy as np
 
 from .errors import NonFiniteStateError, OutOfRangeError
 from .grid_io import DEFAULT_NODATA, HexRaster
-from .hexgrid import FACE_NORMALS, OPPOSITE_FACE, SQRT3, HexGrid, neighbor_table
+from .hexgrid import FACE_NORMALS, OPPOSITE_FACE, SQRT3, HexGrid, face_slices, neighbor_table
 
 _OPP = np.array(OPPOSITE_FACE) - 1  # opposite face, 0-based
 
@@ -99,72 +101,102 @@ class FlowState:
 
 
 class _Topology:
-    """Neighbor indexing, plane-fit weights and step workspace of a grid + hole mask.
+    """Neighbor masks, plane-fit weights and step workspace of a grid + hole mask.
 
-    Every table is face-major, ``(6, cells)``, so that each face reduction
-    adds six contiguous rows.  ``gather`` is self-padded: a missing neighbor
-    (off the grid, a hole, or any face of a hole) points at the cell itself,
-    so its potential relative to the cell is exactly zero and it is never a
-    lower neighbor.  ``inflow`` indexes the flattened ``(6, cells + 1)``
-    face-volume table at the face of each neighbor that looks back at the
-    cell; a missing neighbor points at the table's last column, which stays
-    zero.  ``shed`` indexes the same table at the open-boundary faces in
-    cell-major order; that order fixes the rounding of the outflow ledger's
-    sum, on which the pinned outputs depend.
+    Neighbors are reached by :func:`~hexport.hexgrid.face_slices`: shifted
+    slices of arrays padded by one cell on every side, so no index table is
+    kept.  ``has`` and ``is_edge`` are face-major ``(6, cells)`` masks: a
+    neighbor that exists and is valid, for a valid cell, and a face of a
+    valid cell that leaves the grid.  Every (face, cell) entry without a
+    neighbor is listed in ``missing``; :meth:`gradient` sets its relative
+    potential to +0.0, which is what the cell minus itself would give, so it
+    is never a lower neighbor.  Interior cells, those with all six
+    neighbors, share one plane-fit weight per face; the rest (``rim``) keep
+    their own least-squares weights.  ``shed`` indexes the padded
+    face-volume table at the open-boundary faces in cell-major order; that
+    order fixes the rounding of the outflow ledger's sum, on which the
+    pinned outputs depend.
 
     The workspace holds the relative potentials ``rel`` that
-    :meth:`gradient` leaves, the face-volume table, a gather buffer and a
-    few one-row buffers.  Steps and gradients overwrite it, so a topology
-    serves one caller at a time, and no state ever holds a view of it.
+    :meth:`gradient` leaves, the padded ``(6, nrows + 2, ncols + 2)``
+    face-volume table, whose border stays zero, and a few one-row buffers.
+    Steps and gradients overwrite it, so a topology serves one caller at a
+    time, and no state ever holds a view of it.
     """
 
     def __init__(self, grid: HexGrid, valid: np.ndarray):
-        c = grid.nrows * grid.ncols
+        self.grid = grid
+        rows, cols = self.shape = (grid.nrows, grid.ncols)
+        c = rows * cols
         self.valid = valid.ravel()
-        cells = np.arange(c)
-        table = neighbor_table(grid, cells % grid.ncols, cells // grid.ncols)
-        exists = table >= 0
-        # table == -1 reads the last cell's flag; ``exists`` masks it out.
-        self.has = exists & self.valid[table] & self.valid
-        self.is_edge = ~exists & self.valid
-        self.gather = np.where(self.has, table, cells)
-        self.inflow = _OPP[:, None] * (c + 1) + np.where(self.has, table, c)
+        self.slices = face_slices(rows, cols)
+        valid = self.valid.reshape(self.shape)
+        self.has = np.empty((6, c), dtype=bool)
+        self.is_edge = np.empty((6, c), dtype=bool)
+        on_grid, padded = np.zeros((2, rows + 2, cols + 2), dtype=bool)
+        on_grid[1:-1, 1:-1] = True
+        padded[1:-1, 1:-1] = valid
+        for f, pairs in enumerate(self.slices):
+            for cells, nb in pairs:
+                np.less(on_grid[nb], valid[cells], out=self._face(self.is_edge, f)[cells])
+                np.logical_and(padded[nb], valid[cells], out=self._face(self.has, f)[cells])
+        self.missing = np.flatnonzero(~self.has)
         edge_cell, edge_face = np.nonzero(self.is_edge.T)
-        self.shed = edge_face * (c + 1) + edge_cell
+        row, col = np.divmod(edge_cell, cols)
+        self.shed = np.ravel_multi_index((edge_face, row + 1, col + 1), (6, *on_grid.shape))
         self._build_weights(grid)
         self.rel = np.empty((6, c))
-        self._gathered = np.empty((6, c))
-        self._volume = np.zeros((6, c + 1))
+        self._volume = np.zeros((6, *on_grid.shape))
         self._rate = np.empty(c)
         self._term = np.empty(c)
         self._send = np.empty(c, dtype=bool)
         self._take = np.empty(c, dtype=bool)
 
+    def _face(self, table, f):
+        """Face ``f``'s row of a face-major table, as an ``(nrows, ncols)`` view."""
+        return table[f].reshape(self.shape)
+
     @property
     def neigh(self) -> np.ndarray:
         """Cell-major ``(cells, 6)`` neighbor indices, -1 where missing.
 
-        A transposed view of a table built on each access; nothing keeps it.
+        Built from :func:`neighbor_table` on each access; nothing keeps it.
         """
-        return np.where(self.has, self.gather, -1).T
+        cells = np.arange(self.valid.size)
+        table = neighbor_table(self.grid, cells % self.grid.ncols, cells // self.grid.ncols)
+        return np.where(self.has, table, -1).T
+
+    @property
+    def wa(self) -> np.ndarray:
+        """Face-major ``(6, cells)`` x-gradient weights, built on each access."""
+        return self._dense(0)
+
+    @property
+    def wb(self) -> np.ndarray:
+        """Face-major ``(6, cells)`` y-gradient weights, built on each access."""
+        return self._dense(1)
+
+    def _dense(self, i):
+        w = np.zeros(self.has.shape)
+        w[:, self.valid] = self.weights[i][:, None]
+        w[:, self.rim] = self.rim_weights[i]
+        return w
 
     def _build_weights(self, grid: HexGrid):
-        """Per-cell gradient weights over the neighbor potentials, faces 1..6.
+        """Gradient weights over the neighbor potentials, faces 1..6.
 
-        Interior cells with six neighbors use the symmetric closed form; the
-        rest get least-squares weights from the pseudo-inverse of the local
-        plane design matrix.  That matrix depends only on which faces have a
+        Interior cells share the symmetric closed form; the rest get
+        least-squares weights from the pseudo-inverse of the local plane
+        design matrix.  That matrix depends only on which faces have a
         neighbor, so it is inverted once per face pattern.  Cells with fewer
         than two neighbors stay flat.
         """
         r = grid.r
-        wa = np.zeros(self.has.shape)
-        wb = np.zeros(self.has.shape)
-        full = self.valid & self.has.all(axis=0)
-        wa[:, full] = (np.array([2.0, 1.0, -1.0, -2.0, -1.0, 1.0]) / (6.0 * SQRT3 * r))[:, None]
-        wb[:, full] = (np.array([0.0, 1.0, 1.0, 0.0, -1.0, -1.0]) / (6.0 * r))[:, None]
-        rest = np.nonzero(self.valid & ~full)[0]
-        pattern = (1 << np.arange(6)) @ self.has[:, rest]
+        self.weights = (np.array([2.0, 1.0, -1.0, -2.0, -1.0, 1.0]) / (6.0 * SQRT3 * r),
+                        np.array([0.0, 1.0, 1.0, 0.0, -1.0, -1.0]) / (6.0 * r))
+        self.rim = np.nonzero(self.valid & ~self.has.all(axis=0))[0]
+        pattern = (1 << np.arange(6)) @ self.has[:, self.rim]
+        by_pattern = np.zeros((2, 6, 64))
         big_r = r * SQRT3
         for code in np.unique(pattern):
             faces = np.nonzero(code >> np.arange(6) & 1)[0]
@@ -174,12 +206,8 @@ class _Topology:
             design[0, 1:] = 0.0
             design[1:, 1] = big_r * FACE_NORMALS[faces, 0]
             design[1:, 2] = big_r * FACE_NORMALS[faces, 1]
-            pinv = np.linalg.pinv(design)
-            cells = rest[pattern == code]
-            wa[faces[:, None], cells] = pinv[1, 1:, None]
-            wb[faces[:, None], cells] = pinv[2, 1:, None]
-        self.wa = wa
-        self.wb = wb
+            by_pattern[:, faces, code] = np.linalg.pinv(design)[1:, 1:]
+        self.rim_weights = by_pattern.take(pattern, axis=2)
 
     def gradient(self, psi: np.ndarray) -> tuple:
         """Gradient (a, b) of every cell's fitted plane of the raveled potential.
@@ -189,25 +217,42 @@ class _Topology:
         exactly zero.  Invalid cells and missing neighbors contribute nothing.
         Leaves the relative potentials in ``rel`` until the next call.
         """
-        psi = np.where(self.valid, psi, 0.0)
-        # Every index is in range; "clip" writes straight into ``out``, where
-        # the default "raise" would fill a temporary first.
-        np.take(psi, self.gather, out=self.rel, mode="clip")
-        self.rel -= psi
-        rel, term = self.rel, self._term
+        rows, cols = self.shape
+        padded = np.zeros((rows + 2, cols + 2))
+        inner = padded[1:-1, 1:-1]
+        inner[...] = psi.reshape(self.shape)
+        # What a hole holds is never kept: every entry that reads one is
+        # missing.  So its value may be anything, and inf - inf must not warn.
+        with np.errstate(invalid="ignore"):
+            for f, pairs in enumerate(self.slices):
+                rel = self._face(self.rel, f)
+                for cells, nb in pairs:
+                    np.subtract(padded[nb], inner[cells], out=rel[cells])
+        self.rel.put(self.missing, 0.0)
+        rim = self.rel[:, self.rim]
         out = []
-        for w in (self.wa, self.wb):
-            # The order in which numpy's einsum("ij,ij->i") adds contiguous
-            # six-face rows: faces (0, 2, 4) and (1, 3, 5), then the two
-            # partial sums onto zero, which makes a sum of -0.0 terms +0.0.
-            even, odd = w[0] * rel[0], w[1] * rel[1]
-            for f in (2, 4):
-                even += np.multiply(w[f], rel[f], out=term)
-                odd += np.multiply(w[f + 1], rel[f + 1], out=term)
-            even += odd
-            even += 0.0
-            out.append(even)
+        for w, rim_w in zip(self.weights, self.rim_weights):
+            g = _face_sum(w, self.rel, self._term)
+            g[self.rim] = _face_sum(rim_w, rim)
+            out.append(g)
         return tuple(out)
+
+
+def _face_sum(w, rel, term=None):
+    """The sum over faces of ``w[f] * rel[f]``, a weight per face being a
+    scalar or one per cell.
+
+    The order in which numpy's einsum("ij,ij->i") adds contiguous six-face
+    rows: faces (0, 2, 4) and (1, 3, 5), then the two partial sums onto
+    zero, which makes a sum of -0.0 terms +0.0.
+    """
+    even, odd = w[0] * rel[0], w[1] * rel[1]
+    for f in (2, 4):
+        even += np.multiply(w[f], rel[f], out=term)
+        odd += np.multiply(w[f + 1], rel[f + 1], out=term)
+    even += odd
+    even += 0.0
+    return even
 
 
 def fit_plane(state: FlowState, cell) -> tuple:
@@ -247,27 +292,33 @@ def step(state: FlowState) -> FlowState:
         tau_y = -b * inv
         v = np.where(moving, h ** (2.0 / 3.0) * np.sqrt(s) / state.manning_n, 0.0)
         # Face by face: the outward rate v * (tau . n) and the volume
-        # dt * side * h * rate through the faces that take water.
+        # dt * side * h * rate through the faces that take water.  Face
+        # f + 3's normal is the negation of face f's, and so are its rate
+        # and volume.  A face that takes nothing gets 0.0 * dt * side * h.
         rate, term, send, take = topo._rate, topo._term, topo._send, topo._take
-        depth_side = state.dt * grid.side * h
-        volume = topo._volume[:, :-1]
-        for f, (nx, ny) in enumerate(FACE_NORMALS):
+        # Zero on holes, so that neighbors reading a hole's volumes read 0.
+        depth_side = state.dt * grid.side * np.where(valid, h, 0.0)
+        nothing = (0.0 * depth_side).reshape(topo.shape)
+        volume = topo._volume[:, 1:-1, 1:-1]
+        for f, (nx, ny) in enumerate(FACE_NORMALS[:3]):
             np.multiply(tau_x, nx, out=rate)
             rate += np.multiply(tau_y, ny, out=term)
             rate *= v
-            np.greater(rate, 0.0, out=send)
-            # A receptor is a lower neighbor; a missing neighbor's relative
-            # potential is 0, so it never is one.
-            np.less(topo.rel[f], 0.0, out=take)
-            take &= send
-            if state.boundary == "open":
-                send &= topo.is_edge[f]
-                send &= moving
-                take |= send
-            volume[f] = 0.0
-            np.copyto(volume[f], rate, where=take)
-            volume[f] *= depth_side
-        out = volume.sum(axis=0)
+            sent = np.multiply(rate, depth_side, out=term).reshape(topo.shape)
+            for face, sends in ((f, np.greater), (f + 3, np.less)):
+                if face > f:
+                    np.negative(sent, out=sent)
+                # The face sends where its rate is positive, which makes the
+                # cell a moving one.  A receptor is a lower neighbor; a
+                # missing neighbor's relative potential is 0, so it never is one.
+                sends(rate, 0.0, out=send)
+                np.less(topo.rel[face], 0.0, out=take)
+                take &= send
+                if state.boundary == "open":
+                    send &= topo.is_edge[face]
+                    take |= send
+                volume[face] = np.where(take.reshape(topo.shape), sent, nothing)
+        out = volume.sum(axis=0).ravel()
         avail = h * grid.cell_area
         over = out > avail
         capped = int(np.count_nonzero(over))
@@ -275,9 +326,20 @@ def step(state: FlowState) -> FlowState:
             scale = np.where(
                 over, np.where(out > 0.0, avail / np.where(out > 0.0, out, 1.0), 1.0), 1.0
             )
-            volume *= scale
-            out = volume.sum(axis=0)
-    inflow = np.take(topo._volume, topo.inflow, out=topo._gathered, mode="clip").sum(axis=0)
+            volume *= scale.reshape(topo.shape)
+            out = volume.sum(axis=0).ravel()
+    # What each neighbor sends through the face that looks back at the cell,
+    # added in face order.  A missing neighbor reads 0: the table's border,
+    # or a hole's volumes.
+    inflow = np.empty(topo.shape)
+    for f, pairs in enumerate(topo.slices):
+        back = topo._volume[_OPP[f]]
+        for cells, nb in pairs:
+            if f:
+                inflow[cells] += back[nb]
+            else:
+                inflow[cells] = back[nb]
+    inflow = inflow.ravel()
     shed = 0.0
     if state.boundary == "open":
         shed = float(topo._volume.take(topo.shed).sum())

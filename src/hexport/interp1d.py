@@ -252,22 +252,33 @@ def select_stencils(wx, wf, valid, method: str):
     return chosen, np.array(c), x[:3]
 
 
-def _pieces(xs, fs, start, n, k, method: str):
+def _pieces(xs, fs, start, n, k, method: str, window=None):
     """Cubic pieces ``k`` of rows ``xs[start : start + n]``: interval k's
     selected stencil, or the cubic on the row's first four knots (``k = -1``)
     or last four (``k = n - 1``), as Newton coefficients ``(4, *S)`` and
     Horner nodes ``(3, *S)``.  Trailing axes of ``fs`` are columns that share
-    the knots."""
-    wx, valid, at = _windows(xs, start, n, np.clip(k, 0, n - 2))
-    wx, valid = (np.expand_dims(w, tuple(range(2, fs.ndim + 1))) for w in (wx, valid))
-    wf = fs[at]
-    _, c, x = select_stencils(wx, wf, valid, method)
-    end = ((k < 0) | (k == n - 1)).nonzero()[0]
-    if end.size:
-        slots = np.where(k[end] < 0, 2, 0) + np.arange(4)[:, None]  # window slots 2-5 or 0-3
-        c[:, end] = _newton_coeffs(list(wx[slots, end]), list(wf[slots, end]))
-        x[:, end] = wx[slots[:3], end]
-    return c, x
+    the knots.  ``window`` is ``_windows`` of ``k``, if the caller has it.
+
+    Only interval pieces select a stencil.  A call that mixes them with end
+    cubics pays for a scatter of each kind, so the table and ``eval_line``
+    ask for one kind per call.
+    """
+    end = (k < 0) | (k == n - 1)
+    columns = tuple(range(2, fs.ndim + 1))
+    if end.all():
+        at = start + np.where(k < 0, 0, n - 4) + np.arange(4)[:, None]
+        x = np.expand_dims(xs[at], columns)
+        c = np.array(_newton_coeffs(list(x), list(fs[at])))
+        return c, np.broadcast_to(x[:3], (3, *c.shape[1:]))
+    if end.any():
+        start, n = np.broadcast_to(start, k.shape), np.broadcast_to(n, k.shape)
+        c, x = np.empty((4, k.size, *fs.shape[1:])), np.empty((3, k.size, *fs.shape[1:]))
+        for part in (end, ~end):
+            c[:, part], x[:, part] = _pieces(xs, fs, start[part], n[part], k[part], method)
+        return c, x
+    wx, valid, at = window or _windows(xs, start, n, k)
+    wx, valid = (np.expand_dims(w, columns) for w in (wx, valid))
+    return select_stencils(wx, fs[at], valid, method)[1:]
 
 
 def _select_one(knots: Knots1D, k: int, method: str) -> Stencil1D:
@@ -329,8 +340,10 @@ class KnotTable:
             p = np.arange(lo, min(lo + _BLOCK, self.pieces[-1]))
             r = self.pieces.searchsorted(p, "right") - 1
             p, r = p[n[r] >= 4], r[n[r] >= 4]
-            self.c[:, p], self.x[:, p] = _pieces(self.xs, self.fs, self.start[r], n[r],
-                                                 p - self.pieces[r] - 1, method)
+            end = (p == self.pieces[r]) | (p == self.pieces[r + 1] - 1)
+            for q, s in ((p[~end], r[~end]), (p[end], r[end])):  # one kind of piece per call
+                self.c[:, q], self.x[:, q] = _pieces(self.xs, self.fs, self.start[s], n[s],
+                                                     q - self.pieces[s] - 1, method)
         self.degraded = {r: (_newton_coeffs(list(row.xs), list(row.fs)), list(row.xs))
                          for r, row in enumerate(rows) if len(row) < 4}
 

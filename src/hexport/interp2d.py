@@ -172,7 +172,8 @@ class Extension2D:
         # Piece k is interval k's stencil, or the end cubic below (-1) or above (m - 1).
         lo, hi = np.where(mean, np.maximum(pos - 1, 0), pos - 1), np.minimum(pos, m - 2)
         ks = np.bincount(np.concatenate([lo[~direct], hi[mean]]) + 1).nonzero()[0] - 1
-        near = _windows(ys, 0, m, np.clip(ks, 0, m - 2))[2]  # the rows each piece reads
+        window = _windows(ys, 0, m, np.clip(ks, 0, m - 2))
+        near = window[2]  # the rows each piece reads
         rows = np.bincount(np.concatenate([pos[direct], near.ravel()])).nonzero()[0]
         V = np.empty((m, xs.size))
         V[rows] = self._table.eval(rows, xs)
@@ -180,9 +181,11 @@ class Extension2D:
         out[direct] = V[pos[direct]]
         c, nodes = np.empty((4, ks.size, xs.size)), np.empty((3, ks.size, xs.size))
         step = max(interp1d._BLOCK // max(xs.size, 1), 1)  # pieces or lines per block
-        for b in range(0, ks.size, step):
-            part = slice(b, b + step)
-            c[:, part], nodes[:, part] = _pieces(ys, V, 0, m, ks[part], self.method)
+        first, last = ks.searchsorted([0, m - 1])  # the end cubics, if any, come first and last
+        cuts = sorted({0, *range(first, last, step), last, ks.size})
+        for part in map(slice, cuts[:-1], cuts[1:]):  # one kind of piece per call
+            c[:, part], nodes[:, part] = _pieces(ys, V, 0, m, ks[part], self.method,
+                                                 tuple(w[:, part] for w in window))
         g, h = ks.searchsorted(lo), ks.searchsorted(hi)  # each line's pieces in c and nodes
         at = (~direct).nonzero()[0]
         for b in range(0, at.size, step):

@@ -433,6 +433,10 @@ class TestStreamingCodec:
         expected = outcome(old_parse_body, text.splitlines()[6:], nrows, ncols, what)
         assert outcome(read, text) == expected
         assert outcome(read_raster, text) == expected
+        # An open text file is read line by line, to the same outcome.
+        for newline in ("\n", ""):
+            assert outcome(read, io.StringIO(text, newline=newline)) == expected
+            assert outcome(read_raster, io.StringIO(text, newline=newline)) == expected
         if not faults:
             assert expected == raster.values.tobytes()
 
@@ -454,7 +458,8 @@ class TestOversizeHeader:
 
 
 class TestCodecMemory:
-    """A read or write holds the text, its lines and the values, plus O(one row)."""
+    """A read or write holds the text, its lines and the values, plus O(one row);
+    a read from an open file holds no text beyond one row."""
 
     RASTER = HexRaster(values=np.random.default_rng(0).normal(size=(300, 300)),
                        x0=0.0, y0=0.0, r=1.0)
@@ -472,6 +477,19 @@ class TestCodecMemory:
         text = write_hex_raster(self.RASTER)
         peak = self.peak(read_hex_raster, text)
         assert peak <= 1.5 * len(text) + 8 * self.RASTER.values.size
+
+    @pytest.mark.parametrize("read", [read_hex_raster, read_raster])
+    def test_file_read_holds_one_row(self, tmp_path, read):
+        path = tmp_path / "in.hex"
+        text = write_hex_raster(self.RASTER)
+        path.write_text(text)
+        row = len(text.splitlines()[-1]) + 1
+        with open(path, encoding="utf-8") as fh:
+            peak = self.peak(read, fh)
+        # the values, two validity masks of a byte a value, a few rows
+        assert peak < 10 * self.RASTER.values.size + 12 * row
+        with open(path, encoding="utf-8") as fh:
+            assert read(fh) == self.RASTER
 
     @pytest.mark.parametrize("nrows", [30, 300])
     def test_write_holds_one_row(self, tmp_path, nrows):

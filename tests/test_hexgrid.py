@@ -9,6 +9,7 @@ from hexport.hexgrid import (
     SQRT3,
     HexGrid,
     cover_domain,
+    face_slices,
     hex_vertices,
     locate_many,
     neighbor_table,
@@ -214,6 +215,25 @@ class TestNeighborTable:
         full = neighbor_table(g, cells % 5, cells // 5)
         pick = np.array([29, 0, 7, 12, 7])
         assert np.array_equal(neighbor_table(g, pick % 5, pick // 5), full[:, pick])
+
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1), (2, 3), (7, 6), (8, 9)])
+    def test_face_slices_read_the_table(self, shape):
+        """Slicing a padded array of cell indices reads, for every cell and
+        face, the neighbor that the point query gives; -1 off-grid."""
+        nrows, ncols = shape
+        g = HexGrid(ncols=ncols, nrows=nrows, r=1.0, x0=0.0, y0=0.0)
+        cells = np.arange(ncols * nrows)
+        table = neighbor_table(g, cells % ncols, cells // ncols).reshape(6, nrows, ncols)
+        padded = np.full((nrows + 2, ncols + 2), -1)
+        padded[1:-1, 1:-1] = cells.reshape(nrows, ncols)
+        slices = face_slices(nrows, ncols)
+        assert len(slices) == 6
+        for f, pairs in enumerate(slices):
+            read = np.full((nrows, ncols), -2)
+            for cells_at, neighbors in pairs:
+                read[cells_at] = padded[neighbors]
+            assert np.array_equal(read, table[f])
 
 
 def test_hex_vertices_pointy_top():

@@ -4,11 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexport.errors import NonFiniteStateError, OutOfRangeError
-from hexport.hexgrid import FACE_NORMALS, HexGrid
+from hexport.hexgrid import FACE_NORMALS, OPPOSITE_FACE, SQRT3, HexGrid, neighbor_table
 from hexport.hydroflow import (
     FlowState,
+    _Topology,
     courant_dt,
     fit_plane,
     run,
@@ -398,14 +401,20 @@ def holed(nrows, ncols, seed, **kw):
 
 
 class TestTopology:
-    def test_tables_are_face_major(self):
+    def test_keeps_no_face_index_or_weight_table(self):
         st = holed(9, 11, 5)
         topo = st.topology()
         cells = 9 * 11
         tables = {k: v for k, v in vars(topo).items() if isinstance(v, np.ndarray)}
-        for name in ("gather", "inflow", "wa", "wb", "is_edge", "has", "rel"):
-            assert tables[name].shape == (6, cells), name
-        assert all(v.ndim == 1 or v.shape[0] == 6 for v in tables.values())
+        for name in ("gather", "inflow", "wa", "wb", "_gathered"):
+            assert name not in tables, name
+        six = {k for k, v in tables.items() if v.shape[:1] == (6,) and v.size >= 6 * cells}
+        # The face-major tables left are the two masks, the relative
+        # potentials and the padded face volumes; none holds an index.
+        assert six == {"has", "is_edge", "rel", "_volume"}
+        assert tables["has"].dtype == tables["is_edge"].dtype == bool
+        assert tables["_volume"].shape == (6, 11, 13)
+        assert topo.wa.shape == topo.wb.shape == (6, cells)
 
     def test_neigh_is_cell_major_without_holes(self):
         st = holed(9, 11, 6)
@@ -491,3 +500,163 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < 4 * table
+
+
+class TestTopologyMemory:
+    """A topology keeps masks, rim weights and the step workspace, but no
+    face-major index or weight table, and its build holds little beyond that."""
+
+    @staticmethod
+    def build(st):
+        valid = st.valid_mask()
+        _Topology(st.grid, valid)  # first use of every numpy routine it calls
+        tracemalloc.start()
+        try:
+            topo = _Topology(st.grid, valid)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert topo.valid.size == st.h.size
+        return kept / st.h.size, (peak - kept) / st.h.size
+
+    def test_bytes_kept_per_cell(self):
+        # masks 12, rel 48, padded volumes 49, one-row buffers 18, missing
+        # entries 5 and rim weights 27: about 160 bytes a cell, where the
+        # index-table topology kept 385.
+        kept, _ = self.build(holed(160, 120, 11))
+        assert kept < 175
+
+    def test_build_peak_beyond_what_it_keeps(self):
+        _, extra = self.build(holed(160, 120, 12))
+        assert extra < 8
+
+
+class TableRouter:
+    """The index-table router that the slice-stencil one replaced, kept as an
+    oracle: a self-padded neighbor gather, opposite-face inflow indices and
+    dense face-major plane-fit weights, each ``(6, cells)``."""
+
+    def __init__(self, grid, valid):
+        c = grid.nrows * grid.ncols
+        self.valid = valid.ravel()
+        cells = np.arange(c)
+        table = neighbor_table(grid, cells % grid.ncols, cells // grid.ncols)
+        exists = table >= 0
+        self.has = exists & self.valid[table] & self.valid
+        self.is_edge = ~exists & self.valid
+        self.gather = np.where(self.has, table, cells)
+        opp = np.array(OPPOSITE_FACE)[:, None] - 1
+        self.inflow = opp * (c + 1) + np.where(self.has, table, c)
+        edge_cell, edge_face = np.nonzero(self.is_edge.T)
+        self.shed = edge_face * (c + 1) + edge_cell
+        r = grid.r
+        self.wa, self.wb = np.zeros((2, 6, c))
+        full = self.valid & self.has.all(axis=0)
+        self.wa[:, full] = (np.array([2.0, 1.0, -1.0, -2.0, -1.0, 1.0]) / (6.0 * SQRT3 * r))[:, None]
+        self.wb[:, full] = (np.array([0.0, 1.0, 1.0, 0.0, -1.0, -1.0]) / (6.0 * r))[:, None]
+        rest = np.nonzero(self.valid & ~full)[0]
+        pattern = (1 << np.arange(6)) @ self.has[:, rest]
+        for code in np.unique(pattern):
+            faces = np.nonzero(code >> np.arange(6) & 1)[0]
+            if faces.size < 2:
+                continue
+            design = np.ones((faces.size + 1, 3))
+            design[0, 1:] = 0.0
+            design[1:, 1] = r * SQRT3 * FACE_NORMALS[faces, 0]
+            design[1:, 2] = r * SQRT3 * FACE_NORMALS[faces, 1]
+            pinv = np.linalg.pinv(design)
+            at = rest[pattern == code]
+            self.wa[faces[:, None], at] = pinv[1, 1:, None]
+            self.wb[faces[:, None], at] = pinv[2, 1:, None]
+
+    def gradient(self, psi):
+        psi = np.where(self.valid, psi, 0.0)
+        self.rel = psi[self.gather] - psi
+        out = []
+        for w in (self.wa, self.wb):
+            even, odd = w[0] * self.rel[0], w[1] * self.rel[1]
+            for f in (2, 4):
+                even += w[f] * self.rel[f]
+                odd += w[f + 1] * self.rel[f + 1]
+            out.append(even + odd + 0.0)
+        return tuple(out)
+
+    def step(self, state):
+        """(depths, shed volume, capped cells) of one step of ``state``."""
+        grid, valid = state.grid, self.valid
+        h = state.h.ravel()
+        a, b = self.gradient(state.z.ravel() + h)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            g2 = a * a + b * b
+            s = np.sqrt(g2 / (1.0 + g2))
+            norm = np.sqrt(g2)
+            moving = valid & (norm > 0.0) & (h > 0.0)
+            inv = np.where(norm > 0.0, 1.0 / np.where(norm > 0.0, norm, 1.0), 0.0)
+            tau_x, tau_y = -a * inv, -b * inv
+            v = np.where(moving, h ** (2.0 / 3.0) * np.sqrt(s) / state.manning_n, 0.0)
+            volume = np.zeros((6, h.size + 1))
+            for f, (nx, ny) in enumerate(FACE_NORMALS):
+                rate = (tau_x * nx + tau_y * ny) * v
+                send = rate > 0.0
+                take = (self.rel[f] < 0.0) & send
+                if state.boundary == "open":
+                    take |= send & self.is_edge[f] & moving
+                volume[f, :-1] = np.where(take, rate, 0.0) * (state.dt * grid.side * h)
+            out = volume[:, :-1].sum(axis=0)
+            avail = h * grid.cell_area
+            over = out > avail
+            if over.any():
+                scale = np.where(
+                    over, np.where(out > 0.0, avail / np.where(out > 0.0, out, 1.0), 1.0), 1.0
+                )
+                volume[:, :-1] *= scale
+                out = volume[:, :-1].sum(axis=0)
+        inflow = volume.ravel()[self.inflow].sum(axis=0)
+        shed = float(volume.take(self.shed).sum()) if state.boundary == "open" else 0.0
+        h_new = np.maximum(h + (inflow - out) / grid.cell_area, 0.0)
+        return h_new.reshape(state.h.shape), shed, int(np.count_nonzero(over))
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestSliceStencils:
+    """Neighbors as shifted slices of padded grids change no bit of the
+    index-table router's gradients, depths, ledger or capping count."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        nrows=st.integers(1, 9),
+        ncols=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+        holes=st.sampled_from([0.0, 0.1, 0.4]),
+        boundary=st.sampled_from(["open", "closed"]),
+        dt=st.sampled_from([0.05, 50.0]),
+        depths=st.sampled_from(["uniform", "signed zeros", "NaN in holes"]),
+    )
+    def test_matches_the_index_table_router(self, nrows, ncols, seed, holes, boundary, dt,
+                                            depths):
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(0.0, 3.0, (nrows, ncols))
+        z[rng.random(z.shape) < holes] = -9999.0
+        h = rng.uniform(0.0, 0.5, z.shape)
+        if depths == "signed zeros":
+            h = np.where(rng.random(z.shape) < 0.5, h, rng.choice([0.0, -0.0], z.shape))
+        if depths == "NaN in holes":  # holes are walls, whatever they hold
+            h[z == -9999.0] = np.nan
+        state = make_state(z, h=h, nodata=-9999.0, boundary=boundary, dt=dt)
+        oracle = TableRouter(state.grid, state.valid_mask())
+        topo = state.topology()
+        for psi in (state.z.ravel() + state.h.ravel(), rng.integers(-2, 3, z.size) * 0.5):
+            for got, want in zip(topo.gradient(psi), oracle.gradient(psi)):
+                assert bits(got) == bits(want)
+            assert bits(topo.rel) == bits(oracle.rel)
+        outflow, capped = 0.0, 0
+        for _ in range(3):
+            want_h, shed, count = oracle.step(state)
+            state = step(state)
+            outflow, capped = outflow + shed, capped + count
+            assert bits(state.h) == bits(want_h)
+            assert bits(state.outflow_volume) == bits(outflow)
+            assert state.capping_events == capped

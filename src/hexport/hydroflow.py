@@ -23,19 +23,21 @@ outflow ledger; with a closed boundary they are walls too.
 Everything runs over all cells at once.  ``_Topology`` is built once per
 grid and hole mask.  It reaches neighbors by shifted slices of arrays
 padded by one cell on every side (:func:`~hexport.hexgrid.face_slices`),
-so it keeps no index table: only the face-major ``(6, cells)`` masks of
-which neighbors exist, the (face, cell) entries without one, one plane-fit
-weight per face for interior cells and least-squares weights for the rest.
-Its ``gradient`` is the one plane fit, called by :func:`step`,
-:func:`courant_dt` and :func:`fit_plane`.  It also owns a workspace that
-every step reuses, so a warm step allocates nothing face-sized; the depths a
-step returns are always a fresh array.
+so it keeps no index table: only the face-major ``(6, cells)`` bool masks
+of which neighbors exist, one plane-fit weight per face for interior cells
+and least-squares weights for the rest.  Its plane fit, called by
+:func:`step`, :func:`courant_dt` and (through ``gradient``) :func:`fit_plane`,
+runs face by face and leaves the one-byte mask ``lower`` of neighbors
+whose potential is below the cell's, which decides the receptors.  The
+topology also owns a workspace that holds every cell-sized intermediate of
+a step, so a warm step allocates only the depths it returns.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -107,21 +109,29 @@ class _Topology:
     slices of arrays padded by one cell on every side, so no index table is
     kept.  ``has`` and ``is_edge`` are face-major ``(6, cells)`` masks: a
     neighbor that exists and is valid, for a valid cell, and a face of a
-    valid cell that leaves the grid.  Every (face, cell) entry without a
-    neighbor is listed in ``missing``; :meth:`gradient` sets its relative
-    potential to +0.0, which is what the cell minus itself would give, so it
-    is never a lower neighbor.  Interior cells, those with all six
-    neighbors, share one plane-fit weight per face; the rest (``rim``) keep
-    their own least-squares weights.  ``shed`` indexes the padded
-    face-volume table at the open-boundary faces in cell-major order; that
-    order fixes the rounding of the outflow ledger's sum, on which the
-    pinned outputs depend.
+    valid cell that leaves the grid.  A (face, cell) entry without a
+    neighbor gets the relative potential +0.0, which is what the cell minus
+    itself would give, so it is never a lower neighbor.  Interior cells,
+    those with all six neighbors, share one plane-fit weight per face; the
+    rest (``rim``) keep their own least-squares weights.  ``shed`` indexes
+    the padded face-volume table at the open-boundary faces in cell-major
+    order; that order fixes the rounding of the outflow ledger's sum, on
+    which the pinned outputs depend.
 
-    The workspace holds the relative potentials ``rel`` that
-    :meth:`gradient` leaves, the padded ``(6, nrows + 2, ncols + 2)``
-    face-volume table, whose border stays zero, and a few one-row buffers.
-    Steps and gradients overwrite it, so a topology serves one caller at a
-    time, and no state ever holds a view of it.
+    The workspace holds every cell-sized array of a step:
+
+    - the potential, padded like the slices want it; its border only feeds
+      entries without a neighbor;
+    - ``lower``, the face-major ``(6, cells)`` bool mask of neighbors whose
+      potential is below the cell's, which the plane fit leaves;
+    - the padded ``(6, nrows + 2, ncols + 2)`` face-volume table, whose
+      border stays zero;
+    - the rim cells' ``(6, rim)`` relative potentials;
+    - six float and two bool arrays of one value a cell, which a step
+      reuses under several names.
+
+    Steps and fits overwrite it, so a topology serves one caller at a time;
+    no state and no result of :meth:`gradient` ever holds a view of it.
     """
 
     def __init__(self, grid: HexGrid, valid: np.ndarray):
@@ -140,13 +150,17 @@ class _Topology:
             for cells, nb in pairs:
                 np.less(on_grid[nb], valid[cells], out=self._face(self.is_edge, f)[cells])
                 np.logical_and(padded[nb], valid[cells], out=self._face(self.has, f)[cells])
-        self.missing = np.flatnonzero(~self.has)
         edge_cell, edge_face = np.nonzero(self.is_edge.T)
         row, col = np.divmod(edge_cell, cols)
         self.shed = np.ravel_multi_index((edge_face, row + 1, col + 1), (6, *on_grid.shape))
         self._build_weights(grid)
-        self.rel = np.empty((6, c))
+        self.lower = np.empty((6, c), dtype=bool)
+        self._psi = np.zeros(on_grid.shape)
         self._volume = np.zeros((6, *on_grid.shape))
+        self._rim_rel = np.empty((6, self.rim.size))
+        # Even- and odd-face sums of the x and y gradients, then whatever a
+        # step needs: _rate and _term hold one face's values at a time.
+        self._cells = np.empty((4, c))
         self._rate = np.empty(c)
         self._term = np.empty(c)
         self._send = np.empty(c, dtype=bool)
@@ -215,32 +229,61 @@ class _Topology:
         Works with potentials relative to each cell: the gradient of the
         fitted plane is shift-invariant, and a constant field then gives
         exactly zero.  Invalid cells and missing neighbors contribute nothing.
-        Leaves the relative potentials in ``rel`` until the next call.
+        Returns fresh arrays, and leaves ``lower`` until the next call.
         """
-        rows, cols = self.shape
-        padded = np.zeros((rows + 2, cols + 2))
-        inner = padded[1:-1, 1:-1]
-        inner[...] = psi.reshape(self.shape)
+        self._psi[1:-1, 1:-1] = psi.reshape(self.shape)
+        return tuple(g.copy() for g in self._fit())
+
+    def _fit(self) -> tuple:
+        """:meth:`gradient` of the potential in ``_psi``, into the workspace.
+
+        Face by face: the relative potentials, +0.0 where there is no
+        neighbor, set that face's row of ``lower`` and go into the even- or
+        odd-face partial sums of both gradients (:func:`_face_sum`'s order).
+        """
+        rel, term, absent = self._rate, self._term, self._send
+        inner = self._psi[1:-1, 1:-1]
+        sums = self._cells  # even x, odd x, even y, odd y
         # What a hole holds is never kept: every entry that reads one is
         # missing.  So its value may be anything, and inf - inf must not warn.
         with np.errstate(invalid="ignore"):
             for f, pairs in enumerate(self.slices):
-                rel = self._face(self.rel, f)
+                face = rel.reshape(self.shape)
                 for cells, nb in pairs:
-                    np.subtract(padded[nb], inner[cells], out=rel[cells])
-        self.rel.put(self.missing, 0.0)
-        rim = self.rel[:, self.rim]
-        out = []
-        for w, rim_w in zip(self.weights, self.rim_weights):
-            g = _face_sum(w, self.rel, self._term)
-            g[self.rim] = _face_sum(rim_w, rim)
-            out.append(g)
-        return tuple(out)
+                    np.subtract(self._psi[nb], inner[cells], out=face[cells])
+                np.copyto(rel, 0.0, where=np.logical_not(self.has[f], out=absent))
+                np.less(rel, 0.0, out=self.lower[f])
+                np.take(rel, self.rim, out=self._rim_rel[f], mode="clip")
+                for part, w in zip(sums[f % 2::2], self.weights):
+                    if f < 2:
+                        np.multiply(w[f], rel, out=part)
+                    else:
+                        part += np.multiply(w[f], rel, out=term)
+        for even, odd, rim_w in zip(sums[0::2], sums[1::2], self.rim_weights):
+            even += odd
+            even += 0.0
+            even[self.rim] = _face_sum(rim_w, self._rim_rel)
+        return sums[0], sums[2]
+
+    def _slope(self, a, b) -> tuple:
+        """``g2 = a * a + b * b`` and the slope ``sqrt(g2 / (1 + g2))``,
+        into the odd-face sums that :meth:`_fit` no longer needs."""
+        g2, s = self._cells[1::2]
+        np.multiply(a, a, out=g2)
+        g2 += np.multiply(b, b, out=self._term)
+        np.divide(g2, np.add(1.0, g2, out=s), out=s)
+        return g2, np.sqrt(s, out=s)
+
+    def _finite(self, values) -> bool:
+        """Whether ``values``, of the grid's shape, is finite on every valid cell."""
+        ok = self._send.reshape(self.shape)
+        ok.fill(True)
+        np.isfinite(values, out=ok, where=self.valid.reshape(self.shape))
+        return bool(ok.all())
 
 
-def _face_sum(w, rel, term=None):
-    """The sum over faces of ``w[f] * rel[f]``, a weight per face being a
-    scalar or one per cell.
+def _face_sum(w, rel):
+    """The sum over faces of ``w[f] * rel[f]``.
 
     The order in which numpy's einsum("ij,ij->i") adds contiguous six-face
     rows: faces (0, 2, 4) and (1, 3, 5), then the two partial sums onto
@@ -248,8 +291,8 @@ def _face_sum(w, rel, term=None):
     """
     even, odd = w[0] * rel[0], w[1] * rel[1]
     for f in (2, 4):
-        even += np.multiply(w[f], rel[f], out=term)
-        odd += np.multiply(w[f + 1], rel[f + 1], out=term)
+        even += w[f] * rel[f]
+        odd += w[f + 1] * rel[f + 1]
     even += odd
     even += 0.0
     return even
@@ -271,67 +314,87 @@ def fit_plane(state: FlowState, cell) -> tuple:
 
 
 def step(state: FlowState) -> FlowState:
-    """Advance the water depths by one time step (two-phase update)."""
+    """Advance the water depths by one time step (two-phase update).
+
+    Every cell-sized intermediate lives in the topology's workspace; the
+    one cell-sized array a step allocates is the depths it returns.
+    """
     topo = state.topology()
     grid = state.grid
-    valid = topo.valid
     h = state.h.ravel()
-    psi = state.z.ravel() + h
-    if not np.all(np.isfinite(psi[valid])):
+    psi = topo._psi[1:-1, 1:-1]
+    if not topo._finite(np.add(state.z, state.h, out=psi)):
         raise NonFiniteStateError(
             f"non-finite water potential entering step {state.step_count + 1}"
         )
-    a, b = topo.gradient(psi)
+    # Workspace buffers take a new name when they are reused: a, tau_x,
+    # out; g2, norm, v, inflow; b, tau_y, avail, scale; s, depth_side;
+    # inv, rate.
+    a, b = topo._fit()
+    rate, term, send, take = topo._rate, topo._term, topo._send, topo._take
+    shape = topo.shape
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        g2 = a * a + b * b
-        s = np.sqrt(g2 / (1.0 + g2))
-        norm = np.sqrt(g2)
-        moving = valid & (norm > 0.0) & (h > 0.0)
-        inv = np.where(norm > 0.0, 1.0 / np.where(norm > 0.0, norm, 1.0), 0.0)
-        tau_x = -a * inv
-        tau_y = -b * inv
-        v = np.where(moving, h ** (2.0 / 3.0) * np.sqrt(s) / state.manning_n, 0.0)
+        g2, s = topo._slope(a, b)
+        norm = np.sqrt(g2, out=g2)
+        pos = np.greater(norm, 0.0, out=send)
+        inv = rate
+        inv.fill(0.0)
+        np.divide(1.0, norm, out=inv, where=pos)
+        moving = np.greater(h, 0.0, out=take)
+        moving &= pos
+        moving &= topo.valid
+        tau_x = np.negative(a, out=a)
+        tau_x *= inv
+        tau_y = np.negative(b, out=b)
+        tau_y *= inv
+        v = np.power(h, 2.0 / 3.0, out=norm)
+        v *= np.sqrt(s, out=s)
+        v /= state.manning_n
+        np.copyto(v, 0.0, where=np.logical_not(moving, out=moving))
         # Face by face: the outward rate v * (tau . n) and the volume
         # dt * side * h * rate through the faces that take water.  Face
         # f + 3's normal is the negation of face f's, and so are its rate
         # and volume.  A face that takes nothing gets 0.0 * dt * side * h.
-        rate, term, send, take = topo._rate, topo._term, topo._send, topo._take
         # Zero on holes, so that neighbors reading a hole's volumes read 0.
-        depth_side = state.dt * grid.side * np.where(valid, h, 0.0)
-        nothing = (0.0 * depth_side).reshape(topo.shape)
+        depth_side = s
+        depth_side.fill(0.0)
+        np.copyto(depth_side, h, where=topo.valid)
+        depth_side *= state.dt * grid.side
         volume = topo._volume[:, 1:-1, 1:-1]
         for f, (nx, ny) in enumerate(FACE_NORMALS[:3]):
             np.multiply(tau_x, nx, out=rate)
             rate += np.multiply(tau_y, ny, out=term)
             rate *= v
-            sent = np.multiply(rate, depth_side, out=term).reshape(topo.shape)
+            sent = np.multiply(rate, depth_side, out=term).reshape(shape)
             for face, sends in ((f, np.greater), (f + 3, np.less)):
                 if face > f:
                     np.negative(sent, out=sent)
                 # The face sends where its rate is positive, which makes the
-                # cell a moving one.  A receptor is a lower neighbor; a
-                # missing neighbor's relative potential is 0, so it never is one.
+                # cell a moving one.  A receptor is a lower neighbor.
                 sends(rate, 0.0, out=send)
-                np.less(topo.rel[face], 0.0, out=take)
-                take &= send
+                np.logical_and(topo.lower[face], send, out=take)
                 if state.boundary == "open":
                     send &= topo.is_edge[face]
                     take |= send
-                volume[face] = np.where(take.reshape(topo.shape), sent, nothing)
-        out = volume.sum(axis=0).ravel()
-        avail = h * grid.cell_area
-        over = out > avail
+                np.multiply(0.0, depth_side.reshape(shape), out=volume[face])
+                np.copyto(volume[face], sent, where=take.reshape(shape))
+        out = tau_x
+        np.sum(volume, axis=0, out=out.reshape(shape))
+        avail = np.multiply(h, grid.cell_area, out=tau_y)
+        over = np.greater(out, avail, out=send)
         capped = int(np.count_nonzero(over))
         if capped:  # without capping every scale would be 1.0, a no-op
-            scale = np.where(
-                over, np.where(out > 0.0, avail / np.where(out > 0.0, out, 1.0), 1.0), 1.0
-            )
-            volume *= scale.reshape(topo.shape)
-            out = volume.sum(axis=0).ravel()
+            # avail / out where a donor overdraws, 1.0 elsewhere.
+            shrink = np.greater(out, 0.0, out=take)
+            shrink &= over
+            scale = np.divide(avail, out, out=avail, where=shrink)
+            np.copyto(scale, 1.0, where=np.logical_not(shrink, out=shrink))
+            volume *= scale.reshape(shape)
+            np.sum(volume, axis=0, out=out.reshape(shape))
     # What each neighbor sends through the face that looks back at the cell,
     # added in face order.  A missing neighbor reads 0: the table's border,
     # or a hole's volumes.
-    inflow = np.empty(topo.shape)
+    inflow = v.reshape(shape)
     for f, pairs in enumerate(topo.slices):
         back = topo._volume[_OPP[f]]
         for cells, nb in pairs:
@@ -339,23 +402,22 @@ def step(state: FlowState) -> FlowState:
                 inflow[cells] += back[nb]
             else:
                 inflow[cells] = back[nb]
-    inflow = inflow.ravel()
     shed = 0.0
     if state.boundary == "open":
         shed = float(topo._volume.take(topo.shed).sum())
-    h_new = np.maximum(h + (inflow - out) / grid.cell_area, 0.0)
-    if not np.all(np.isfinite(h_new[valid])):
+    inflow -= out.reshape(shape)
+    inflow /= grid.cell_area
+    h_new = np.maximum(np.add(state.h, inflow, out=inflow), 0.0)
+    if not topo._finite(h_new):
         raise NonFiniteStateError(
             f"non-finite water depth after step {state.step_count + 1}"
         )
-    new = replace(
-        state,
-        h=h_new.reshape(state.h.shape),
-        outflow_volume=state.outflow_volume + shed,
-        capping_events=state.capping_events + capped,
-        step_count=state.step_count + 1,
-    )
-    new._topo = topo
+    # The terrain is the state's own, so the successor skips its checks.
+    new = copy.copy(state)
+    new.h = h_new
+    new.outflow_volume = state.outflow_volume + shed
+    new.capping_events = state.capping_events + capped
+    new.step_count = state.step_count + 1
     return new
 
 
@@ -428,11 +490,10 @@ def courant_dt(state: FlowState) -> float:
     of ``state``.  Builds the state's topology, which its steps then reuse.
     """
     topo = state.topology()
-    h = state.h.ravel()
-    a, b = topo.gradient(state.z.ravel() + h)
-    g2 = a * a + b * b
-    s_max = float(np.sqrt(g2 / (1.0 + g2)).max()) if g2.size else 0.0
-    h_max = float(h[topo.valid].max(initial=0.0))
+    np.add(state.z, state.h, out=topo._psi[1:-1, 1:-1])
+    _, s = topo._slope(*topo._fit())
+    s_max = float(s.max()) if s.size else 0.0
+    h_max = float(np.max(state.h, where=topo.valid.reshape(topo.shape), initial=0.0))
     v_max = h_max ** (2.0 / 3.0) * math.sqrt(s_max) / state.manning_n
     if v_max <= 0.0:
         return 1.0

@@ -409,9 +409,9 @@ class TestTopology:
         for name in ("gather", "inflow", "wa", "wb", "_gathered"):
             assert name not in tables, name
         six = {k for k, v in tables.items() if v.shape[:1] == (6,) and v.size >= 6 * cells}
-        # The face-major tables left are the two masks, the relative
-        # potentials and the padded face volumes; none holds an index.
-        assert six == {"has", "is_edge", "rel", "_volume"}
+        # The face-major tables left are the three masks and the padded
+        # face volumes; none holds an index.
+        assert six == {"has", "is_edge", "lower", "_volume"}
         assert tables["has"].dtype == tables["is_edge"].dtype == bool
         assert tables["_volume"].shape == (6, 11, 13)
         assert topo.wa.shape == topo.wb.shape == (6, cells)
@@ -500,6 +500,69 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < 4 * table
+
+    @staticmethod
+    def peak_of(call):
+        """tracemalloc peak of ``call()`` above what was allocated before it."""
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_warm_step_allocates_only_its_result(self):
+        st = holed(110, 100, 9, boundary="open", dt=0.2)
+        st = step(st)
+        cells = st.h.size
+        assert self.peak_of(lambda: step(st)) < 8 * cells + 4 * cells + 64 * 1024
+
+    def test_fits_allocate_no_face_table(self):
+        st = holed(110, 100, 9, boundary="open", dt=0.2)
+        topo = st.topology()
+        psi = (st.z + st.h).ravel()
+        cells = st.h.size
+        courant_dt(st), topo.gradient(psi)  # warm
+        # numpy's ufuncs over strided (nrows, ncols) slices take iterator
+        # buffers of at most 8192 values an operand, whatever the grid's size.
+        buffers = 3 * 8192 * 8
+        assert self.peak_of(lambda: courant_dt(st)) < 4 * cells + buffers
+        # gradient's two results are its own arrays; beyond them, as little.
+        assert self.peak_of(lambda: topo.gradient(psi)) < 16 * cells + 4 * cells + buffers
+        assert topo.lower.dtype == bool
+
+    def test_results_outlive_later_steps(self):
+        st = holed(12, 15, 13, boundary="open", dt=2.0)
+        topo = st.topology()
+        gradient = topo.gradient((st.z + st.h).ravel())
+        kept = [g.copy() for g in gradient]
+        plane = fit_plane(st, (4, 5))
+        dt = courant_dt(st)
+        later = st
+        for _ in range(3):
+            later = step(later)
+        assert later.topology() is topo
+        assert not any(np.shares_memory(g, buf) for g in gradient
+                       for buf in vars(topo).values() if isinstance(buf, np.ndarray))
+        for got, want in zip(gradient, kept):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert all(type(x) is float for x in (*plane, dt))
+        fresh = replace(st, _topo=None)
+        assert plane == fit_plane(fresh, (4, 5))
+        assert dt == courant_dt(fresh)
+
+    def test_step_skips_the_state_checks(self, monkeypatch):
+        st = holed(9, 8, 14, boundary="open")
+
+        def checked(self):
+            raise AssertionError("a step re-checked its successor")
+
+        monkeypatch.setattr(FlowState, "__post_init__", checked)
+        new = step(st)
+        assert (new.z is st.z, new.topology() is st.topology(), new.step_count) == (True, True, 1)
+        assert (new.manning_n, new.dt, new.boundary, new.nodata) == (
+            st.manning_n, st.dt, st.boundary, st.nodata)
 
 
 class TestTopologyMemory:
@@ -651,7 +714,7 @@ class TestSliceStencils:
         for psi in (state.z.ravel() + state.h.ravel(), rng.integers(-2, 3, z.size) * 0.5):
             for got, want in zip(topo.gradient(psi), oracle.gradient(psi)):
                 assert bits(got) == bits(want)
-            assert bits(topo.rel) == bits(oracle.rel)
+            assert np.array_equal(topo.lower, oracle.rel < 0.0)
         outflow, capped = 0.0, 0
         for _ in range(3):
             want_h, shed, count = oracle.step(state)
@@ -660,3 +723,23 @@ class TestSliceStencils:
             assert bits(state.h) == bits(want_h)
             assert bits(state.outflow_volume) == bits(outflow)
             assert state.capping_events == capped
+
+    @pytest.mark.parametrize("boundary", ["open", "closed"])
+    def test_holes_may_hold_negative_depths(self, boundary):
+        """A state checks depths on valid cells only; a hole's negative
+        depth counts as a capped donor that sends nothing, as in the
+        index-table router."""
+        state = holed(8, 9, 15, boundary=boundary, dt=0.5)
+        h = state.h.copy()
+        h[~state.valid_mask()] = -1.0
+        state = replace(state, h=h)
+        oracle = TableRouter(state.grid, state.valid_mask())
+        outflow, capped = 0.0, 0
+        for _ in range(3):
+            want_h, shed, count = oracle.step(state)
+            state = step(state)
+            outflow, capped = outflow + shed, capped + count
+            assert bits(state.h) == bits(want_h)
+            assert bits(state.outflow_volume) == bits(outflow)
+            assert state.capping_events == capped
+        assert capped > 0

@@ -11,7 +11,6 @@ success, 1 on data errors, 2 on flag errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
@@ -136,7 +135,7 @@ def _cmd_flow(args) -> int:
         nodata=hexraster.nodata,
     )
     if args.dt is None:
-        state = dataclasses.replace(state, dt=hydroflow.courant_dt(state))
+        state.dt = hydroflow.courant_dt(state)
     result = hydroflow.run(state, args.steps, mask_margin=args.mask_margin)
     if args.out_depth:
         _write(args.out_depth, grid_io.write_hex_raster, result.depth)

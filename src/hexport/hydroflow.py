@@ -23,14 +23,19 @@ outflow ledger; with a closed boundary they are walls too.
 Everything runs over all cells at once.  ``_Topology`` is built once per
 grid and hole mask.  It reaches neighbors by shifted slices of arrays
 padded by one cell on every side (:func:`~hexport.hexgrid.face_slices`),
-so it keeps no index table: only the face-major ``(6, cells)`` bool masks
+so it keeps no index table: only the face-major ``(6, cells)`` bool mask
 of which neighbors exist, one plane-fit weight per face for interior cells
 and least-squares weights for the rest.  Its plane fit, called by
 :func:`step`, :func:`courant_dt` and (through ``gradient``) :func:`fit_plane`,
 runs face by face and leaves the one-byte mask ``lower`` of neighbors
-whose potential is below the cell's, which decides the receptors.  The
-topology also owns a workspace that holds every cell-sized intermediate of
-a step, so a warm step allocates only the depths it returns.
+whose potential is below the cell's, which decides the receptors.  Faces f
+and f + 3 have opposite normals, so at most one of them sends: a step keeps
+one signed volume per face pair, positive for what face f sends, negative
+for what face f + 3 sends.  Open-boundary faces are reached through lists
+of the valid cells whose face leaves the grid, one list per face, with no
+face-major edge mask.  The topology also owns a workspace that holds every
+cell-sized intermediate of a step, so a warm step allocates only the depths
+it returns.
 """
 
 from __future__ import annotations
@@ -44,9 +49,7 @@ import numpy as np
 
 from .errors import NonFiniteStateError, OutOfRangeError
 from .grid_io import DEFAULT_NODATA, HexRaster
-from .hexgrid import FACE_NORMALS, OPPOSITE_FACE, SQRT3, HexGrid, face_slices, neighbor_table
-
-_OPP = np.array(OPPOSITE_FACE) - 1  # opposite face, 0-based
+from .hexgrid import FACE_NORMALS, SQRT3, HexGrid, face_slices, neighbor_table
 
 # The Courant-like bound dt * side * v_max / cell_area that courant_dt keeps.
 COURANT = 0.2
@@ -107,16 +110,18 @@ class _Topology:
 
     Neighbors are reached by :func:`~hexport.hexgrid.face_slices`: shifted
     slices of arrays padded by one cell on every side, so no index table is
-    kept.  ``has`` and ``is_edge`` are face-major ``(6, cells)`` masks: a
-    neighbor that exists and is valid, for a valid cell, and a face of a
-    valid cell that leaves the grid.  A (face, cell) entry without a
+    kept.  ``has`` is the face-major ``(6, cells)`` mask of neighbors that
+    exist and are valid, for a valid cell.  A (face, cell) entry without a
     neighbor gets the relative potential +0.0, which is what the cell minus
     itself would give, so it is never a lower neighbor.  Interior cells,
     those with all six neighbors, share one plane-fit weight per face; the
-    rest (``rim``) keep their own least-squares weights.  ``shed`` indexes
-    the padded face-volume table at the open-boundary faces in cell-major
-    order; that order fixes the rounding of the outflow ledger's sum, on
-    which the pinned outputs depend.
+    rest (``rim``) keep their own least-squares weights.  ``edges[f]``
+    lists the valid cells whose face f leaves the grid; no face-major edge
+    mask is kept.  ``shed`` indexes the padded pair-volume table at the
+    open-boundary faces in cell-major order, and ``shed_sign`` is +1 for
+    faces 0..2 and -1 for faces 3..5, so ``max(sign * V, 0)`` is what the
+    face sends; that order fixes the rounding of the outflow ledger's sum,
+    on which the pinned outputs depend.
 
     The workspace holds every cell-sized array of a step:
 
@@ -124,8 +129,9 @@ class _Topology:
       entries without a neighbor;
     - ``lower``, the face-major ``(6, cells)`` bool mask of neighbors whose
       potential is below the cell's, which the plane fit leaves;
-    - the padded ``(6, nrows + 2, ncols + 2)`` face-volume table, whose
-      border stays zero;
+    - the padded ``(3, nrows + 2, ncols + 2)`` pair-volume table, whose
+      border stays zero: ``V_f > 0`` is what a cell sends through face f,
+      ``V_f < 0`` what it sends through face f + 3;
     - the rim cells' ``(6, rim)`` relative potentials;
     - six float and two bool arrays of one value a cell, which a step
       reuses under several names.
@@ -142,21 +148,27 @@ class _Topology:
         self.slices = face_slices(rows, cols)
         valid = self.valid.reshape(self.shape)
         self.has = np.empty((6, c), dtype=bool)
-        self.is_edge = np.empty((6, c), dtype=bool)
         on_grid, padded = np.zeros((2, rows + 2, cols + 2), dtype=bool)
         on_grid[1:-1, 1:-1] = True
         padded[1:-1, 1:-1] = valid
+        edge = np.empty(self.shape, dtype=bool)
+        self.edges = []
         for f, pairs in enumerate(self.slices):
             for cells, nb in pairs:
-                np.less(on_grid[nb], valid[cells], out=self._face(self.is_edge, f)[cells])
+                np.less(on_grid[nb], valid[cells], out=edge[cells])
                 np.logical_and(padded[nb], valid[cells], out=self._face(self.has, f)[cells])
-        edge_cell, edge_face = np.nonzero(self.is_edge.T)
-        row, col = np.divmod(edge_cell, cols)
-        self.shed = np.ravel_multi_index((edge_face, row + 1, col + 1), (6, *on_grid.shape))
+            self.edges.append(np.flatnonzero(edge))
+        cell = np.concatenate(self.edges)
+        face = np.repeat(np.arange(6), [e.size for e in self.edges])
+        order = np.lexsort((face, cell))  # cell-major, faces ascending
+        cell, face = cell[order], face[order]
+        row, col = np.divmod(cell, cols)
+        self.shed = np.ravel_multi_index((face % 3, row + 1, col + 1), (3, *on_grid.shape))
+        self.shed_sign = np.where(face < 3, 1.0, -1.0)
         self._build_weights(grid)
         self.lower = np.empty((6, c), dtype=bool)
         self._psi = np.zeros(on_grid.shape)
-        self._volume = np.zeros((6, *on_grid.shape))
+        self._volume = np.zeros((3, *on_grid.shape))
         self._rim_rel = np.empty((6, self.rim.size))
         # Even- and odd-face sums of the x and y gradients, then whatever a
         # step needs: _rate and _term hold one face's values at a time.
@@ -298,6 +310,22 @@ def _face_sum(w, rel):
     return even
 
 
+def _sent(volume, out, part):
+    """What each cell sends, from its signed pair volumes ``volume`` ``(3, ...)``.
+
+    Faces 0..5 added in face order, as a sum over a six-face table would:
+    ``((((p0 + p1) + p2) - m0) - m1) - m2`` with ``p = max(V, 0)`` and
+    ``m = min(V, 0)``, since ``x - m`` is ``x + |m|`` exactly.  ``part`` is
+    scratch of ``out``'s shape.
+    """
+    np.maximum(volume[0], 0.0, out=out)
+    for f in (1, 2):
+        out += np.maximum(volume[f], 0.0, out=part)
+    for f in (0, 1, 2):
+        out -= np.minimum(volume[f], 0.0, out=part)
+    return out
+
+
 def fit_plane(state: FlowState, cell) -> tuple:
     """Gradient (a, b) of the best-fit potential plane around one cell.
 
@@ -328,8 +356,8 @@ def step(state: FlowState) -> FlowState:
             f"non-finite water potential entering step {state.step_count + 1}"
         )
     # Workspace buffers take a new name when they are reused: a, tau_x,
-    # out; g2, norm, v, inflow; b, tau_y, avail, scale; s, depth_side;
-    # inv, rate.
+    # out; g2, norm, v, inflow; b, tau_y, avail; s, depth_side; inv, rate;
+    # term, sent, part.
     a, b = topo._fit()
     rate, term, send, take = topo._rate, topo._term, topo._send, topo._take
     shape = topo.shape
@@ -351,11 +379,13 @@ def step(state: FlowState) -> FlowState:
         v *= np.sqrt(s, out=s)
         v /= state.manning_n
         np.copyto(v, 0.0, where=np.logical_not(moving, out=moving))
-        # Face by face: the outward rate v * (tau . n) and the volume
-        # dt * side * h * rate through the faces that take water.  Face
-        # f + 3's normal is the negation of face f's, and so are its rate
-        # and volume.  A face that takes nothing gets 0.0 * dt * side * h.
-        # Zero on holes, so that neighbors reading a hole's volumes read 0.
+        # Face pair by face pair: the outward rate v * (tau . n) of face f
+        # and the signed volume dt * side * h * rate.  Face f + 3's normal is
+        # the negation of face f's, and so is its rate: face f sends V_f
+        # where V_f > 0, face f + 3 sends -V_f where V_f < 0, each to a
+        # lower neighbor or, with an open boundary, off the grid.  A pair
+        # that sends nothing keeps sent * 0, a zero of either sign.  Zero on
+        # holes, so that neighbors reading a hole's volumes read 0.
         depth_side = s
         depth_side.fill(0.0)
         np.copyto(depth_side, h, where=topo.valid)
@@ -365,46 +395,54 @@ def step(state: FlowState) -> FlowState:
             np.multiply(tau_x, nx, out=rate)
             rate += np.multiply(tau_y, ny, out=term)
             rate *= v
+            pair = np.greater(rate, 0.0, out=take)
+            pair &= topo.lower[f]
+            opposite = np.less(rate, 0.0, out=send)
+            opposite &= topo.lower[f + 3]
+            pair |= opposite
+            if state.boundary == "open":
+                for edge, sends in ((topo.edges[f], np.greater), (topo.edges[f + 3], np.less)):
+                    pair[edge] |= sends(rate[edge], 0.0)
             sent = np.multiply(rate, depth_side, out=term).reshape(shape)
-            for face, sends in ((f, np.greater), (f + 3, np.less)):
-                if face > f:
-                    np.negative(sent, out=sent)
-                # The face sends where its rate is positive, which makes the
-                # cell a moving one.  A receptor is a lower neighbor.
-                sends(rate, 0.0, out=send)
-                np.logical_and(topo.lower[face], send, out=take)
-                if state.boundary == "open":
-                    send &= topo.is_edge[face]
-                    take |= send
-                np.multiply(0.0, depth_side.reshape(shape), out=volume[face])
-                np.copyto(volume[face], sent, where=take.reshape(shape))
+            np.multiply(sent, pair.reshape(shape), out=volume[f])
         out = tau_x
-        np.sum(volume, axis=0, out=out.reshape(shape))
+        _sent(volume, out.reshape(shape), term.reshape(shape))
         avail = np.multiply(h, grid.cell_area, out=tau_y)
+        # A hole never sends, whatever depth it holds.
         over = np.greater(out, avail, out=send)
+        over &= topo.valid
         capped = int(np.count_nonzero(over))
-        if capped:  # without capping every scale would be 1.0, a no-op
-            # avail / out where a donor overdraws, 1.0 elsewhere.
-            shrink = np.greater(out, 0.0, out=take)
-            shrink &= over
-            scale = np.divide(avail, out, out=avail, where=shrink)
-            np.copyto(scale, 1.0, where=np.logical_not(shrink, out=shrink))
-            volume *= scale.reshape(shape)
-            np.sum(volume, axis=0, out=out.reshape(shape))
+        if capped:
+            # A capped donor is valid, so out > avail >= 0: it sends avail /
+            # out of each of its volumes, and its out is summed again.
+            donors = np.flatnonzero(over)
+            scale = avail[donors] / out[donors]
+            at = donors + 2 * (donors // grid.ncols) + grid.ncols + 3  # in the padded table
+            table = topo._volume.reshape(3, -1)
+            scaled = table[:, at] * scale
+            table[:, at] = scaled
+            out[donors] = _sent(scaled, np.empty(capped), np.empty(capped))
     # What each neighbor sends through the face that looks back at the cell,
-    # added in face order.  A missing neighbor reads 0: the table's border,
-    # or a hole's volumes.
-    inflow = v.reshape(shape)
+    # in face order: faces 0..2 read the negative part of the neighbor's
+    # pair, faces 3..5 the positive part.  A missing neighbor reads 0: the
+    # table's border, or a hole's volumes.
+    inflow, part = v.reshape(shape), term.reshape(shape)
     for f, pairs in enumerate(topo.slices):
-        back = topo._volume[_OPP[f]]
+        back = topo._volume[f % 3]
         for cells, nb in pairs:
-            if f:
-                inflow[cells] += back[nb]
+            if f == 0:
+                np.negative(np.minimum(back[nb], 0.0, out=inflow[cells]), out=inflow[cells])
+            elif f < 3:
+                inflow[cells] -= np.minimum(back[nb], 0.0, out=part[cells])
             else:
-                inflow[cells] = back[nb]
+                inflow[cells] += np.maximum(back[nb], 0.0, out=part[cells])
     shed = 0.0
     if state.boundary == "open":
-        shed = float(topo._volume.take(topo.shed).sum())
+        edge = topo._volume.take(topo.shed)
+        edge *= topo.shed_sign
+        shed = float(np.maximum(edge, 0.0, out=edge).sum())
+    # Sums of zeros alone may differ in sign from a six-face table's; the
+    # depth update below maps either zero to +0.0, since h >= +0.
     inflow -= out.reshape(shape)
     inflow /= grid.cell_area
     h_new = np.maximum(np.add(state.h, inflow, out=inflow), 0.0)
@@ -438,21 +476,19 @@ def run(state: FlowState, steps: int, mask_margin: float = 0.0) -> FlowRunResult
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    h_start = state.h.copy()
     volume_start = state.total_volume()
     current = state
     for _ in range(steps):
         current = step(current)
+    volume_end = current.total_volume()  # before the rasters, so its copy is freed first
     valid = current.valid_mask()
     nodata = state.nodata if state.nodata is not None else DEFAULT_NODATA
     depth_vals = np.where(valid, current.h, nodata)
-    mask_vals = np.where(
-        valid, (current.h > h_start * (1.0 + mask_margin)).astype(np.float64), nodata
-    )
+    # Steps never write into the depths they read, so state.h is still the start.
+    mask_vals = np.where(valid, current.h > state.h * (1.0 + mask_margin), nodata)
     grid = state.grid
     depth = HexRaster(values=depth_vals, x0=grid.x0, y0=grid.y0, r=grid.r, nodata=nodata)
     mask = HexRaster(values=mask_vals, x0=grid.x0, y0=grid.y0, r=grid.r, nodata=nodata)
-    volume_end = current.total_volume()
     summary = {
         "steps": steps,
         "volume_initial": volume_start,

@@ -165,21 +165,23 @@ def eno_score(knots: Knots1D, k: int, p: int, q: int) -> float:
     )
 
 
-def _of_energy(c, x1, x2, x3, u, v):
-    """Integral over (u, v) of the squared second derivative of a cubic.
+def _of_energy(c, x1, x2, x3, width):
+    """Integral over (0, width) of the squared second derivative of a cubic.
 
-    ``c`` holds the Newton coefficients of the cubic on nodes x1..x4 (the
-    last node does not enter).  The second derivative is linear,
-    ``A*x + B`` with A = 6*c3 and B = 2*c2 - 2*c3*(x1+x2+x3), so the
-    integral has a short closed form.  Scalar or elementwise.
+    The abscissas are local to an interval ``(0, width)``.  ``c`` holds the
+    Newton coefficients of the cubic on nodes x1..x4 (the last node does not
+    enter).  The second derivative is linear, ``A*x + B`` with A = 6*c3 and
+    B = 2*c2 - 2*c3*(x1+x2+x3), so the integral has a short closed form.
+    Scalar or elementwise.
+
+    In absolute coordinates its three terms would each be about
+    ``(x / width)**2`` times their sum: near x = 5e6 most digits of the
+    score would cancel, and the stencil choice would depend on the
+    georeference.
     """
     a = 6.0 * c[3]
     b = 2.0 * c[2] - 2.0 * c[3] * (x1 + x2 + x3)
-    return (
-        a * a * (v * v * v - u * u * u) / 3.0
-        + a * b * (v * v - u * u)
-        + b * b * (v - u)
-    )
+    return a * a * (width * width * width) / 3.0 + a * b * (width * width) + b * b * width
 
 
 def of_objective(knots: Knots1D, idx, k: int) -> float:
@@ -193,9 +195,10 @@ def of_objective(knots: Knots1D, idx, k: int) -> float:
     lo, hi = max(0, k - 2), min(n - 1, k + 3)
     if any(not lo <= i <= hi for i in idx):
         raise ValueError(f"stencil {idx} leaves the neighborhood of interval {k}")
-    xs = [knots.xs[i] for i in idx]
+    left = knots.xs[k]
+    xs = [knots.xs[i] - left for i in idx]
     c = _newton_coeffs(xs, [knots.fs[i] for i in idx])
-    return float(np.sqrt(max(_of_energy(c, *xs[:3], knots.xs[k], knots.xs[k + 1]), 0.0)))
+    return float(np.sqrt(max(_of_energy(c, *xs[:3], knots.xs[k + 1] - left), 0.0)))
 
 
 # Candidates in tie-preference order, as slots of interval k's window (slot
@@ -236,9 +239,12 @@ def select_stencils(wx, wf, valid, method: str):
     coefficients and Horner nodes, ``(4|4|3, *S)``.
     """
     cands = _CANDIDATES[method].T
-    x, f = list(wx[cands]), list(wf[cands])
-    score = (_eno_score_parts(*x, *f) if method == ENO
-             else _of_energy(_newton_coeffs(x, f), *x[:3], wx[2], wx[3]))
+    f = list(wf[cands])
+    if method == ENO:
+        score = _eno_score_parts(*wx[cands], *f)
+    else:  # on abscissas local to the interval, see _of_energy
+        x = list(wx[cands] - wx[2])
+        score = _of_energy(_newton_coeffs(x, f), *x[:3], wx[3] - wx[2])
     usable = valid[cands].all(axis=0)
     at = np.indices(score.shape[1:], sparse=True)
     first = np.argmax(usable, axis=0)

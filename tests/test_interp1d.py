@@ -399,8 +399,9 @@ def scalar_select(xs, fs, k, method):
         f = [fs[i] for i in idx]
         if method == ENO:
             score = _eno_score_parts(*x, *f)
-        else:
-            score = _of_energy(_newton_coeffs(x, f), *x[:3], xs[k], xs[k + 1])
+        else:  # local to the interval, as the kernel scores
+            local = [xi - xs[k] for xi in x]
+            score = _of_energy(_newton_coeffs(local, f), *local[:3], xs[k + 1] - xs[k])
         if best_score is None or score < best_score:
             best, best_score = idx, score
     x = [xs[i] for i in best]

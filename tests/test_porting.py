@@ -1,7 +1,11 @@
 import hashlib
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexport.cli import main
 from hexport.grid_io import RectRaster, write_hex_raster
@@ -98,3 +102,55 @@ class TestPort:
         h = port(r, PortingConfig(method="eno", cells_across=10))
         assert np.all(h.values != h.nodata)
         assert np.allclose(h.values, 1.0, atol=1e-9)
+
+
+def rough_raster(seed, n=14):
+    """A seeded DEM-like raster: a smooth swell, noise and a few outliers."""
+    rng = np.random.default_rng(seed)
+    u = np.arange(n) / n
+    z = 100.0 + 30.0 * np.sin(3.0 * u + rng.uniform(0.0, 3.0))[None, :] * np.cos(2.0 * u)[:, None]
+    z = z + rng.normal(0.0, 2.0, (n, n))
+    z[rng.random((n, n)) < 0.05] += rng.uniform(-40.0, 40.0)
+    return RectRaster(values=z, xll=0.0, yll=0.0, cellsize=10.0)
+
+
+class TestPortInvariance:
+    """What a port does under a change of units, of datum and of georeference."""
+
+    @staticmethod
+    def ported(raster, method):
+        return port(raster, PortingConfig(method=method, cells_across=21)).values
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_scaled_values_scale_the_port_exactly(self, seed):
+        r = rough_raster(seed)
+        for method in ("eno", "of", "crs", "id"):
+            base = self.ported(r, method)
+            scaled = self.ported(replace(r, values=4.0 * r.values), method)
+            want = np.where(base == r.nodata, base, 4.0 * base)
+            assert want.tobytes() == scaled.tobytes(), method
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_raised_values_raise_the_port(self, seed):
+        r = rough_raster(seed)
+        for method in ("eno", "of", "crs", "id"):
+            base = self.ported(r, method)
+            raised = self.ported(replace(r, values=r.values + 1000.0), method)
+            data = base != r.nodata
+            assert np.array_equal(raised != r.nodata, data), method
+            # measured: at most 3e-14 of the range
+            assert np.abs(raised - 1000.0 - base)[data].max() <= 4e-13 * np.ptp(r.values), method
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dx=st.floats(0.0, 5e5), dy=st.floats(0.0, 5e6))
+    def test_georeference_moves_the_port_by_rounding_only(self, seed, dx, dy):
+        # OF scores its stencils on abscissas local to each interval; in
+        # absolute ones, shifts like these moved OF ports by up to 1.6 of
+        # the range.  Measured over 600 seeded shifts: at most 1.9e-10.
+        r = rough_raster(seed)
+        moved = replace(r, xll=dx, yll=dy)
+        for method in ("eno", "of", "crs"):
+            change = np.abs(self.ported(moved, method) - self.ported(r, method)).max()
+            assert change <= 1e-9 * np.ptp(r.values), method

@@ -148,26 +148,63 @@ def neighbor_table(grid: HexGrid, cols, rows) -> np.ndarray:
     return np.where(inside, nr * grid.ncols + nc, -1)
 
 
-def face_slices(nrows: int, ncols: int) -> list:
-    """Every cell's neighbors as slices: per face 1..6, a ``(cells, neighbors)``
-    pair for each row parity.
+class ParityLayout:
+    """A flat layout of an ``nrows x ncols`` grid's cell values in which every
+    neighbor of a row parity sits a constant offset away.
 
-    ``cells`` selects the rows of that parity from an ``(nrows, ncols)``
-    array; ``neighbors`` selects the equal-shaped block of the same array
-    padded by one cell on every side that holds, for each of those cells,
-    the neighbor behind the face.  Neighbors off the grid fall in the
-    padding.  This is :func:`neighbor_table` for whole arrays.
+    Even rows come first, then odd rows, each row followed by one pad slot,
+    so rows of a parity are ``width = ncols + 1`` slots apart and a row's
+    pad slot is also the next row's left pad.  One pad slot leads the even
+    rows, one pad row separates the two blocks and one follows the odd
+    rows, with one tail slot after it that the farthest shifted slice
+    reaches when ``nrows`` is odd; ``size`` counts every slot.
+    ``blocks`` holds each parity's ``(first slot, rows)``.
+
+    ``faces[f]`` holds, for face f + 1 and each row parity, a pair of equal
+    1-D slices ``(cells, neighbors)``: ``cells`` spans the rows of that
+    parity, their pad slots included, and ``neighbors`` is the same span
+    shifted to the neighbors behind the face.  Neighbors off the grid fall
+    on pads.  This is :func:`neighbor_table` for whole arrays.
     """
-    out = []
-    for face in range(6):
-        pairs = []
-        for parity in (0, 1):
-            dcol, drow = (int(d) for d in _OFFSETS[parity, face])
-            top = parity + 1 + drow
-            pairs.append((np.s_[parity::2],
-                          np.s_[top : top + nrows - parity : 2, 1 + dcol : 1 + dcol + ncols]))
-        out.append(pairs)
-    return out
+
+    def __init__(self, nrows: int, ncols: int):
+        self.shape = (nrows, ncols)
+        w = self.width = ncols + 1
+        counts = ((nrows + 1) // 2, nrows // 2)
+        bases = (1, 1 + (counts[0] + 1) * w)
+        self.blocks = tuple(zip(bases, counts))
+        self.size = bases[1] + (counts[1] + 1) * w + 1
+        self.faces = []
+        for face in range(6):
+            pairs = []
+            for parity, (base, n) in enumerate(self.blocks):
+                dcol, drow = (int(d) for d in _OFFSETS[parity, face])
+                # Row 2k + parity + drow is row k + (parity + drow) // 2 of
+                # its own parity's block.
+                at = bases[(parity + drow) % 2] + (parity + drow) // 2 * w + dcol
+                pairs.append((slice(base, base + n * w), slice(at, at + n * w)))
+            self.faces.append(pairs)
+
+    def rows(self, flat: np.ndarray) -> list:
+        """Views of the even and the odd rows of ``flat``, whose last axis is
+        the layout: ``(..., rows of that parity, ncols)`` each."""
+        lead, w, ncols = flat.shape[:-1], self.width, self.shape[1]
+        return [flat[..., base : base + n * w].reshape(*lead, n, w)[..., :ncols]
+                for base, n in self.blocks]
+
+    def cells(self, flat: np.ndarray) -> np.ndarray:
+        """A fresh ``(..., nrows, ncols)`` array of the cell values in ``flat``."""
+        out = np.empty(flat.shape[:-1] + self.shape, dtype=flat.dtype)
+        for parity, rows in enumerate(self.rows(flat)):
+            out[..., parity::2, :] = rows
+        return out
+
+    def cell_index(self, slots: np.ndarray) -> np.ndarray:
+        """Row-major indices ``row * ncols + col`` of the cells at ``slots``."""
+        (even, _), (odd, _) = self.blocks
+        parity = (slots >= odd).astype(np.intp)
+        k, col = np.divmod(slots - np.where(parity, odd, even), self.width)
+        return (2 * k + parity) * self.shape[1] + col
 
 
 def locate_many(grid: HexGrid, xs, ys):

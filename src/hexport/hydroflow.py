@@ -21,21 +21,24 @@ open boundary, faces leaving the grid shed water that is accumulated in an
 outflow ledger; with a closed boundary they are walls too.
 
 Everything runs over all cells at once.  ``_Topology`` is built once per
-grid and hole mask.  It reaches neighbors by shifted slices of arrays
-padded by one cell on every side (:func:`~hexport.hexgrid.face_slices`),
-so it keeps no index table: only the face-major ``(6, cells)`` bool mask
-of which neighbors exist, one plane-fit weight per face for interior cells
-and least-squares weights for the rest.  Its plane fit, called by
-:func:`step`, :func:`courant_dt` and (through ``gradient``) :func:`fit_plane`,
-runs face by face and leaves the one-byte mask ``lower`` of neighbors
-whose potential is below the cell's, which decides the receptors.  Faces f
-and f + 3 have opposite normals, so at most one of them sends: a step keeps
-one signed volume per face pair, positive for what face f sends, negative
-for what face f + 3 sends.  Open-boundary faces are reached through lists
-of the valid cells whose face leaves the grid, one list per face, with no
-face-major edge mask.  The topology also owns a workspace that holds every
-cell-sized intermediate of a step, so a warm step allocates only the depths
-it returns.
+grid and hole mask.  It keeps every cell-sized array in one flat
+parity-split layout (:class:`~hexport.hexgrid.ParityLayout`: even rows,
+then odd rows, with pad slots between), in which each neighbor of a row
+parity is a constant offset away, so every face operation runs over one
+contiguous 1-D slice and no index table is kept: only the face-major
+``(6, slots)`` bool mask of which neighbors exist, one plane-fit weight
+per face for interior cells and least-squares weights for the rest.  Its
+plane fit, called by :func:`step`, :func:`courant_dt` and (through
+``gradient``) :func:`fit_plane`, runs face by face and leaves the
+one-byte mask ``lower`` of neighbors whose potential is below the cell's,
+which decides the receptors.  Faces f and f + 3 have opposite normals,
+so at most one of them sends: a step keeps one signed volume per face
+pair, positive for what face f sends, negative for what face f + 3 sends.
+Open-boundary faces are reached through lists of the valid cells whose
+face leaves the grid, one list per face, with no face-major edge mask.
+The topology also owns a workspace that holds every cell-sized
+intermediate of a step, so a warm step allocates only the depths it
+returns, copied out of the layout into row-major order.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import numpy as np
 
 from .errors import NonFiniteStateError, OutOfRangeError
 from .grid_io import DEFAULT_NODATA, HexRaster
-from .hexgrid import FACE_NORMALS, SQRT3, HexGrid, face_slices, neighbor_table
+from .hexgrid import FACE_NORMALS, SQRT3, HexGrid, ParityLayout, neighbor_table
 
 # The Courant-like bound dt * side * v_max / cell_area that courant_dt keeps.
 COURANT = 0.2
@@ -87,6 +90,10 @@ class FlowState:
         hv = self.h[valid]
         if not np.all(np.isfinite(hv)) or (hv < 0).any():
             raise ValueError("water depth must be finite and nonnegative")
+        # total_volume's sum: finite depths may still add up past the float range.
+        with np.errstate(over="ignore"):
+            if not math.isfinite(hv.sum() * self.grid.cell_area):
+                raise ValueError("total water volume is not finite")
 
     def valid_mask(self) -> np.ndarray:
         """Cells that take part in the simulation."""
@@ -108,32 +115,37 @@ class FlowState:
 class _Topology:
     """Neighbor masks, plane-fit weights and step workspace of a grid + hole mask.
 
-    Neighbors are reached by :func:`~hexport.hexgrid.face_slices`: shifted
-    slices of arrays padded by one cell on every side, so no index table is
-    kept.  ``has`` is the face-major ``(6, cells)`` mask of neighbors that
-    exist and are valid, for a valid cell.  A (face, cell) entry without a
+    Every cell-sized array lives in the flat parity-split ``layout``
+    (:class:`~hexport.hexgrid.ParityLayout`): its faces' slice pairs reach
+    each neighbor as one contiguous 1-D slice, so no index table is kept.
+    ``valid`` is the raveled row-major hole mask the topology was built
+    from, and ``live`` the same mask in the layout, False on pads.
+    ``has`` is the face-major ``(6, slots)`` mask of neighbors that exist
+    and are valid, for a valid cell.  A (face, cell) entry without a
     neighbor gets the relative potential +0.0, which is what the cell minus
     itself would give, so it is never a lower neighbor.  Interior cells,
     those with all six neighbors, share one plane-fit weight per face; the
-    rest (``rim``) keep their own least-squares weights.  ``edges[f]``
-    lists the valid cells whose face f leaves the grid; no face-major edge
-    mask is kept.  ``shed`` indexes the padded pair-volume table at the
-    open-boundary faces in cell-major order, and ``shed_sign`` is +1 for
-    faces 0..2 and -1 for faces 3..5, so ``max(sign * V, 0)`` is what the
-    face sends; that order fixes the rounding of the outflow ledger's sum,
-    on which the pinned outputs depend.
+    rest (``rim``, layout slots) keep their own least-squares weights.
+    ``edges[f]`` lists the slots of the valid cells whose face f leaves the
+    grid; no face-major edge mask is kept.  ``shed`` indexes the pair-volume
+    table at the open-boundary faces in row-major cell order, faces
+    ascending, and ``shed_sign`` is +1 for faces 0..2 and -1 for faces
+    3..5, so ``max(sign * V, 0)`` is what the face sends; that order fixes
+    the rounding of the outflow ledger's sum, on which the pinned outputs
+    depend.
 
-    The workspace holds every cell-sized array of a step:
+    The workspace holds every cell-sized array of a step, each over all
+    slots of the layout:
 
-    - the potential, padded like the slices want it; its border only feeds
-      entries without a neighbor;
-    - ``lower``, the face-major ``(6, cells)`` bool mask of neighbors whose
+    - the potential, whose pad slots stay zero and only feed entries
+      without a neighbor; once a step has fitted its planes, the depths;
+    - ``lower``, the face-major ``(6, slots)`` bool mask of neighbors whose
       potential is below the cell's, which the plane fit leaves;
-    - the padded ``(3, nrows + 2, ncols + 2)`` pair-volume table, whose
-      border stays zero: ``V_f > 0`` is what a cell sends through face f,
-      ``V_f < 0`` what it sends through face f + 3;
+    - the ``(3, slots)`` pair-volume table, zero on pads and holes:
+      ``V_f > 0`` is what a cell sends through face f, ``V_f < 0`` what it
+      sends through face f + 3;
     - the rim cells' ``(6, rim)`` relative potentials;
-    - six float and two bool arrays of one value a cell, which a step
+    - six float and two bool arrays of one value a slot, which a step
       reuses under several names.
 
     Steps and fits overwrite it, so a topology serves one caller at a time;
@@ -142,45 +154,42 @@ class _Topology:
 
     def __init__(self, grid: HexGrid, valid: np.ndarray):
         self.grid = grid
-        rows, cols = self.shape = (grid.nrows, grid.ncols)
-        c = rows * cols
+        self.shape = (grid.nrows, grid.ncols)
         self.valid = valid.ravel()
-        self.slices = face_slices(rows, cols)
-        valid = self.valid.reshape(self.shape)
-        self.has = np.empty((6, c), dtype=bool)
-        on_grid, padded = np.zeros((2, rows + 2, cols + 2), dtype=bool)
-        on_grid[1:-1, 1:-1] = True
-        padded[1:-1, 1:-1] = valid
-        edge = np.empty(self.shape, dtype=bool)
+        layout = self.layout = ParityLayout(*self.shape)
+        n = layout.size
+        live = self.live = np.zeros(n, dtype=bool)
+        for parity, rows in enumerate(layout.rows(live)):
+            rows[...] = valid[parity::2]
+        on_grid = np.zeros(n, dtype=bool)
+        for rows in layout.rows(on_grid):
+            rows.fill(True)
+        self.has = np.zeros((6, n), dtype=bool)
+        edge = np.zeros(n, dtype=bool)
         self.edges = []
-        for f, pairs in enumerate(self.slices):
+        for f, pairs in enumerate(layout.faces):
             for cells, nb in pairs:
-                np.less(on_grid[nb], valid[cells], out=edge[cells])
-                np.logical_and(padded[nb], valid[cells], out=self._face(self.has, f)[cells])
+                np.less(on_grid[nb], live[cells], out=edge[cells])
+                np.logical_and(live[nb], live[cells], out=self.has[f, cells])
             self.edges.append(np.flatnonzero(edge))
-        cell = np.concatenate(self.edges)
+        slot = np.concatenate(self.edges)
         face = np.repeat(np.arange(6), [e.size for e in self.edges])
-        order = np.lexsort((face, cell))  # cell-major, faces ascending
-        cell, face = cell[order], face[order]
-        row, col = np.divmod(cell, cols)
-        self.shed = np.ravel_multi_index((face % 3, row + 1, col + 1), (3, *on_grid.shape))
+        order = np.lexsort((face, layout.cell_index(slot)))  # cell-major, faces ascending
+        slot, face = slot[order], face[order]
+        self.shed = face % 3 * n + slot
         self.shed_sign = np.where(face < 3, 1.0, -1.0)
         self._build_weights(grid)
-        self.lower = np.empty((6, c), dtype=bool)
-        self._psi = np.zeros(on_grid.shape)
-        self._volume = np.zeros((3, *on_grid.shape))
+        self.lower = np.empty((6, n), dtype=bool)
+        self._psi = np.zeros(n)
+        self._volume = np.zeros((3, n))
         self._rim_rel = np.empty((6, self.rim.size))
         # Even- and odd-face sums of the x and y gradients, then whatever a
         # step needs: _rate and _term hold one face's values at a time.
-        self._cells = np.empty((4, c))
-        self._rate = np.empty(c)
-        self._term = np.empty(c)
-        self._send = np.empty(c, dtype=bool)
-        self._take = np.empty(c, dtype=bool)
-
-    def _face(self, table, f):
-        """Face ``f``'s row of a face-major table, as an ``(nrows, ncols)`` view."""
-        return table[f].reshape(self.shape)
+        self._cells = np.empty((4, n))
+        self._rate = np.empty(n)
+        self._term = np.empty(n)
+        self._send = np.empty(n, dtype=bool)
+        self._take = np.empty(n, dtype=bool)
 
     @property
     def neigh(self) -> np.ndarray:
@@ -190,23 +199,7 @@ class _Topology:
         """
         cells = np.arange(self.valid.size)
         table = neighbor_table(self.grid, cells % self.grid.ncols, cells // self.grid.ncols)
-        return np.where(self.has, table, -1).T
-
-    @property
-    def wa(self) -> np.ndarray:
-        """Face-major ``(6, cells)`` x-gradient weights, built on each access."""
-        return self._dense(0)
-
-    @property
-    def wb(self) -> np.ndarray:
-        """Face-major ``(6, cells)`` y-gradient weights, built on each access."""
-        return self._dense(1)
-
-    def _dense(self, i):
-        w = np.zeros(self.has.shape)
-        w[:, self.valid] = self.weights[i][:, None]
-        w[:, self.rim] = self.rim_weights[i]
-        return w
+        return np.where(self.layout.cells(self.has).reshape(6, -1), table, -1).T
 
     def _build_weights(self, grid: HexGrid):
         """Gradient weights over the neighbor potentials, faces 1..6.
@@ -220,7 +213,7 @@ class _Topology:
         r = grid.r
         self.weights = (np.array([2.0, 1.0, -1.0, -2.0, -1.0, 1.0]) / (6.0 * SQRT3 * r),
                         np.array([0.0, 1.0, 1.0, 0.0, -1.0, -1.0]) / (6.0 * r))
-        self.rim = np.nonzero(self.valid & ~self.has.all(axis=0))[0]
+        self.rim = np.flatnonzero(self.live & ~self.has.all(axis=0))
         pattern = (1 << np.arange(6)) @ self.has[:, self.rim]
         by_pattern = np.zeros((2, 6, 64))
         big_r = r * SQRT3
@@ -241,10 +234,21 @@ class _Topology:
         Works with potentials relative to each cell: the gradient of the
         fitted plane is shift-invariant, and a constant field then gives
         exactly zero.  Invalid cells and missing neighbors contribute nothing.
-        Returns fresh arrays, and leaves ``lower`` until the next call.
+        Returns fresh raveled arrays in row-major cell order, and leaves
+        ``lower`` until the next call.
         """
-        self._psi[1:-1, 1:-1] = psi.reshape(self.shape)
-        return tuple(g.copy() for g in self._fit())
+        self._put(psi.reshape(self.shape))
+        return tuple(self.layout.cells(g).ravel() for g in self._fit())
+
+    def _put(self, a, b=None) -> np.ndarray:
+        """``_psi`` holding ``a + b``, or ``a`` alone, of ``(nrows, ncols)``
+        arrays in its cell slots; its pad slots are never written."""
+        for parity, rows in enumerate(self.layout.rows(self._psi)):
+            if b is None:
+                np.copyto(rows, a[parity::2])
+            else:
+                np.add(a[parity::2], b[parity::2], out=rows)
+        return self._psi
 
     def _fit(self) -> tuple:
         """:meth:`gradient` of the potential in ``_psi``, into the workspace.
@@ -254,15 +258,14 @@ class _Topology:
         odd-face partial sums of both gradients (:func:`_face_sum`'s order).
         """
         rel, term, absent = self._rate, self._term, self._send
-        inner = self._psi[1:-1, 1:-1]
+        psi = self._psi
         sums = self._cells  # even x, odd x, even y, odd y
         # What a hole holds is never kept: every entry that reads one is
         # missing.  So its value may be anything, and inf - inf must not warn.
         with np.errstate(invalid="ignore"):
-            for f, pairs in enumerate(self.slices):
-                face = rel.reshape(self.shape)
+            for f, pairs in enumerate(self.layout.faces):
                 for cells, nb in pairs:
-                    np.subtract(self._psi[nb], inner[cells], out=face[cells])
+                    np.subtract(psi[nb], psi[cells], out=rel[cells])
                 np.copyto(rel, 0.0, where=np.logical_not(self.has[f], out=absent))
                 np.less(rel, 0.0, out=self.lower[f])
                 np.take(rel, self.rim, out=self._rim_rel[f], mode="clip")
@@ -287,10 +290,13 @@ class _Topology:
         return g2, np.sqrt(s, out=s)
 
     def _finite(self, values) -> bool:
-        """Whether ``values``, of the grid's shape, is finite on every valid cell."""
-        ok = self._send.reshape(self.shape)
-        ok.fill(True)
-        np.isfinite(values, out=ok, where=self.valid.reshape(self.shape))
+        """Whether ``values``, in the layout, is finite on every valid cell.
+
+        Checks every slot and forgives the rest after: a masked ufunc costs
+        several times an unmasked one.
+        """
+        ok = np.isfinite(values, out=self._send)
+        ok |= np.logical_not(self.live, out=self._take)
         return bool(ok.all())
 
 
@@ -349,18 +355,16 @@ def step(state: FlowState) -> FlowState:
     """
     topo = state.topology()
     grid = state.grid
-    h = state.h.ravel()
-    psi = topo._psi[1:-1, 1:-1]
-    if not topo._finite(np.add(state.z, state.h, out=psi)):
+    if not topo._finite(topo._put(state.z, state.h)):
         raise NonFiniteStateError(
             f"non-finite water potential entering step {state.step_count + 1}"
         )
     # Workspace buffers take a new name when they are reused: a, tau_x,
     # out; g2, norm, v, inflow; b, tau_y, avail; s, depth_side; inv, rate;
-    # term, sent, part.
+    # term, sent, part; the potential, h.
     a, b = topo._fit()
-    rate, term, send, take = topo._rate, topo._term, topo._send, topo._take
-    shape = topo.shape
+    h = topo._put(state.h)
+    rate, term, send, take, live = topo._rate, topo._term, topo._send, topo._take, topo.live
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         g2, s = topo._slope(a, b)
         norm = np.sqrt(g2, out=g2)
@@ -370,7 +374,7 @@ def step(state: FlowState) -> FlowState:
         np.divide(1.0, norm, out=inv, where=pos)
         moving = np.greater(h, 0.0, out=take)
         moving &= pos
-        moving &= topo.valid
+        moving &= live
         tau_x = np.negative(a, out=a)
         tau_x *= inv
         tau_y = np.negative(b, out=b)
@@ -385,12 +389,12 @@ def step(state: FlowState) -> FlowState:
         # where V_f > 0, face f + 3 sends -V_f where V_f < 0, each to a
         # lower neighbor or, with an open boundary, off the grid.  A pair
         # that sends nothing keeps sent * 0, a zero of either sign.  Zero on
-        # holes, so that neighbors reading a hole's volumes read 0.
+        # pads and holes, so that neighbors reading them read 0.
         depth_side = s
         depth_side.fill(0.0)
-        np.copyto(depth_side, h, where=topo.valid)
+        np.copyto(depth_side, h, where=live)
         depth_side *= state.dt * grid.side
-        volume = topo._volume[:, 1:-1, 1:-1]
+        volume = topo._volume
         for f, (nx, ny) in enumerate(FACE_NORMALS[:3]):
             np.multiply(tau_x, nx, out=rate)
             rate += np.multiply(tau_y, ny, out=term)
@@ -403,32 +407,29 @@ def step(state: FlowState) -> FlowState:
             if state.boundary == "open":
                 for edge, sends in ((topo.edges[f], np.greater), (topo.edges[f + 3], np.less)):
                     pair[edge] |= sends(rate[edge], 0.0)
-            sent = np.multiply(rate, depth_side, out=term).reshape(shape)
-            np.multiply(sent, pair.reshape(shape), out=volume[f])
-        out = tau_x
-        _sent(volume, out.reshape(shape), term.reshape(shape))
+            sent = np.multiply(rate, depth_side, out=term)
+            np.multiply(sent, pair, out=volume[f])
+        out = _sent(volume, tau_x, term)
         avail = np.multiply(h, grid.cell_area, out=tau_y)
         # A hole never sends, whatever depth it holds.
         over = np.greater(out, avail, out=send)
-        over &= topo.valid
+        over &= live
         capped = int(np.count_nonzero(over))
         if capped:
             # A capped donor is valid, so out > avail >= 0: it sends avail /
             # out of each of its volumes, and its out is summed again.
             donors = np.flatnonzero(over)
             scale = avail[donors] / out[donors]
-            at = donors + 2 * (donors // grid.ncols) + grid.ncols + 3  # in the padded table
-            table = topo._volume.reshape(3, -1)
-            scaled = table[:, at] * scale
-            table[:, at] = scaled
+            scaled = volume[:, donors] * scale
+            volume[:, donors] = scaled
             out[donors] = _sent(scaled, np.empty(capped), np.empty(capped))
     # What each neighbor sends through the face that looks back at the cell,
     # in face order: faces 0..2 read the negative part of the neighbor's
-    # pair, faces 3..5 the positive part.  A missing neighbor reads 0: the
-    # table's border, or a hole's volumes.
-    inflow, part = v.reshape(shape), term.reshape(shape)
-    for f, pairs in enumerate(topo.slices):
-        back = topo._volume[f % 3]
+    # pair, faces 3..5 the positive part.  A missing neighbor reads 0: a
+    # pad's volumes, or a hole's.  Slots outside every slice keep v's 0.
+    inflow, part = v, term
+    for f, pairs in enumerate(topo.layout.faces):
+        back = volume[f % 3]
         for cells, nb in pairs:
             if f == 0:
                 np.negative(np.minimum(back[nb], 0.0, out=inflow[cells]), out=inflow[cells])
@@ -438,21 +439,21 @@ def step(state: FlowState) -> FlowState:
                 inflow[cells] += np.maximum(back[nb], 0.0, out=part[cells])
     shed = 0.0
     if state.boundary == "open":
-        edge = topo._volume.take(topo.shed)
+        edge = volume.take(topo.shed)
         edge *= topo.shed_sign
         shed = float(np.maximum(edge, 0.0, out=edge).sum())
     # Sums of zeros alone may differ in sign from a six-face table's; the
     # depth update below maps either zero to +0.0, since h >= +0.
-    inflow -= out.reshape(shape)
+    inflow -= out
     inflow /= grid.cell_area
-    h_new = np.maximum(np.add(state.h, inflow, out=inflow), 0.0)
+    h_new = np.maximum(np.add(h, inflow, out=inflow), 0.0, out=inflow)
     if not topo._finite(h_new):
         raise NonFiniteStateError(
             f"non-finite water depth after step {state.step_count + 1}"
         )
     # The terrain is the state's own, so the successor skips its checks.
     new = copy.copy(state)
-    new.h = h_new
+    new.h = topo.layout.cells(h_new)
     new.outflow_volume = state.outflow_volume + shed
     new.capping_events = state.capping_events + capped
     new.step_count = state.step_count + 1
@@ -526,9 +527,9 @@ def courant_dt(state: FlowState) -> float:
     of ``state``.  Builds the state's topology, which its steps then reuse.
     """
     topo = state.topology()
-    np.add(state.z, state.h, out=topo._psi[1:-1, 1:-1])
+    topo._put(state.z, state.h)
     _, s = topo._slope(*topo._fit())
-    s_max = float(s.max()) if s.size else 0.0
+    s_max = float(s.max())  # pad slots hold 0
     h_max = float(np.max(state.h, where=topo.valid.reshape(topo.shape), initial=0.0))
     v_max = h_max ** (2.0 / 3.0) * math.sqrt(s_max) / state.manning_n
     if v_max <= 0.0:

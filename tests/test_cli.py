@@ -449,6 +449,23 @@ class TestExitCodes:
             in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_start_volume_is_data_error(self, small_dem, tmp_path, capsys):
+        """Depths that are finite but sum past the float range are refused
+        before the first step, with one error line and no numpy warning."""
+        hexf = tmp_path / "dem.hex"
+        assert run_cli("port", "--in", small_dem, "--out", hexf, "--cells-across", 8) == 0
+        out = tmp_path / "out"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("flow", "--hex", hexf, "--h0", "1e308", "--steps", 2,
+                           "--out-depth", out) == 1
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: total water volume is not finite\n"
+        assert not out.exists()
+
     def test_flag_error_is_2(self):
         assert run_cli("port", "--bogus") == 2
         assert run_cli("nosuchcommand") == 2

@@ -8,8 +8,8 @@ from hexport.hexgrid import (
     FACE_NORMALS,
     SQRT3,
     HexGrid,
+    ParityLayout,
     cover_domain,
-    face_slices,
     hex_vertices,
     locate_many,
     neighbor_table,
@@ -219,21 +219,29 @@ class TestNeighborTable:
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1), (2, 3), (7, 6), (8, 9)])
     def test_face_slices_read_the_table(self, shape):
-        """Slicing a padded array of cell indices reads, for every cell and
-        face, the neighbor that the point query gives; -1 off-grid."""
+        """Reading a flat layout of cell indices through each face's slices
+        gives, for every cell and face, the neighbor that the point query
+        gives; neighbors off the grid read the pads' -1."""
         nrows, ncols = shape
         g = HexGrid(ncols=ncols, nrows=nrows, r=1.0, x0=0.0, y0=0.0)
         cells = np.arange(ncols * nrows)
         table = neighbor_table(g, cells % ncols, cells // ncols).reshape(6, nrows, ncols)
-        padded = np.full((nrows + 2, ncols + 2), -1)
-        padded[1:-1, 1:-1] = cells.reshape(nrows, ncols)
-        slices = face_slices(nrows, ncols)
-        assert len(slices) == 6
-        for f, pairs in enumerate(slices):
-            read = np.full((nrows, ncols), -2)
+        layout = ParityLayout(nrows, ncols)
+        flat = np.full(layout.size, -1)
+        for parity, rows in enumerate(layout.rows(flat)):
+            rows[...] = cells.reshape(nrows, ncols)[parity::2]
+        assert np.array_equal(layout.cells(flat), cells.reshape(nrows, ncols))
+        assert np.array_equal(layout.cell_index(np.flatnonzero(flat >= 0)), flat[flat >= 0])
+        assert len(layout.faces) == 6
+        for f, pairs in enumerate(layout.faces):
+            read = np.full(layout.size, -2)
             for cells_at, neighbors in pairs:
-                read[cells_at] = padded[neighbors]
-            assert np.array_equal(read, table[f])
+                # One contiguous stretch each: no strided path.
+                for part in (cells_at, neighbors):
+                    assert type(part) is slice and part.step is None
+                    assert 0 <= part.start <= part.stop <= layout.size
+                read[cells_at] = flat[neighbors]
+            assert np.array_equal(layout.cells(read), table[f])
 
 
 def test_hex_vertices_pointy_top():

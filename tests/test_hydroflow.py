@@ -409,12 +409,20 @@ class TestTopology:
         for name in ("gather", "inflow", "wa", "wb", "_gathered"):
             assert name not in tables, name
         six = {k for k, v in tables.items() if v.shape[:1] == (6,) and v.size >= 6 * cells}
-        # The face-major tables left are two masks; the padded volumes keep
-        # one signed entry per face pair.  None holds an index.
+        # The face-major tables left are two masks; the pair volumes keep
+        # one signed entry per face pair and layout slot.  None holds an index.
         assert six == {"has", "lower"}
         assert tables["has"].dtype == tables["lower"].dtype == bool
-        assert tables["_volume"].shape == (3, 11, 13)
-        assert topo.wa.shape == topo.wb.shape == (6, cells)
+        assert tables["_volume"].shape == (3, topo.layout.size)
+        # Interior weights and rim weights are the index-table router's
+        # dense face-major ones.
+        oracle = TableRouter(st.grid, st.valid_mask())
+        rim = topo.layout.cell_index(topo.rim)
+        for w, rim_w, dense in zip(topo.weights, topo.rim_weights, (oracle.wa, oracle.wb)):
+            table = np.zeros((6, cells))
+            table[:, topo.valid] = w[:, None]
+            table[:, rim] = rim_w
+            assert bits(table) == bits(dense)
 
     def test_neigh_is_cell_major_without_holes(self):
         st = holed(9, 11, 6)
@@ -437,8 +445,10 @@ class TestTopology:
         """The written-out face sum equals numpy's einsum over cell-major rows,
         signed zeros included."""
         rng = np.random.default_rng(10)
-        topo = holed(23, 19, 10).topology()
+        state = holed(23, 19, 10)
+        topo = state.topology()
         valid, neigh = topo.valid, topo.neigh
+        oracle = TableRouter(state.grid, state.valid_mask())
         c = valid.size
         for psi in (
             rng.uniform(-5.0, 5.0, c),
@@ -451,7 +461,7 @@ class TestTopology:
             # einsum's order depends on the layout: contiguous rows, as the
             # cell-major tables were, add faces (0, 2, 4) and (1, 3, 5).
             rel = np.ascontiguousarray(rel)
-            for got, w in zip(gradient, (topo.wa, topo.wb)):
+            for got, w in zip(gradient, (oracle.wa, oracle.wb)):
                 expected = np.einsum("ij,ij->i", np.ascontiguousarray(w.T), rel)
                 assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
@@ -592,10 +602,11 @@ class TestTopologyMemory:
         return kept / st.h.size, (peak - kept) / st.h.size
 
     def test_bytes_kept_per_cell(self):
-        # masks 12, padded pair volumes 25 and potential 8, cell buffers 50,
-        # rim weights, relative potentials and indices 42 (27% of the cells
-        # are rim cells here), edge lists 1: about 138 bytes a cell, where
-        # the index-table topology kept 385.
+        # masks 13, pair volumes 25 and potential 8, slot buffers 51 (the
+        # layout's pad slots add 2% to each), rim weights, relative
+        # potentials and indices 42 (27% of the cells are rim cells here),
+        # edge lists 1: about 141 bytes a cell, where the index-table
+        # topology kept 385.
         kept, _ = self.build(holed(160, 120, 11))
         assert kept < 150
 
@@ -695,8 +706,9 @@ def bits(a):
 
 
 class TestSliceStencils:
-    """Neighbors as shifted slices of padded grids change no bit of the
-    index-table router's gradients, depths, ledger or capping count."""
+    """Neighbors as shifted 1-D slices of the parity-split layout change no
+    bit of the index-table router's gradients, depths, ledger or capping
+    count."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -733,7 +745,8 @@ class TestSliceStencils:
         for psi in (state.z.ravel() + state.h.ravel(), rng.integers(-2, 3, z.size) * 0.5):
             for got, want in zip(topo.gradient(psi), oracle.gradient(psi)):
                 assert bits(got) == bits(want)
-            assert np.array_equal(topo.lower, oracle.rel < 0.0)
+            lower = topo.layout.cells(topo.lower).reshape(6, -1)
+            assert np.array_equal(lower, oracle.rel < 0.0)
         outflow, capped = 0.0, 0
         for _ in range(3):
             want_h, shed, count = oracle.step(state)
@@ -764,3 +777,25 @@ class TestSliceStencils:
             assert state.capping_events == capped
         # Valid cells do cap at this dt; the holes add none of their own.
         assert capped == plain.capping_events > 0
+
+    @pytest.mark.parametrize("boundary", ["open", "closed"])
+    def test_large_holed_grid_matches_the_index_table_router(self, boundary):
+        """Beyond the 9 x 9 grids above: 61 rows and 37 columns, both odd,
+        with holes, over 20 steps at a time step that caps donors."""
+        state = holed(61, 37, 16, boundary=boundary, dt=2.0)
+        oracle = TableRouter(state.grid, state.valid_mask())
+        topo = state.topology()
+        psi = (state.z + state.h).ravel()
+        for got, want in zip(topo.gradient(psi), oracle.gradient(psi)):
+            assert bits(got) == bits(want)
+        assert np.array_equal(topo.layout.cells(topo.lower).reshape(6, -1), oracle.rel < 0.0)
+        outflow, capped = 0.0, 0
+        for _ in range(20):
+            want_h, shed, count = oracle.step(state)
+            state = step(state)
+            outflow, capped = outflow + shed, capped + count
+            assert bits(state.h) == bits(want_h)
+            assert bits(state.outflow_volume) == bits(outflow)
+            assert state.capping_events == capped
+        assert capped > 0
+        assert (outflow > 0.0) == (boundary == "open")

@@ -123,7 +123,7 @@ class RectRaster(_Raster):
     def x_centers(self) -> np.ndarray:
         return self.xll + (np.arange(self.ncols) + 0.5) * self.cellsize
 
-    def y_center(self, row: int) -> float:
+    def y_center(self, row):
         return self.yll + (self.nrows - row - 0.5) * self.cellsize
 
 

@@ -525,13 +525,17 @@ def courant_dt(state: FlowState) -> float:
 
     Bounds the Manning velocity by the steepest slope and the deepest water
     of ``state``.  Builds the state's topology, which its steps then reuse.
+    Raises :class:`NonFiniteStateError` when that bound is not finite.
     """
     topo = state.topology()
     topo._put(state.z, state.h)
-    _, s = topo._slope(*topo._fit())
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, s = topo._slope(*topo._fit())
     s_max = float(s.max())  # pad slots hold 0
     h_max = float(np.max(state.h, where=topo.valid.reshape(topo.shape), initial=0.0))
     v_max = h_max ** (2.0 / 3.0) * math.sqrt(s_max) / state.manning_n
+    if not math.isfinite(v_max):  # so too when the steepest slope is not finite
+        raise NonFiniteStateError(f"velocity bound is not finite (steepest slope {s_max})")
     if v_max <= 0.0:
         return 1.0
     return COURANT * state.grid.cell_area / (state.grid.side * v_max)

@@ -66,6 +66,13 @@ class Knots1D:
         if not np.all(np.diff(xs) > 0.0):
             raise ValueError("knot abscissas must be strictly increasing")
 
+    @classmethod
+    def _trusted(cls, xs, fs):
+        """Knots of float64 arrays already checked as ``__post_init__`` would."""
+        knots = object.__new__(cls)
+        knots.__dict__.update(xs=xs, fs=fs)
+        return knots
+
     def __len__(self):
         return self.xs.size
 

@@ -5,7 +5,9 @@ The 2D operator is a cross combination of the 1D machinery: for a query
 each knot row in that interval's six-row neighborhood at x, and then runs
 the 1D extension once more across those per-row values in y.  Rows may have
 different knot sets and counts; a row whose knot range does not reach x
-extrapolates with its own outermost cubic.
+extrapolates with its own outermost cubic.  A raster becomes a row-like grid
+in one pass: its kept knots go into two flat arrays, checked once, and each
+row's knots are views of them.
 
 Evaluation is batched along horizontal lines: hexagon-row centers and
 quadrature sample rows share a y, so the per-row 1D evaluations and the
@@ -93,29 +95,33 @@ def build_row_like_grid(raster: RectRaster) -> RowLikeGrid:
     a row left with a single knot is dropped with a warning since its datum
     cannot be used.  Fewer than two usable rows raises
     :class:`TooSparseError`.
+
+    One check of the flat knot arrays raises what :class:`Knots1D` would for
+    the lowest faulty row, so each row's views of them are not checked again.
     """
-    xs_all = raster.x_centers()
-    ys = []
-    rows = []
-    dropped = 0
-    for row in range(raster.nrows - 1, -1, -1):
-        mask = raster.values[row] != raster.nodata
-        count = int(mask.sum())
-        if count < 2:
-            if count == 1:
-                dropped += 1
-            continue
-        ys.append(raster.y_center(row))
-        rows.append(Knots1D(xs=xs_all[mask], fs=raster.values[row][mask]))
+    keep = raster.values[::-1] != raster.nodata
+    counts = keep.sum(axis=1)
+    used = counts >= 2
+    keep &= used[:, None]
+    xs = np.broadcast_to(raster.x_centers(), keep.shape)[keep]
+    fs = raster.values[::-1][keep]
+    ends = np.cumsum(counts[used])
+    starts = ends - counts[used]
+    rising = np.append(xs[1:] > xs[:-1], True)
+    rising[ends - 1] = True  # a row's last knot has no successor in its row
+    ok = np.logical_and.reduceat(rising & np.isfinite(xs) & np.isfinite(fs), starts)
+    if not ok.all():  # the public constructor raises its own error for this row
+        j = np.argmin(ok)
+        Knots1D(xs[starts[j] : ends[j]], fs[starts[j] : ends[j]])
+    dropped = int((counts == 1).sum())
     if dropped:
-        warnings.warn(
-            f"dropped {dropped} raster rows with a single usable cell",
-            SparseDataWarning,
-            stacklevel=2,
-        )
-    if len(rows) < 2:
+        warnings.warn(f"dropped {dropped} raster rows with a single usable cell",
+                      SparseDataWarning, stacklevel=2)
+    if ends.size < 2:
         raise TooSparseError("fewer than 2 usable rows after NODATA removal")
-    return RowLikeGrid(ys=np.array(ys), rows=tuple(rows), dropped_rows=dropped)
+    rows = [Knots1D._trusted(xs[a:b], fs[a:b]) for a, b in zip(starts.tolist(), ends.tolist())]
+    ys = raster.y_center(np.arange(raster.nrows - 1, -1, -1)[used])
+    return RowLikeGrid(ys=ys, rows=rows, dropped_rows=dropped)
 
 
 def _heights(y):

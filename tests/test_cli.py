@@ -466,6 +466,24 @@ class TestExitCodes:
         assert captured.err == "error: total water volume is not finite\n"
         assert not out.exists()
 
+    def test_relief_near_the_float_range_is_data_error(self, tmp_path, capsys):
+        """Without --dt, terrain whose squared slopes overflow gets no time
+        step: one error line, no numpy warning and no output."""
+        z = np.random.default_rng(0).uniform(0.0, 1e200, (5, 6))
+        hexf = tmp_path / "tall.hex"
+        hexf.write_text(write_hex_raster(HexRaster(values=z, x0=0.0, y0=0.0, r=1.0)))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("flow", "--hex", hexf, "--h0", 0.1, "--steps", 2,
+                           "--out-depth", out) == 1
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: velocity bound")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_flag_error_is_2(self):
         assert run_cli("port", "--bogus") == 2
         assert run_cli("nosuchcommand") == 2

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from collections import deque
 from dataclasses import replace
 
@@ -242,6 +243,17 @@ class TestCourantDt:
 
     def test_flat_dry_terrain(self):
         assert courant_dt(make_state(np.zeros((4, 4)))) == 1.0
+
+    @pytest.mark.parametrize("depth", [0.1, 0.0])
+    def test_relief_near_the_float_range_is_refused(self, depth):
+        """Finite terrain whose squared slopes overflow has no finite
+        velocity bound: a data error, with no numpy warning."""
+        z = np.random.default_rng(0).uniform(0.0, 1e200, (5, 6))
+        state = make_state(z, h=np.full(z.shape, depth))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteStateError, match="velocity bound .* not finite"):
+                courant_dt(state)
 
 
 class TestStep:

@@ -1,8 +1,8 @@
-"""Source hygiene: every top-level import in a hexport module is used, every
-module-level private name is read somewhere in the package, every public
-module function and class member is read somewhere in the package, its tests
-or its benchmark, and so is every private method and ``self._name``
-attribute of a package class."""
+"""Source hygiene: every import in a hexport module, at any depth, is used,
+every module-level private name is read somewhere in the package, every
+public module function and class member is read somewhere in the package,
+its tests or its benchmark, and so is every private method and
+``self._name`` attribute of a package class."""
 
 import ast
 from pathlib import Path
@@ -12,29 +12,44 @@ import pytest
 import hexport
 
 PACKAGE = sorted(Path(hexport.__file__).parent.glob("*.py"))
-MODULES = [path for path in PACKAGE if path.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list:
-    """Names bound by top-level imports that the module never reads."""
+    """Names bound by imports anywhere in the module that it never reads.
+
+    A name the module lists in ``__all__`` counts as read: that is how a
+    package re-exports what it imports.  A name is read anywhere in the
+    module, so an import inside a function is taken as used when another
+    scope reads the same name.
+    """
     tree = ast.parse(source)
     bound = set()
-    for node in tree.body:
+    used = set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(n.value for n in ast.walk(node.value) if isinstance(n, ast.Constant))
     return sorted(name for name in bound if name not in used)
 
 
 def test_scanner_flags_an_unused_import():
-    source = "import os\nimport sys as system\nfrom math import pi, tau\nprint(system, tau)\n"
-    assert unused_imports(source) == ["os", "pi"]
+    source = (
+        "import os\nimport sys as system\nfrom math import pi, tau\nprint(system, tau)\n"
+        "from .errors import Kept, Gone\n__all__ = ['Kept']\n"
+        "def f():\n    import json\n    from re import match, sub\n    return sub\n"
+    )
+    assert unused_imports(source) == ["Gone", "json", "match", "os", "pi"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
-def test_no_unused_top_level_imports(path):
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 

@@ -122,6 +122,98 @@ class TestBuildRowLikeGrid:
             build_row_like_grid(RectRaster(values=vals, xll=0, yll=0, cellsize=1.0))
 
 
+def per_row_grid(raster):
+    """The per-row loop that build_row_like_grid's one pass replaced, kept
+    as its oracle: one mask, one height and one checked Knots1D per row."""
+    xs_all = raster.x_centers()
+    ys, rows, dropped = [], [], 0
+    for row in range(raster.nrows - 1, -1, -1):
+        mask = raster.values[row] != raster.nodata
+        count = int(mask.sum())
+        if count < 2:
+            dropped += count == 1
+            continue
+        ys.append(raster.y_center(row))
+        rows.append(Knots1D(xs=xs_all[mask], fs=raster.values[row][mask]))
+    if dropped:
+        warnings.warn(f"dropped {dropped} raster rows with a single usable cell",
+                      SparseDataWarning)
+    if len(rows) < 2:
+        raise TooSparseError("fewer than 2 usable rows after NODATA removal")
+    return RowLikeGrid(ys=np.array(ys), rows=tuple(rows), dropped_rows=dropped)
+
+
+def outcome(build, raster):
+    """What a build gives: its grid or its error, and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = build(raster)
+        except Exception as exc:  # the oracle's error is part of the contract
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestOnePassBuild:
+    """build_row_like_grid equals the per-row loop it replaced, bit for bit,
+    down to which error and which warnings it raises."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nrows=st.integers(1, 9),
+        ncols=st.integers(1, 9),
+        holes=st.sampled_from([0.0, 0.3, 0.6, 0.85]),
+        # Mostly rasters that build; the rest fail each check in turn.
+        geometry=st.sampled_from(["plain"] * 3 + ["x collides", "y collides", "x overflows"]),
+        poison=st.sampled_from([None] * 3 + [np.nan, np.inf]),
+    )
+    def test_matches_the_per_row_loop(self, seed, nrows, ncols, holes, geometry, poison):
+        rng = np.random.default_rng(seed)
+        vals = rng.uniform(-3, 3, (nrows, ncols))
+        vals[rng.uniform(0, 1, vals.shape) < holes] = -9999.0
+        xll, yll = (float(v) for v in rng.uniform(-4, 4, 2))
+        cellsize = float(rng.uniform(0.3, 2.0))
+        if geometry == "x collides":
+            xll, cellsize = 1e17, 1.0
+        elif geometry == "y collides":
+            yll, cellsize = 1e17, 1.0
+        elif geometry == "x overflows":
+            xll, cellsize = 1.7e308, 3e307
+        r = RectRaster(values=vals, xll=xll, yll=yll, cellsize=cellsize)
+        if poison is not None:  # the raster checks its values only when made
+            r.values[rng.integers(nrows), rng.integers(ncols)] = poison
+        got, got_warned = outcome(build_row_like_grid, r)
+        want, want_warned = outcome(per_row_grid, r)
+        assert got_warned == want_warned
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert bits(got.ys) == bits(want.ys)
+        assert (got.dropped_rows, got.short_rows) == (want.dropped_rows, want.short_rows)
+        assert len(got.rows) == len(want.rows)
+        for a, b in zip(got.rows, want.rows):
+            assert isinstance(a, Knots1D)
+            assert (bits(a.xs), bits(a.fs)) == (bits(b.xs), bits(b.fs))
+
+    def test_colliding_centers_still_raise(self):
+        """At x = 1e17 a unit cell is below the float spacing, so a row's
+        centers collide and its abscissas are not strictly increasing."""
+        r = RectRaster(values=np.ones((3, 4)), xll=1e17, yll=0.0, cellsize=1.0)
+        with pytest.raises(ValueError, match="knot abscissas must be strictly increasing"):
+            build_row_like_grid(r)
+
+    def test_public_constructor_keeps_its_checks(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Knots1D(np.array([0.0, 1.0, 1.0]), np.zeros(3))
+        with pytest.raises(ValueError, match="finite"):
+            Knots1D(np.array([0.0, 1.0]), np.array([0.0, np.nan]))
+
+
 class TestExtension2D:
     def test_cubic_product_reproduction(self):
         r = raster_from_fn(lambda x, y: x**3 * y**3, (0.5, 0.5, 10.5, 10.5), 10, 10)

@@ -1,17 +1,20 @@
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexport.errors import ConstraintInfeasibleError, GeometryMismatchError
+from hexport import interp1d
+from hexport.errors import ConstraintInfeasibleError, GeometryMismatchError, SparseDataWarning
 from hexport.grid_io import RectRaster
-from hexport.interp2d import Extension2D, build_row_like_grid
+from hexport.interp2d import Extension2D, build_row_like_grid, make_extension
 from hexport.metrics import (
     DEGRADE_LEVELS,
     RungeField,
+    _sample_points,
     _thin_indices,
     degrade_raster,
     extension_l1_errors,
@@ -75,7 +78,51 @@ class TestL1Edges:
             l1_errors(r, far, quad=2)
 
 
+def per_row_sweep(raster, method, field, quad):
+    """extension_l1_errors as it swept before batching, one eval_line call
+    per raster row, kept as the oracle of the batched sweep."""
+    ext = make_extension(raster, method)
+    xs, ys = _sample_points(raster, quad)
+    sum_er = sum_ea = gamma = 0.0
+    for row in range(raster.nrows):
+        gr = np.repeat(raster.values[row], quad)
+        valid = gr != raster.nodata
+        if not valid.any():
+            continue
+        row_ys = ys[row * quad : (row + 1) * quad]
+        for y, gt in zip(row_ys, ext.eval_line(xs, row_ys)):
+            gamma += np.abs(gr[valid]).sum()
+            sum_er += np.abs(gt[valid] - gr[valid]).sum()
+            if field is not None:
+                sum_ea += np.abs(gt[valid] - field(xs[valid], float(y))).sum()
+    out = {"eps_er": float(sum_er / gamma)}
+    if field is not None:
+        out["eps_ea"] = float(sum_ea / gamma)
+    return out
+
+
 class TestExtensionErrors:
+    @pytest.mark.parametrize("block", [None, 300, 50], ids=["default", "300", "50"])
+    @pytest.mark.parametrize("quad", [1, 3])
+    @pytest.mark.parametrize("method", ["eno", "of", "id"])
+    def test_batched_sweep_matches_the_per_row_sweep(self, method, quad, block):
+        """Blocks of raster rows give the per-row sweep's sums bit for bit,
+        whether a block holds one row, several or all of them."""
+        rng = np.random.default_rng(5)
+        vals = rng.uniform(0.5, 3.0, (60, 12))
+        vals[rng.uniform(0, 1, vals.shape) < 0.3] = -9999.0
+        vals[[0, 3, 4, 37, 59]] = -9999.0  # all-NODATA rows, both ends included
+        vals[[8, 25], 1:] = -9999.0  # one cell left: dropped from the grid, still summed
+        r = RectRaster(values=vals, xll=-6.0, yll=-10.0, cellsize=0.5)
+        with warnings.catch_warnings(), \
+                mock.patch.object(interp1d, "_BLOCK", block or interp1d._BLOCK):
+            warnings.simplefilter("ignore", SparseDataWarning)
+            for field in (None, RungeField(1.0)):
+                got = extension_l1_errors(r, method, field=field, quad=quad)
+                want = per_row_sweep(r, method, field, quad)
+                assert {k: v.hex() for k, v in got.items()} == \
+                    {k: v.hex() for k, v in want.items()}
+
     def test_dense_raster_small_error(self):
         r = runge_raster((-14, -14, 14, 14), 100, 100, 10.0)
         out = extension_l1_errors(r, "eno", field=RungeField(10.0), quad=4)

@@ -27,7 +27,7 @@ the table, so a build holds the table plus O(``_BLOCK``) temporaries.
 Both rules reproduce polynomials up to degree three exactly.  Outside the
 knot range the cubic through the four outermost knots is extrapolated.
 Knot sets with fewer than four points degrade to the quadratic or linear
-interpolant through all of them.
+interpolant through all of them, stored as each of their pieces.
 """
 
 from __future__ import annotations
@@ -265,6 +265,11 @@ def select_stencils(wx, wf, valid, method: str):
     return chosen, np.array(c), x[:3]
 
 
+def _is_end(k, n):
+    """Pieces on end knots: below and above a row, and all of a 2-3 knot row's."""
+    return (k < 0) | (k >= n - 1) | (n < 4)
+
+
 def _pieces(xs, fs, start, n, k, method: str, window=None):
     """Cubic pieces ``k`` of rows ``xs[start : start + n]``: interval k's
     selected stencil, or the cubic on the row's first four knots (``k = -1``)
@@ -272,26 +277,23 @@ def _pieces(xs, fs, start, n, k, method: str, window=None):
     Horner nodes ``(3, *S)``.  Trailing axes of ``fs`` are columns that share
     the knots.  ``window`` is ``_windows`` of ``k``, if the caller has it.
 
-    Only interval pieces select a stencil.  A call that mixes them with end
-    cubics pays for a scatter of each kind, so the table and ``eval_line``
-    ask for one kind per call.
+    All pieces of a call are of one kind (:func:`_is_end`).  A row of 2-3
+    knots has its Newton form padded on repeats of its last knot, which each
+    piece's queries lie above (``k = n - 1``) or below: padded coefficients
+    of -0.0 above and +0.0 below make each padded Horner level add -0.0, so
+    every bit of the interpolant stays, signed zeros included.
     """
-    end = (k < 0) | (k == n - 1)
-    columns = tuple(range(2, fs.ndim + 1))
-    if end.all():
-        at = start + np.where(k < 0, 0, n - 4) + np.arange(4)[:, None]
-        x = np.expand_dims(xs[at], columns)
-        c = np.array(_newton_coeffs(list(x), list(fs[at])))
+    columns = (..., *[None] * (fs.ndim - 1))  # an index adding the column axes
+    if _is_end(k, n).all():
+        i = np.arange(4)[:, None]
+        at = start + np.minimum(np.where(k < 0, 0, np.maximum(n - 4, 0)) + i, n - 1)
+        x = xs[at][columns]
+        with np.errstate(divide="ignore", invalid="ignore"):  # padded orders repeat x[n-1]
+            c = np.array(_newton_coeffs(list(x), list(fs[at])))
+        c = np.where((i < n)[columns], c, np.where(k < n - 1, 0.0, -0.0)[columns])
         return c, np.broadcast_to(x[:3], (3, *c.shape[1:]))
-    if end.any():
-        start, n = np.broadcast_to(start, k.shape), np.broadcast_to(n, k.shape)
-        c, x = np.empty((4, k.size, *fs.shape[1:])), np.empty((3, k.size, *fs.shape[1:]))
-        for part in (end, ~end):
-            c[:, part], x[:, part] = _pieces(xs, fs, start[part], n[part], k[part], method)
-        return c, x
     wx, valid, at = window or _windows(xs, start, n, k)
-    wx, valid = (np.expand_dims(w, columns) for w in (wx, valid))
-    return select_stencils(wx, fs[at], valid, method)[1:]
+    return select_stencils(wx[columns], fs[at], valid[columns], method)[1:]
 
 
 def _select_one(knots: Knots1D, k: int, method: str) -> Stencil1D:
@@ -332,10 +334,10 @@ class KnotTable:
     on, n + 1 pieces: the cubic on its first four knots (below the row), each
     interval's stencil, the cubic on its last four knots (above the row), as
     Newton coefficients ``c`` ``(4, P)`` and Horner nodes ``x`` ``(3, P)``.
-    Rows of 2-3 knots keep their interpolant in ``degraded`` instead.
+    In a row of 2-3 knots all n + 1 pieces are its interpolant, padded.
 
     The build sweeps the pieces in blocks of ``_BLOCK``, one ``_pieces``
-    call per block, each block written into ``c`` and ``x`` in place.
+    call per kind of piece in a block, written into ``c`` and ``x`` in place.
     Beyond the table it holds O(``_BLOCK``) memory.
     """
 
@@ -348,22 +350,21 @@ class KnotTable:
         self.pieces = np.concatenate([[0], np.cumsum(n + 1)])
         self.xs = np.concatenate([row.xs for row in rows] or [[]])
         self.fs = np.concatenate([row.fs for row in rows] or [[]])
-        self.c, self.x = np.zeros((4, self.pieces[-1])), np.zeros((3, self.pieces[-1]))
+        self.c, self.x = np.empty((4, self.pieces[-1])), np.empty((3, self.pieces[-1]))
         for lo in range(0, self.pieces[-1], _BLOCK):
             p = np.arange(lo, min(lo + _BLOCK, self.pieces[-1]))
             r = self.pieces.searchsorted(p, "right") - 1
-            p, r = p[n[r] >= 4], r[n[r] >= 4]
-            end = (p == self.pieces[r]) | (p == self.pieces[r + 1] - 1)
-            for q, s in ((p[~end], r[~end]), (p[end], r[end])):  # one kind of piece per call
+            k = p - self.pieces[r] - 1
+            end = _is_end(k, n[r])
+            for part in (~end, end):  # one kind of piece per call
+                q, s = p[part], r[part]
                 self.c[:, q], self.x[:, q] = _pieces(self.xs, self.fs, self.start[s], n[s],
-                                                     q - self.pieces[s] - 1, method)
-        self.degraded = {r: (_newton_coeffs(list(row.xs), list(row.fs)), list(row.xs))
-                         for r, row in enumerate(rows) if len(row) < 4}
+                                                     k[part], method)
 
     def eval(self, rows, x) -> np.ndarray:
         """Rows ``rows`` (an index array) at points ``x``, ``(len(rows), len(x))``:
-        one gather of pieces and one Horner pass, then the degraded rows and
-        the knots (their values, or OF's average of one-sided limits)."""
+        one gather of pieces and one Horner pass, then the knots (their values,
+        or OF's average of one-sided limits in rows of four or more)."""
         step = max(_BLOCK // max(x.size, 1), 1)  # rows per block of about _BLOCK points
         if len(rows) > step:
             blocks = [self.eval(rows[b : b + step], x) for b in range(0, len(rows), step)]
@@ -374,8 +375,6 @@ class KnotTable:
             pos[i] = self.xs[a:b].searchsorted(x)
         g = self.pieces[rows, None] + pos
         out = _newton_eval(self.c[:, g], self.x[:, g], x)
-        for i in (n < 4).nonzero()[0].tolist():
-            out[i] = _newton_eval(*self.degraded[int(rows[i])], x)
         last = (n - 1)[:, None]
         at = s[:, None] + np.minimum(pos, last)
         hit = (pos <= last) & (self.xs[at] == x)
@@ -393,7 +392,7 @@ class KnotTable:
 class Extension1D:
     """An everywhere-defined extension of one knot row: row ``row`` of a
     :class:`KnotTable`, or of its own one-row table.  Fewer than four knots
-    give the quadratic or linear interpolant through all of them (``degraded``).
+    (``degraded``) give the interpolant through all of them.
     """
 
     def __init__(self, knots: Knots1D, method: str, table=None, row: int = 0):

@@ -44,7 +44,6 @@ from .interp1d import (
     Extension1D,
     Knots1D,
     KnotTable,
-    _newton_coeffs,
     _newton_eval,
     _pieces,
     _windows,
@@ -84,7 +83,7 @@ class RowLikeGrid:
 
     @property
     def short_rows(self) -> int:
-        """Rows evaluated with a degraded (quadratic/linear) interpolant."""
+        """Rows of 2-3 knots, evaluated with their quadratic or linear interpolant."""
         return sum(1 for row in self.rows if len(row) < 4)
 
 
@@ -170,12 +169,8 @@ class Extension2D:
         direct = hit ^ mean
         if direct.all():  # every line on a knot row, taken as is
             return self._table.eval(pos, xs).reshape(np.shape(y) + xs.shape)
-        if m < 4:  # the interpolant through all rows, as for a knot row of 2-3 knots
-            V = self._table.eval(np.arange(m), xs)
-            out = _newton_eval(_newton_coeffs(list(ys), list(V)), list(ys), lines[:, None])
-            out[hit] = V[pos[hit]]
-            return out if np.ndim(y) else out[0]
-        # Piece k is interval k's stencil, or the end cubic below (-1) or above (m - 1).
+        # Piece k is interval k's stencil, or the end cubic below (-1) or above
+        # (m - 1); on fewer than four rows every piece is their interpolant.
         lo, hi = np.where(mean, np.maximum(pos - 1, 0), pos - 1), np.minimum(pos, m - 2)
         ks = np.bincount(np.concatenate([lo[~direct], hi[mean]]) + 1).nonzero()[0] - 1
         window = _windows(ys, 0, m, np.clip(ks, 0, m - 2))
@@ -314,9 +309,9 @@ class IdExtension:
         xs = np.asarray(xs, dtype=np.float64)
         lines = _heights(y)
         xmin, ymin, xmax, ymax = r.bounds
-        col = np.floor((xs - r.xll) / r.cellsize).astype(np.int64)
+        col = np.floor((xs - r.xll) / r.cellsize)  # decided on floats: far points overflow int64
         col[xs == xmax] = r.ncols - 1
-        row_up = np.floor((lines - r.yll) / r.cellsize).astype(np.int64)
+        row_up = np.floor((lines - r.yll) / r.cellsize)
         row_up[lines == ymax] = r.nrows - 1
         row = r.nrows - 1 - row_up
         outside = ((col < 0) | (col >= r.ncols))[None, :] | (
@@ -326,7 +321,8 @@ class IdExtension:
             i, j = np.argwhere(outside)[0]
             raise OutOfBoundsError(f"point ({xs[j]}, {lines[i]}) outside raster bounds")
         out = r.values[
-            np.clip(row, 0, r.nrows - 1)[:, None], np.clip(col, 0, r.ncols - 1)
+            np.clip(row, 0, r.nrows - 1).astype(np.int64)[:, None],
+            np.clip(col, 0, r.ncols - 1).astype(np.int64),
         ].astype(np.float64)
         if outside.any():
             out[outside] = float(fill)

@@ -3,10 +3,11 @@
 A port builds the knot grid from the square raster, sizes a hexagonal grid
 over the raster's bounding box, and samples the chosen extension function at
 every hexagon center.  Hexagon centers falling outside the knot hull use
-the extension's own extrapolation rule, so the port is total; clipping to
-the overlap region is a concern of the error metrics, not of porting.  The
-piecewise-constant method is the exception: centers outside the raster get
-the NODATA sentinel, as do centers over NODATA cells.
+the extension's own extrapolation rule, so the port is total unless that
+overflows (a data error); clipping to the overlap region is a concern of
+the error metrics, not of porting.  The piecewise-constant method is the
+exception: centers outside the raster get the NODATA sentinel, as do
+centers over NODATA cells.
 
 Sampling takes two batched line evaluations, one per row parity, since
 alternate hexagon rows share their center abscissas.
@@ -46,6 +47,7 @@ def port(raster: RectRaster, config: PortingConfig) -> HexRaster:
 
     Deterministic: the same raster and config produce byte-identical output.
     Single-threaded: two batched ``eval_line`` calls, one per row parity.
+    Raises ``ValueError`` counting the hex cells whose value is not finite.
     """
     grid = cover_domain(
         raster.bounds, cells_across=config.cells_across, radius=config.radius
@@ -54,8 +56,13 @@ def port(raster: RectRaster, config: PortingConfig) -> HexRaster:
     fill = {"fill": raster.nodata} if config.method == "id" else {}
     values = np.empty((grid.nrows, grid.ncols), dtype=np.float64)  # fails at once if too large
     ys = np.array([grid.row_y(j) for j in range(grid.nrows)])
-    for parity in range(min(2, grid.nrows)):
-        values[parity::2] = ext.eval_line(grid.row_centers_x(parity), ys[parity::2], **fill)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, as one data error
+        for parity in range(min(2, grid.nrows)):
+            values[parity::2] = ext.eval_line(grid.row_centers_x(parity), ys[parity::2], **fill)
+    bad = values.size - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise ValueError(f"port: {bad} of {values.size} hex cells are not finite: "
+                         f"the {config.method} extension overflows there")
     return HexRaster(
         values=values, x0=grid.x0, y0=grid.y0, r=grid.r, nodata=raster.nodata
     )

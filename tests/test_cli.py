@@ -484,6 +484,33 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("method, radius", [
+        ("eno", "1e300"), ("of", "1e300"), ("crs", "1e300"), ("eno", "1e150"), ("id", "1e300"),
+    ])
+    def test_overflowing_port_is_data_error(self, tmp_path, capsys, method, radius):
+        """A hex grid so coarse that its centres lie far outside the raster:
+        the cubic extensions overflow there, which is one error line and no
+        output; ``id`` gives NODATA.  Neither leaks a numpy warning."""
+        asc, out = tmp_path / "r.asc", tmp_path / "out"
+        assert run_cli("synth", "--cols", 12, "--rows", 9, "--bounds=-3,-3,3,3", "--runge", 1,
+                       "--out", asc) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("port", "--in", asc, "--out", out, "--method", method,
+                           "--radius", radius)
+        assert caught == []
+        captured = capsys.readouterr()
+        if method == "id":
+            assert code == 0
+            ported = read_hex_raster(out.read_text())
+            assert np.all(ported.values == ported.nodata)
+        else:
+            assert code == 1
+            assert captured.err == (f"error: port: 1 of 1 hex cells are not finite: "
+                                    f"the {method} extension overflows there\n")
+            assert not out.exists()
+
     def test_flag_error_is_2(self):
         assert run_cli("port", "--bogus") == 2
         assert run_cli("nosuchcommand") == 2

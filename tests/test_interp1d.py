@@ -20,6 +20,7 @@ from hexport.interp1d import (
     Stencil1D,
     _eno_score_parts,
     _newton_coeffs,
+    _newton_eval,
     _of_energy,
     _pieces,
     divided_difference,
@@ -440,6 +441,48 @@ def row_pieces(table, r):
             bits(table.c[:, [lo, hi]].T), bits(table.x[:, [lo, hi]].T))
 
 
+def assert_short_row_pieces(table, r, row):
+    """Each of a 2-3 knot row's n + 1 table pieces equals, bit for bit, the
+    Newton form through all its knots, as evaluated before short rows became
+    pieces, across the piece's query range: below ``x_0``, inside interval
+    k, above ``x[n-1]`` (a query on a knot takes the knot's value instead)."""
+    xs, fs, n = row.xs, row.fs, len(row)
+    assert table.pieces[r + 1] - table.pieces[r] == n + 1
+    whole = _newton_coeffs(list(xs), list(fs))
+    ranges = [(xs[0] - 1e6, xs[0]), *zip(xs[:-1], xs[1:]), (xs[-1], xs[-1] + 1e6)]
+    for k, (lo, hi) in zip(range(-1, n), ranges):
+        x = np.unique(np.concatenate([np.nextafter([lo, hi], [hi, lo]), np.linspace(lo, hi, 7)]))
+        x = x[(x > lo) & (x < hi)]
+        p = table.pieces[r] + 1 + k
+        assert bits(_newton_eval(table.c[:, p], table.x[:, p], x)) == \
+            bits(_newton_eval(whole, list(xs), x)), (k, xs, fs)
+
+
+class TestShortRows:
+    """A row of 2-3 knots is stored as n + 1 padded cubic pieces."""
+
+    @pytest.mark.parametrize("gaps", [(1.0,), (3.0,), (1.0, 1.0), (3.0, 1.0), (1.0, 3.0),
+                                      (3.0, 3.0)])
+    def test_signed_zeros_survive_the_padding(self, gaps):
+        # Every row of values from a pool of signed zeros and subnormals: over
+        # gaps of 3, -5e-324 differences underflow to -0.0 divided
+        # differences, so zero results carry signs a wrong padding would flip.
+        pool = (0.0, -0.0, 5e-324, -5e-324, -1e-323, 1.0)
+        xs = np.cumsum((-1.5, *gaps))
+        rows = [Knots1D(xs, np.array(fs)) for fs in itertools.product(pool, repeat=xs.size)]
+        x = np.concatenate([xs, xs - 0.25, xs + 0.5, [xs[0] - 1e6, xs[-1] + 1e6]])
+        at = np.searchsorted(xs, x)
+        hit = (at < xs.size) & (xs[np.minimum(at, xs.size - 1)] == x)
+        for method in (ENO, OF):
+            table = KnotTable(rows, method)
+            got = table.eval(np.arange(len(rows)), x)
+            for r, row in enumerate(rows):
+                assert_short_row_pieces(table, r, row)
+                want = _newton_eval(_newton_coeffs(list(xs), list(row.fs)), list(xs), x)
+                want[hit] = row.fs[at[hit]]
+                assert bits(got[r]) == bits(want)
+
+
 class TestSelectionKernel:
     """The batched kernel picks what the scalar scan picks, bit for bit."""
 
@@ -452,7 +495,8 @@ class TestSelectionKernel:
         block=st.sampled_from([3, 4096]),
     )
     def test_ragged_rows_match_scalar_scan(self, seed, lengths, values, block):
-        # Rows of 2-3 knots take the degraded path and stay out of the kernel.
+        # Rows of 2-3 knots stay out of the kernel: their pieces are their
+        # interpolant, padded to a cubic.
         rows = ragged_rows(seed, lengths, values)
         full = [row for row in rows if len(row) >= 4]
         grid = RowLikeGrid(ys=np.arange(float(len(rows))), rows=tuple(rows))
@@ -479,6 +523,9 @@ class TestSelectionKernel:
                     st_k = select(row, k)
                     assert st_k.idx == want[k][0]
                     assert bits(st_k.coeffs) == bits(want[k][1])
+            for r, row in enumerate(rows):
+                if len(row) < 4:
+                    assert_short_row_pieces(table, r, row)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -491,16 +538,19 @@ class TestSelectionKernel:
         # Extension2D.eval_line builds cross-row pieces with _pieces, the
         # values of every column sharing the row heights; each (piece,
         # column) pair must get its own scalar-scan stencil, or its end cubic,
-        # however the pieces are split into calls.
+        # however the pieces are split into calls of one kind each.
         rng = np.random.default_rng(seed)
         ys = np.cumsum(rng.uniform(0.2, 1.5, nrows))
         cols = [row.fs for row in ragged_rows(seed, [nrows] * 7, values)]
         V = np.stack(cols, axis=1)  # V[j] holds knot row j's values per column
         ks = rng.permutation(np.arange(-1, nrows))  # -1 and nrows - 1: the end cubics
         ends = {-1: slice(0, 4), nrows - 1: slice(nrows - 4, nrows)}
+        end = np.isin(ks, list(ends))
+        ks = np.concatenate([ks[~end], ks[end]])
+        cuts = sorted({*range(0, ks.size, block), int((~end).sum()), ks.size})
         for method in (ENO, OF):
-            parts = [_pieces(ys, V, 0, nrows, ks[b : b + block], method)
-                     for b in range(0, ks.size, block)]
+            parts = [_pieces(ys, V, 0, nrows, ks[lo:hi], method)
+                     for lo, hi in zip(cuts[:-1], cuts[1:])]
             c, nodes = (np.concatenate(part, axis=1) for part in zip(*parts))
             for i, k in enumerate(ks):
                 for col in range(V.shape[1]):

@@ -1,4 +1,5 @@
 import bisect
+import itertools
 import warnings
 from unittest import mock
 
@@ -382,6 +383,16 @@ class TestId:
         got = IdExtension(r).eval_line(np.array([-0.5, 0.5, 2.5]), 0.5, fill=-1.0)
         assert list(got) == [-1.0, 1.0, -1.0]
 
+    def test_far_points_are_outside_without_a_cast_warning(self):
+        # Cell indices beyond int64 are decided on floats, before the cast.
+        r = RectRaster(values=[[1.0, 2.0]], xll=0, yll=0, cellsize=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = IdExtension(r).eval_line(np.array([-1e300, 0.5, 1e300]), [0.5, -1e300], fill=-1.0)
+            with pytest.raises(OutOfBoundsError):
+                extend_id(r, 1e300, 0.5)
+        assert got.tolist() == [[-1.0, 1.0, -1.0], [-1.0, -1.0, -1.0]]
+
 
 class TestMakeExtension:
     @pytest.mark.parametrize("method, kind", [
@@ -525,16 +536,32 @@ def sweep_eval_line(grid, method, xs, lines):
 class TestFlatPath:
     """eval_line equals the per-row, per-interval sweep it replaced, bit for bit."""
 
-    @settings(max_examples=80, deadline=None)
+    @pytest.mark.parametrize("gaps", [(1.0,), (3.0,), (3.0, 1.0), (1.0, 3.0)])
+    def test_short_grids_keep_signed_zeros(self, gaps):
+        # On 2-3 knot rows every cross-row piece is their interpolant, padded.
+        # Read at the knots, the rows' columns take every tuple of a pool of
+        # signed zeros and subnormals; over gaps of 3, -5e-324 differences
+        # underflow to -0.0, so zero results carry signs a wrong padding flips.
+        pool = (0.0, -0.0, 5e-324, -5e-324, -1e-323, 1.0)
+        ys = np.cumsum((0.5, *gaps))
+        V = np.array(list(itertools.product(pool, repeat=ys.size))).T
+        xs = np.arange(float(V.shape[1]))
+        grid = RowLikeGrid(ys=ys, rows=[Knots1D(xs, v) for v in V])
+        lines = np.concatenate([ys, ys - 0.25, ys + 0.5, [ys[0] - 1e6, ys[-1] + 1e6]])
+        for method in (ENO, OF):
+            got = Extension2D(grid, method).eval_line(xs, lines)
+            assert got.tobytes() == sweep_eval_line(grid, method, xs, lines).tobytes()
+
+    @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         lengths=st.lists(st.one_of(st.sampled_from([2, 3, 4, 5]), st.integers(4, 12)),
                          min_size=2, max_size=9),
         holes=st.sampled_from([None, 0.0, 0.3, 0.6]),
-        rounded=st.booleans(),
+        values=st.sampled_from(["uniform", "rounded", "signed_zeros"]),
         block=st.sampled_from([3, 40, 4096]),
     )
-    def test_matches_the_sweep_it_replaced(self, seed, lengths, holes, rounded, block):
+    def test_matches_the_sweep_it_replaced(self, seed, lengths, holes, values, block):
         # Grids are ragged rows of given lengths, or rasters with NODATA holes.
         rng = np.random.default_rng(seed)
         if holes is None:
@@ -553,8 +580,15 @@ class TestFlatPath:
                                                           cellsize=0.7))
             except TooSparseError:
                 assume(False)
-        if rounded:  # ties in the stencil scores
+        if values == "rounded":  # ties in the stencil scores
             grid = RowLikeGrid(ys=grid.ys, rows=[Knots1D(r.xs, np.round(r.fs)) for r in grid.rows])
+        elif values == "signed_zeros":
+            # Zero results whose sign hangs on each Horner step: -0.0 next to
+            # -5e-324 over a gap of 2 or more gives a -0.0 divided difference.
+            pool, weight = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0], [2, 8, 2, 8, 1, 1]
+            grid = RowLikeGrid(ys=4.0 * grid.ys, rows=[
+                Knots1D(4.0 * r.xs, rng.choice(pool, r.fs.size, p=np.divide(weight, 22)))
+                for r in grid.rows])
         knots = np.concatenate([row.xs for row in grid.rows])
         hull = knots.min() - 1.5, knots.max() + 1.5
         xs = np.concatenate([rng.choice(knots, 6), hull, rng.uniform(*hull, 6)])

@@ -94,6 +94,19 @@ class TestPort:
         with pytest.raises(ValueError):
             PortingConfig(method="splines", cells_across=10)
 
+    @pytest.mark.parametrize("method", ["eno", "of", "crs", "id"])
+    def test_overflow_is_one_data_error(self, method):
+        # Centres near 1e300 overflow the cubic extensions: the sampling runs
+        # without numpy warnings and the non-finite cells are counted.
+        r = runge_raster((-3, -3, 3, 3), 12, 9, 1.0)
+        config = PortingConfig(method=method, radius=1e300)
+        if method == "id":
+            assert port(r, config).values.tolist() == [[r.nodata]]
+            return
+        with pytest.raises(ValueError, match=f"^port: 1 of 1 hex cells are not finite: "
+                                             f"the {method} extension overflows there$"):
+            port(r, config)
+
     def test_port_is_total_despite_holes(self):
         vals = np.ones((8, 8))
         vals[3, :] = -9999.0  # a fully missing data row

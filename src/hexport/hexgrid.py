@@ -158,7 +158,9 @@ class ParityLayout:
     rows, one pad row separates the two blocks and one follows the odd
     rows, with one tail slot after it that the farthest shifted slice
     reaches when ``nrows`` is odd; ``size`` counts every slot.
-    ``blocks`` holds each parity's ``(first slot, rows)``.
+    ``blocks`` holds each parity's ``(first slot, rows)``, and ``spans``
+    cuts the slots into two halves at the first odd row, each a slice
+    that holds one parity's rows and no slot of the other's.
 
     ``faces[f]`` holds, for face f + 1 and each row parity, a pair of equal
     1-D slices ``(cells, neighbors)``: ``cells`` spans the rows of that
@@ -174,6 +176,7 @@ class ParityLayout:
         bases = (1, 1 + (counts[0] + 1) * w)
         self.blocks = tuple(zip(bases, counts))
         self.size = bases[1] + (counts[1] + 1) * w + 1
+        self.spans = (slice(0, bases[1]), slice(bases[1], self.size))
         self.faces = []
         for face in range(6):
             pairs = []
@@ -264,7 +267,8 @@ def cover_domain(bounds, cells_across: int | None = None, radius: float | None =
     With ``radius`` given, the column count is the smallest that spans the
     width.  The first row of centers sits half a cell width in from the left
     edge and ``r`` below the top edge; rows are added until
-    ``M * 1.5 * r + r / 2 >= height``.
+    ``M * 1.5 * r + r / 2 >= height``.  Raises ``ValueError`` when the cell
+    width ``r * sqrt(3)``, the column count or the row count is not finite.
     """
     xmin, ymin, xmax, ymax = (float(v) for v in bounds)
     width = xmax - xmin
@@ -277,13 +281,24 @@ def cover_domain(bounds, cells_across: int | None = None, radius: float | None =
         n = int(cells_across)
         if n < 1:
             raise ValueError("cells_across must be at least 1")
-        r = width / (n * SQRT3)
+        try:
+            r = width / (n * SQRT3)
+        except OverflowError:  # n is past the float range
+            r = 0.0
     else:
         r = float(radius)
         if not r > 0:
             raise ValueError("radius must be positive")
-        n = max(1, math.ceil(width / (r * SQRT3) - 1e-9))
-    m = max(1, math.ceil((height - r / 2.0) / (1.5 * r) - 1e-9))
+    cols = width / (r * SQRT3) if r > 0 else math.inf
+    rows = (height - r / 2.0) / (1.5 * r) if r > 0 else math.inf
+    if not all(map(math.isfinite, (r * SQRT3, cols, rows))):
+        raise ValueError(
+            f"cell width {r * SQRT3!r} gives no finite column and row count "
+            f"for domain {bounds}"
+        )
+    if cells_across is None:
+        n = max(1, math.ceil(cols - 1e-9))
+    m = max(1, math.ceil(rows - 1e-9))
     return HexGrid(
         ncols=n,
         nrows=m,

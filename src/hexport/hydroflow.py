@@ -20,7 +20,7 @@ are holes: excluded from every neighborhood and treated as walls.  With an
 open boundary, faces leaving the grid shed water that is accumulated in an
 outflow ledger; with a closed boundary they are walls too.
 
-Everything runs over all cells at once.  ``_Topology`` is built once per
+Everything runs over whole arrays at once.  ``_Topology`` is built once per
 grid and hole mask.  It keeps every cell-sized array in one flat
 parity-split layout (:class:`~hexport.hexgrid.ParityLayout`: even rows,
 then odd rows, with pad slots between), in which each neighbor of a row
@@ -39,12 +39,32 @@ face leaves the grid, one list per face, with no face-major edge mask.
 The topology also owns a workspace that holds every cell-sized
 intermediate of a step, so a warm step allocates only the depths it
 returns, copied out of the layout into row-major order.
+
+The layout's two halves, the even rows and the odd rows with their pad
+slots, step as two parallel tasks.  A step runs in three phases, each on
+both halves before the next starts: the plane fit; then the slope,
+velocity, pair volumes and capping; then each cell's inflow from its
+neighbors' pair volumes and its new depth.  A half's phase writes only its
+own slots, and reads the other half's only for what an earlier phase
+finished there: neighbor potentials in the fit, neighbor volumes in the
+inflow.  Every value is computed by the same numpy calls whichever half
+runs first, so the result does not depend on how the halves are run.  On
+large grids with two usable cores, the odd half runs on a thread of its
+own while the caller runs the even half, and numpy, which releases the GIL
+in its loops, runs them at once; otherwise the caller runs both in turn.  The
+one float sum across halves, the open-boundary outflow ledger's, is taken
+after the phases in its fixed order, as are the capping count and the
+copy-out of the depths.
 """
 
 from __future__ import annotations
 
+import contextvars
 import copy
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -56,6 +76,11 @@ from .hexgrid import FACE_NORMALS, SQRT3, HexGrid, ParityLayout, neighbor_table
 
 # The Courant-like bound dt * side * v_max / cell_area that courant_dt keeps.
 COURANT = 0.2
+
+# Layout slots from which the two halves run at once, on two threads.  On
+# smaller grids handing a half to a second thread costs more than the
+# second core saves; CHANGES.md has the measured curve.
+_CONCURRENT_SLOTS = 50_000
 
 
 @dataclass
@@ -125,9 +150,10 @@ class _Topology:
     neighbor gets the relative potential +0.0, which is what the cell minus
     itself would give, so it is never a lower neighbor.  Interior cells,
     those with all six neighbors, share one plane-fit weight per face; the
-    rest (``rim``, layout slots) keep their own least-squares weights.
-    ``edges[f]`` lists the slots of the valid cells whose face f leaves the
-    grid; no face-major edge mask is kept.  ``shed`` indexes the pair-volume
+    rest (``rim``, layout slots) keep their own least-squares weights;
+    ``rim_cols`` cuts the rim into each half's.  ``edges[parity][f]`` lists
+    the slots of one half's valid cells whose face f leaves the grid; no
+    face-major edge mask is kept.  ``shed`` indexes the pair-volume
     table at the open-boundary faces in row-major cell order, faces
     ascending, and ``shed_sign`` is +1 for faces 0..2 and -1 for faces
     3..5, so ``max(sign * V, 0)`` is what the face sends; that order fixes
@@ -150,6 +176,8 @@ class _Topology:
 
     Steps and fits overwrite it, so a topology serves one caller at a time;
     no state and no result of :meth:`gradient` ever holds a view of it.
+    The methods that take a ``parity`` run one phase of a step or fit on
+    that half's slots of the workspace (see :func:`_halves`).
     """
 
     def __init__(self, grid: HexGrid, valid: np.ndarray):
@@ -166,19 +194,24 @@ class _Topology:
             rows.fill(True)
         self.has = np.zeros((6, n), dtype=bool)
         edge = np.zeros(n, dtype=bool)
-        self.edges = []
+        edges = []
         for f, pairs in enumerate(layout.faces):
             for cells, nb in pairs:
                 np.less(on_grid[nb], live[cells], out=edge[cells])
                 np.logical_and(live[nb], live[cells], out=self.has[f, cells])
-            self.edges.append(np.flatnonzero(edge))
-        slot = np.concatenate(self.edges)
-        face = np.repeat(np.arange(6), [e.size for e in self.edges])
+            edges.append(np.flatnonzero(edge))
+        odd = layout.spans[1].start
+        self.edges = tuple(zip(*((e[: e.searchsorted(odd)], e[e.searchsorted(odd):])
+                                 for e in edges)))
+        slot = np.concatenate(edges)
+        face = np.repeat(np.arange(6), [e.size for e in edges])
         order = np.lexsort((face, layout.cell_index(slot)))  # cell-major, faces ascending
         slot, face = slot[order], face[order]
         self.shed = face % 3 * n + slot
         self.shed_sign = np.where(face < 3, 1.0, -1.0)
         self._build_weights(grid)
+        cut = int(self.rim.searchsorted(odd))
+        self.rim_cols = (slice(0, cut), slice(cut, self.rim.size))
         self.lower = np.empty((6, n), dtype=bool)
         self._psi = np.zeros(n)
         self._volume = np.zeros((3, n))
@@ -238,79 +271,195 @@ class _Topology:
         ``lower`` until the next call.
         """
         self._put(psi.reshape(self.shape))
-        return tuple(self.layout.cells(g).ravel() for g in self._fit())
+        _halves(self, self._fit)
+        return tuple(self.layout.cells(g).ravel() for g in self._cells[0::2])
 
-    def _put(self, a, b=None) -> np.ndarray:
+    def _put(self, a, b=None, parities=(0, 1)) -> np.ndarray:
         """``_psi`` holding ``a + b``, or ``a`` alone, of ``(nrows, ncols)``
-        arrays in its cell slots; its pad slots are never written."""
-        for parity, rows in enumerate(self.layout.rows(self._psi)):
+        arrays in the cell slots of the halves ``parities``; its pad slots
+        are never written."""
+        rows = self.layout.rows(self._psi)
+        for parity in parities:
             if b is None:
-                np.copyto(rows, a[parity::2])
+                np.copyto(rows[parity], a[parity::2])
             else:
-                np.add(a[parity::2], b[parity::2], out=rows)
+                np.add(a[parity::2], b[parity::2], out=rows[parity])
         return self._psi
 
-    def _fit(self) -> tuple:
-        """:meth:`gradient` of the potential in ``_psi``, into the workspace.
+    def _fit(self, parity):
+        """:meth:`gradient` of the potential in ``_psi`` on one half, into the
+        workspace: the x and y gradients go to ``_cells[0]`` and ``_cells[2]``.
 
         Face by face: the relative potentials, +0.0 where there is no
         neighbor, set that face's row of ``lower`` and go into the even- or
         odd-face partial sums of both gradients (:func:`_face_sum`'s order).
+        Reads the potential of neighbors in either half.
         """
-        rel, term, absent = self._rate, self._term, self._send
-        psi = self._psi
-        sums = self._cells  # even x, odd x, even y, odd y
+        span, cols = self.layout.spans[parity], self.rim_cols[parity]
+        rel, term, absent = self._rate[span], self._term[span], self._send[span]
+        psi, rim, rim_rel = self._psi, self.rim[cols], self._rim_rel[:, cols]
+        sums = self._cells[:, span]  # even x, odd x, even y, odd y
         # What a hole holds is never kept: every entry that reads one is
         # missing.  So its value may be anything, and inf - inf must not warn.
         with np.errstate(invalid="ignore"):
             for f, pairs in enumerate(self.layout.faces):
-                for cells, nb in pairs:
-                    np.subtract(psi[nb], psi[cells], out=rel[cells])
-                np.copyto(rel, 0.0, where=np.logical_not(self.has[f], out=absent))
-                np.less(rel, 0.0, out=self.lower[f])
-                np.take(rel, self.rim, out=self._rim_rel[f], mode="clip")
+                cells, nb = pairs[parity]
+                np.subtract(psi[nb], psi[cells], out=self._rate[cells])
+                np.copyto(rel, 0.0, where=np.logical_not(self.has[f, span], out=absent))
+                np.less(rel, 0.0, out=self.lower[f, span])
+                np.take(self._rate, rim, out=rim_rel[f], mode="clip")
                 for part, w in zip(sums[f % 2::2], self.weights):
                     if f < 2:
                         np.multiply(w[f], rel, out=part)
                     else:
                         part += np.multiply(w[f], rel, out=term)
-        for even, odd, rim_w in zip(sums[0::2], sums[1::2], self.rim_weights):
+        # Once summed, the odd-face sums, like rel and term, are scratch.
+        k = rim.size
+        for g, rim_w in zip((0, 2), self.rim_weights):
+            even, odd = sums[g], sums[g + 1]
             even += odd
             even += 0.0
-            even[self.rim] = _face_sum(rim_w, self._rim_rel)
-        return sums[0], sums[2]
+            self._cells[g][rim] = _face_sum(rim_w[:, cols], rim_rel, odd[:k], rel[:k], term[:k])
 
-    def _slope(self, a, b) -> tuple:
-        """``g2 = a * a + b * b`` and the slope ``sqrt(g2 / (1 + g2))``,
-        into the odd-face sums that :meth:`_fit` no longer needs."""
-        g2, s = self._cells[1::2]
+    def _slope(self, parity) -> tuple:
+        """``g2 = a * a + b * b`` and the slope ``sqrt(g2 / (1 + g2))`` of one
+        half's gradients, into the odd-face sums that :meth:`_fit` no longer
+        needs."""
+        span = self.layout.spans[parity]
+        a, g2, b, s = self._cells[:, span]
         np.multiply(a, a, out=g2)
-        g2 += np.multiply(b, b, out=self._term)
+        g2 += np.multiply(b, b, out=self._term[span])
         np.divide(g2, np.add(1.0, g2, out=s), out=s)
         return g2, np.sqrt(s, out=s)
 
-    def _finite(self, values) -> bool:
-        """Whether ``values``, in the layout, is finite on every valid cell.
+    def _finite(self, values, span=slice(None)) -> bool:
+        """Whether ``values``, the layout's ``span``, is finite on every valid
+        cell.
 
         Checks every slot and forgives the rest after: a masked ufunc costs
         several times an unmasked one.
         """
-        ok = np.isfinite(values, out=self._send)
-        ok |= np.logical_not(self.live, out=self._take)
+        ok = np.isfinite(values, out=self._send[span])
+        ok |= np.logical_not(self.live[span], out=self._take[span])
         return bool(ok.all())
 
+    def _flux(self, state: FlowState, parity) -> int:
+        """The second phase of a step on one half: its depths, slopes,
+        velocities, signed pair volumes and capping.  Returns how many of
+        its donors were capped."""
+        grid, span = self.grid, self.layout.spans[parity]
+        # The depths go where the potentials were; both halves' fits are done.
+        h = self._put(state.h, parities=(parity,))[span]
+        rate, term, send, take, live = (
+            x[span] for x in (self._rate, self._term, self._send, self._take, self.live))
+        a, _, b, _ = self._cells[:, span]
+        # Workspace buffers take a new name when they are reused: a, tau_x,
+        # out; g2, norm, v (and in the next phase, inflow); b, tau_y, avail;
+        # s, depth_side; inv, rate; term, sent, part.
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            g2, s = self._slope(parity)
+            norm = np.sqrt(g2, out=g2)
+            pos = np.greater(norm, 0.0, out=send)
+            inv = rate
+            inv.fill(0.0)
+            np.divide(1.0, norm, out=inv, where=pos)
+            moving = np.greater(h, 0.0, out=take)
+            moving &= pos
+            moving &= live
+            tau_x = np.negative(a, out=a)
+            tau_x *= inv
+            tau_y = np.negative(b, out=b)
+            tau_y *= inv
+            v = np.power(h, 2.0 / 3.0, out=norm)
+            v *= np.sqrt(s, out=s)
+            v /= state.manning_n
+            np.copyto(v, 0.0, where=np.logical_not(moving, out=moving))
+            # Face pair by face pair: the outward rate v * (tau . n) of face f
+            # and the signed volume dt * side * h * rate.  Face f + 3's normal
+            # is the negation of face f's, and so is its rate: face f sends
+            # V_f where V_f > 0, face f + 3 sends -V_f where V_f < 0, each to
+            # a lower neighbor or, with an open boundary, off the grid.  A
+            # pair that sends nothing keeps sent * 0, a zero of either sign.
+            # Zero on pads and holes, so that neighbors reading them read 0.
+            depth_side = s
+            depth_side.fill(0.0)
+            np.copyto(depth_side, h, where=live)
+            depth_side *= state.dt * grid.side
+            volume = self._volume[:, span]
+            edges = self.edges[parity]
+            for f, (nx, ny) in enumerate(FACE_NORMALS[:3]):
+                np.multiply(tau_x, nx, out=rate)
+                rate += np.multiply(tau_y, ny, out=term)
+                rate *= v
+                pair = np.greater(rate, 0.0, out=take)
+                pair &= self.lower[f, span]
+                opposite = np.less(rate, 0.0, out=send)
+                opposite &= self.lower[f + 3, span]
+                pair |= opposite
+                if state.boundary == "open":
+                    for edge, sends in ((edges[f], np.greater), (edges[f + 3], np.less)):
+                        self._take[edge] |= sends(self._rate[edge], 0.0)
+                sent = np.multiply(rate, depth_side, out=term)
+                np.multiply(sent, pair, out=volume[f])
+            out = _sent(volume, tau_x, term)
+            avail = np.multiply(h, grid.cell_area, out=tau_y)
+            # A hole never sends, whatever depth it holds.
+            over = np.greater(out, avail, out=send)
+            over &= live
+            capped = int(np.count_nonzero(over))
+            if capped:
+                # A capped donor is valid, so out > avail >= 0: it sends
+                # avail / out of each of its volumes, and its out is summed
+                # again.
+                donors = np.flatnonzero(over)
+                scale = avail[donors] / out[donors]
+                scaled = volume[:, donors] * scale
+                volume[:, donors] = scaled
+                out[donors] = _sent(scaled, np.empty(capped), np.empty(capped))
+        return capped
 
-def _face_sum(w, rel):
-    """The sum over faces of ``w[f] * rel[f]``.
+    def _gain(self, parity) -> bool:
+        """The last phase of a step on one half: what each cell gains from
+        its neighbors in either half, and its new depth, into ``_cells[1]``.
+        Returns whether the new depths are finite on every valid cell."""
+        span = self.layout.spans[parity]
+        # What each neighbor sends through the face that looks back at the
+        # cell, in face order: faces 0..2 read the negative part of the
+        # neighbor's pair, faces 3..5 the positive part.  A missing neighbor
+        # reads 0: a pad's volumes, or a hole's.  Slots outside every slice
+        # keep v's 0.
+        inflow, part = self._cells[1], self._term
+        for f, pairs in enumerate(self.layout.faces):
+            back = self._volume[f % 3]
+            cells, nb = pairs[parity]
+            if f == 0:
+                np.negative(np.minimum(back[nb], 0.0, out=inflow[cells]), out=inflow[cells])
+            elif f < 3:
+                inflow[cells] -= np.minimum(back[nb], 0.0, out=part[cells])
+            else:
+                inflow[cells] += np.maximum(back[nb], 0.0, out=part[cells])
+        # Sums of zeros alone may differ in sign from a six-face table's; the
+        # depth update below maps either zero to +0.0, since h >= +0.
+        inflow = inflow[span]
+        inflow -= self._cells[0, span]
+        inflow /= self.grid.cell_area
+        h_new = np.maximum(np.add(self._psi[span], inflow, out=inflow), 0.0, out=inflow)
+        return self._finite(h_new, span)
+
+
+def _face_sum(w, rel, even, odd, term):
+    """The sum over faces of ``w[f] * rel[f]``, into ``even``; ``odd`` and
+    ``term`` are scratch of its shape.
 
     The order in which numpy's einsum("ij,ij->i") adds contiguous six-face
     rows: faces (0, 2, 4) and (1, 3, 5), then the two partial sums onto
     zero, which makes a sum of -0.0 terms +0.0.
     """
-    even, odd = w[0] * rel[0], w[1] * rel[1]
+    np.multiply(w[0], rel[0], out=even)
+    np.multiply(w[1], rel[1], out=odd)
     for f in (2, 4):
-        even += w[f] * rel[f]
-        odd += w[f + 1] * rel[f + 1]
+        even += np.multiply(w[f], rel[f], out=term)
+        odd += np.multiply(w[f + 1], rel[f + 1], out=term)
     even += odd
     even += 0.0
     return even
@@ -350,114 +499,92 @@ def fit_plane(state: FlowState, cell) -> tuple:
 def step(state: FlowState) -> FlowState:
     """Advance the water depths by one time step (two-phase update).
 
-    Every cell-sized intermediate lives in the topology's workspace; the
-    one cell-sized array a step allocates is the depths it returns.
+    The layout's two halves run the step's three phases (the module
+    docstring has them) through :func:`_halves`, at once on large grids
+    with two cores; the depths, outflow and capping count come out the same
+    bytes either way.  Every cell-sized intermediate lives in the
+    topology's workspace; the one cell-sized array a step allocates is the
+    depths it returns.
     """
     topo = state.topology()
-    grid = state.grid
     if not topo._finite(topo._put(state.z, state.h)):
         raise NonFiniteStateError(
             f"non-finite water potential entering step {state.step_count + 1}"
         )
-    # Workspace buffers take a new name when they are reused: a, tau_x,
-    # out; g2, norm, v, inflow; b, tau_y, avail; s, depth_side; inv, rate;
-    # term, sent, part; the potential, h.
-    a, b = topo._fit()
-    h = topo._put(state.h)
-    rate, term, send, take, live = topo._rate, topo._term, topo._send, topo._take, topo.live
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        g2, s = topo._slope(a, b)
-        norm = np.sqrt(g2, out=g2)
-        pos = np.greater(norm, 0.0, out=send)
-        inv = rate
-        inv.fill(0.0)
-        np.divide(1.0, norm, out=inv, where=pos)
-        moving = np.greater(h, 0.0, out=take)
-        moving &= pos
-        moving &= live
-        tau_x = np.negative(a, out=a)
-        tau_x *= inv
-        tau_y = np.negative(b, out=b)
-        tau_y *= inv
-        v = np.power(h, 2.0 / 3.0, out=norm)
-        v *= np.sqrt(s, out=s)
-        v /= state.manning_n
-        np.copyto(v, 0.0, where=np.logical_not(moving, out=moving))
-        # Face pair by face pair: the outward rate v * (tau . n) of face f
-        # and the signed volume dt * side * h * rate.  Face f + 3's normal is
-        # the negation of face f's, and so is its rate: face f sends V_f
-        # where V_f > 0, face f + 3 sends -V_f where V_f < 0, each to a
-        # lower neighbor or, with an open boundary, off the grid.  A pair
-        # that sends nothing keeps sent * 0, a zero of either sign.  Zero on
-        # pads and holes, so that neighbors reading them read 0.
-        depth_side = s
-        depth_side.fill(0.0)
-        np.copyto(depth_side, h, where=live)
-        depth_side *= state.dt * grid.side
-        volume = topo._volume
-        for f, (nx, ny) in enumerate(FACE_NORMALS[:3]):
-            np.multiply(tau_x, nx, out=rate)
-            rate += np.multiply(tau_y, ny, out=term)
-            rate *= v
-            pair = np.greater(rate, 0.0, out=take)
-            pair &= topo.lower[f]
-            opposite = np.less(rate, 0.0, out=send)
-            opposite &= topo.lower[f + 3]
-            pair |= opposite
-            if state.boundary == "open":
-                for edge, sends in ((topo.edges[f], np.greater), (topo.edges[f + 3], np.less)):
-                    pair[edge] |= sends(rate[edge], 0.0)
-            sent = np.multiply(rate, depth_side, out=term)
-            np.multiply(sent, pair, out=volume[f])
-        out = _sent(volume, tau_x, term)
-        avail = np.multiply(h, grid.cell_area, out=tau_y)
-        # A hole never sends, whatever depth it holds.
-        over = np.greater(out, avail, out=send)
-        over &= live
-        capped = int(np.count_nonzero(over))
-        if capped:
-            # A capped donor is valid, so out > avail >= 0: it sends avail /
-            # out of each of its volumes, and its out is summed again.
-            donors = np.flatnonzero(over)
-            scale = avail[donors] / out[donors]
-            scaled = volume[:, donors] * scale
-            volume[:, donors] = scaled
-            out[donors] = _sent(scaled, np.empty(capped), np.empty(capped))
-    # What each neighbor sends through the face that looks back at the cell,
-    # in face order: faces 0..2 read the negative part of the neighbor's
-    # pair, faces 3..5 the positive part.  A missing neighbor reads 0: a
-    # pad's volumes, or a hole's.  Slots outside every slice keep v's 0.
-    inflow, part = v, term
-    for f, pairs in enumerate(topo.layout.faces):
-        back = volume[f % 3]
-        for cells, nb in pairs:
-            if f == 0:
-                np.negative(np.minimum(back[nb], 0.0, out=inflow[cells]), out=inflow[cells])
-            elif f < 3:
-                inflow[cells] -= np.minimum(back[nb], 0.0, out=part[cells])
-            else:
-                inflow[cells] += np.maximum(back[nb], 0.0, out=part[cells])
-    shed = 0.0
-    if state.boundary == "open":
-        edge = volume.take(topo.shed)
-        edge *= topo.shed_sign
-        shed = float(np.maximum(edge, 0.0, out=edge).sum())
-    # Sums of zeros alone may differ in sign from a six-face table's; the
-    # depth update below maps either zero to +0.0, since h >= +0.
-    inflow -= out
-    inflow /= grid.cell_area
-    h_new = np.maximum(np.add(h, inflow, out=inflow), 0.0, out=inflow)
-    if not topo._finite(h_new):
+    _, capped, finite = _halves(topo, topo._fit, functools.partial(topo._flux, state),
+                                topo._gain)
+    if not all(finite):
         raise NonFiniteStateError(
             f"non-finite water depth after step {state.step_count + 1}"
         )
+    shed = 0.0
+    if state.boundary == "open":
+        edge = topo._volume.take(topo.shed)
+        edge *= topo.shed_sign
+        shed = float(np.maximum(edge, 0.0, out=edge).sum())
     # The terrain is the state's own, so the successor skips its checks.
     new = copy.copy(state)
-    new.h = topo.layout.cells(h_new)
+    new.h = topo.layout.cells(topo._cells[1])
     new.outflow_volume = state.outflow_volume + shed
-    new.capping_events = state.capping_events + capped
+    new.capping_events = state.capping_events + sum(capped)
     new.step_count = state.step_count + 1
     return new
+
+
+def _halves(topo: _Topology, *phases) -> list:
+    """Run each of ``phases``, in turn, on both halves of the topology's
+    layout; returns every phase's ``[even, odd]`` results.
+
+    A phase is called with the parity of its half.  It writes only that
+    half's slots, and it may read the other half's only where an earlier
+    phase wrote them, so the two halves of a phase may run in either order
+    or at once.  On a layout of at least ``_CONCURRENT_SLOTS`` slots, with
+    two cores to run on, a thread started for the call runs the odd half
+    while the caller runs the even half, in the caller's context (numpy's
+    error state included), and both finish a phase before either starts
+    the next.
+    Otherwise the caller runs the even half, then the odd one.  An error
+    raised by a phase is raised once both halves have stopped: the one the
+    caller alone would have met first.
+    """
+    if topo.layout.size < _CONCURRENT_SLOTS or len(os.sched_getaffinity(0)) < 2:
+        return [[phase(0), phase(1)] for phase in phases]
+    results = [[None, None] for _ in phases]
+    errors = []
+    barrier = threading.Barrier(2)
+
+    def run(parity):
+        for i, phase in enumerate(phases):
+            try:
+                results[i][parity] = phase(parity)
+            except BaseException as exc:  # raised by the caller, below
+                errors.append((i, parity, exc))
+            if i + 1 == len(phases):
+                return
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                return
+            except BaseException as exc:  # an interrupt: free the other half
+                errors.append((-1, parity, exc))
+                barrier.abort()
+                return
+            # Past the barrier both halves see the same errors up to phase i.
+            if any(at <= i for at, _, _ in errors):
+                return
+
+    # A thread per call: a thread kept alive between calls held on to
+    # megabytes of peak RSS over repeated runs (CHANGES.md has the numbers).
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(run, 1),
+                              name="hexport-odd-half", daemon=True)
+    worker.start()
+    try:
+        run(0)
+    finally:
+        worker.join()
+    if errors:
+        raise min(errors, key=lambda e: e[:2])[2]
+    return results
 
 
 @dataclass(frozen=True)
@@ -530,8 +657,8 @@ def courant_dt(state: FlowState) -> float:
     topo = state.topology()
     topo._put(state.z, state.h)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, s = topo._slope(*topo._fit())
-    s_max = float(s.max())  # pad slots hold 0
+        _halves(topo, topo._fit, topo._slope)
+    s_max = float(topo._cells[3].max())  # the slopes; pad slots hold 0
     h_max = float(np.max(state.h, where=topo.valid.reshape(topo.shape), initial=0.0))
     v_max = h_max ** (2.0 / 3.0) * math.sqrt(s_max) / state.manning_n
     if not math.isfinite(v_max):  # so too when the steepest slope is not finite

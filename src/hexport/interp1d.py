@@ -392,14 +392,13 @@ class KnotTable:
 class Extension1D:
     """An everywhere-defined extension of one knot row: row ``row`` of a
     :class:`KnotTable`, or of its own one-row table.  Fewer than four knots
-    (``degraded``) give the interpolant through all of them.
+    give the interpolant through all of them.
     """
 
     def __init__(self, knots: Knots1D, method: str, table=None, row: int = 0):
         self._table = KnotTable([knots], method) if table is None else table
         self.knots = knots
         self.method = method
-        self.degraded = len(knots) < 4
         self._row = np.array([row])
 
     def __call__(self, xi: float) -> float:

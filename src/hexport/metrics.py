@@ -56,7 +56,10 @@ def runge_raster(bounds, ncols: int, nrows: int, a: float) -> RectRaster:
     field = RungeField(a)
     xs = xmin + (np.arange(ncols) + 0.5) * cellsize
     ys = ymin + (nrows - np.arange(nrows) - 0.5) * cellsize
-    values = field(xs[None, :], ys[:, None])
+    # Far from the origin the denominator overflows to inf, and the field's
+    # value, a / inf, is the zero it tends to.
+    with np.errstate(over="ignore"):
+        values = field(xs[None, :], ys[:, None])
     return RectRaster(values=values, xll=xmin, yll=ymin, cellsize=cellsize)
 
 

@@ -511,6 +511,37 @@ class TestExitCodes:
                                     f"the {method} extension overflows there\n")
             assert not out.exists()
 
+    @pytest.mark.parametrize("sizing", [
+        *(("--method", m, "--radius", "1e-320") for m in ("eno", "of", "crs", "id")),
+        ("--method", "eno", "--cells-across", "1" + "0" * 400),
+        ("--method", "id", "--radius", "1.7e308"),
+    ])
+    def test_grid_without_finite_counts_is_data_error(self, tmp_path, capsys, sizing):
+        """A radius so small that the column count overflows, a cell count
+        past the float range, or a radius whose cell width overflows: one
+        error line and no output."""
+        asc, out = tmp_path / "r.asc", tmp_path / "out"
+        assert run_cli("synth", "--cols", 12, "--rows", 9, "--bounds=-3,-3,3,3", "--runge", 1,
+                       "--out", asc) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("port", "--in", asc, "--out", out, *sizing) == 1
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cell width ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_synth_far_from_the_bump_writes_zeros_without_warning(self, tmp_path):
+        out = tmp_path / "far.asc"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli("synth", "--runge", 1, "--cols", 4, "--rows", 4,
+                           "--bounds=-1e300,-1e300,1e300,1e300", "--out", out) == 0
+        assert np.all(parse_esri_ascii(out.read_text()).values == 0.0)
+
     def test_flag_error_is_2(self):
         assert run_cli("port", "--bogus") == 2
         assert run_cli("nosuchcommand") == 2

@@ -233,9 +233,15 @@ class TestNeighborTable:
         assert np.array_equal(layout.cells(flat), cells.reshape(nrows, ncols))
         assert np.array_equal(layout.cell_index(np.flatnonzero(flat >= 0)), flat[flat >= 0])
         assert len(layout.faces) == 6
+        # The two spans cut the slots in two, each holding its parity's rows.
+        even, odd = layout.spans
+        assert (even.start, even.stop, odd.stop) == (0, odd.start, layout.size)
+        for span, rows in zip(layout.spans, layout.rows(flat)):
+            assert np.array_equal(np.sort(flat[span][flat[span] >= 0]), np.sort(rows.ravel()))
         for f, pairs in enumerate(layout.faces):
             read = np.full(layout.size, -2)
-            for cells_at, neighbors in pairs:
+            for span, (cells_at, neighbors) in zip(layout.spans, pairs):
+                assert span.start <= cells_at.start and cells_at.stop <= span.stop
                 # One contiguous stretch each: no strided path.
                 for part in (cells_at, neighbors):
                     assert type(part) is slice and part.step is None

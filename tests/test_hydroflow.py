@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from collections import deque
@@ -8,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexport import hydroflow
 from hexport.errors import NonFiniteStateError, OutOfRangeError
 from hexport.hexgrid import FACE_NORMALS, OPPOSITE_FACE, SQRT3, HexGrid, neighbor_table
 from hexport.hydroflow import (
@@ -811,3 +817,178 @@ class TestSliceStencils:
             assert state.capping_events == capped
         assert capped > 0
         assert (outflow > 0.0) == (boundary == "open")
+
+
+def outcome(state, steps):
+    """Bits of the depths, outflow and capping count after ``steps`` steps,
+    or the type and message of the error that one of them raised."""
+    try:
+        for _ in range(steps):
+            state = step(state)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return bits(state.h), bits(state.outflow_volume), state.capping_events
+
+
+class TestConcurrentHalves:
+    """The layout's halves give the same bytes whether the caller runs them
+    in turn or a second thread runs the odd one at the same time."""
+
+    @staticmethod
+    def concurrent(mp):
+        """Force the two-thread dispatch, whatever the grid and the cores."""
+        mp.setattr(hydroflow, "_CONCURRENT_SLOTS", 0)
+        mp.setattr(hydroflow.os, "sched_getaffinity", lambda pid: {0, 1})
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        nrows=st.integers(1, 12),
+        ncols=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        holes=st.sampled_from([0.0, 0.1, 0.4]),
+        boundary=st.sampled_from(["open", "closed"]),
+        courants=st.sampled_from([0.5, 1.0, 20.0]),
+        relief=st.sampled_from([3.0, 3.0, 1e300, 1.7e308]),
+        depths=st.sampled_from(["uniform", "signed zeros", "negative in holes",
+                                "NaN in holes"]),
+        strict=st.booleans(),
+    )
+    def test_concurrent_matches_serial(self, nrows, ncols, seed, holes, boundary, courants,
+                                       relief, depths, strict):
+        rng = np.random.default_rng(seed)
+        z = relief * rng.uniform(-1.0, 1.0, (nrows, ncols))
+        hole = rng.random(z.shape) < holes
+        z[hole] = -9999.0
+        h = rng.uniform(0.0, 0.5, z.shape)
+        if depths == "signed zeros":
+            h = np.where(rng.random(z.shape) < 0.5, h, rng.choice([0.0, -0.0], z.shape))
+        if depths == "negative in holes":
+            h[hole] = -1.0
+        if depths == "NaN in holes":
+            h[hole] = np.nan
+        state = make_state(z, h=h, nodata=-9999.0, boundary=boundary)
+        try:
+            dt = courants * courant_dt(state)
+        except NonFiniteStateError:  # the relief overflows the slopes
+            dt = 1.0
+        state = replace(state, dt=dt)
+        got = []
+        for forced in (False, True):
+            with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+                # Warnings as errors raise inside a half's phase.
+                warnings.simplefilter("error" if strict else "ignore", RuntimeWarning)
+                if forced:
+                    self.concurrent(mp)
+                got.append(outcome(replace(state, _topo=None), 3))
+        assert got[0] == got[1]
+
+    def test_halves_switching_often_match_serial(self, monkeypatch):
+        """The interpreter hands over between the threads every microsecond;
+        a half that wrote into the other's slots, or read them before they
+        were written, would change bits over 20 capping steps."""
+        state = holed(41, 37, 17, boundary="open", dt=2.0)
+        serial = outcome(replace(state, _topo=None), 20)
+        self.concurrent(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert outcome(replace(state, _topo=None), 20) == serial
+        finally:
+            sys.setswitchinterval(interval)
+        assert serial[2] > 0  # capping ran
+
+    def test_forced_dispatch_runs_the_odd_half_on_a_thread(self, monkeypatch):
+        self.concurrent(monkeypatch)
+        ran = []
+        monkeypatch.setattr(_Topology, "_gain", lambda topo, parity: ran.append(
+            (parity, threading.current_thread() is threading.main_thread())) or True)
+        step(holed(5, 4, 1))
+        assert sorted(ran) == [(0, True), (1, False)]
+
+    def test_one_core_runs_the_halves_in_turn(self, monkeypatch):
+        monkeypatch.setattr(hydroflow, "_CONCURRENT_SLOTS", 0)
+        monkeypatch.setattr(hydroflow.os, "sched_getaffinity", lambda pid: {0})
+        ran = []
+        monkeypatch.setattr(_Topology, "_gain", lambda topo, parity: ran.append(
+            (parity, threading.current_thread() is threading.main_thread())) or True)
+        step(holed(5, 4, 1))
+        assert ran == [(0, True), (1, True)]
+
+    def test_error_in_a_half_waits_for_the_other(self, monkeypatch):
+        self.concurrent(monkeypatch)
+        finished = []
+
+        def gain(topo, parity):
+            if parity == 1:
+                raise MemoryError("odd half")
+            time.sleep(0.05)
+            finished.append(parity)
+            return True
+
+        monkeypatch.setattr(_Topology, "_gain", gain)
+        with pytest.raises(MemoryError, match="odd half"):
+            step(holed(6, 5, 2))
+        assert finished == [0]
+        monkeypatch.undo()
+        self.concurrent(monkeypatch)
+        st = holed(6, 5, 2)  # and the next step runs as before
+        assert outcome(st, 2) == outcome(replace(st, _topo=None), 2)
+
+
+    def test_the_error_the_serial_order_meets_first_is_raised(self, monkeypatch):
+        self.concurrent(monkeypatch)
+        later = []
+
+        def fit(topo, parity):
+            if parity == 0:
+                time.sleep(0.05)  # the odd half fails first in time
+            raise ValueError(f"half {parity}")
+
+        monkeypatch.setattr(_Topology, "_fit", fit)
+        monkeypatch.setattr(_Topology, "_gain", lambda topo, parity: later.append(parity))
+        with pytest.raises(ValueError, match="half 0"):
+            step(holed(6, 5, 2))
+        assert later == []  # no half went past the failed phase
+
+# Steps a grid above the threshold on two threads, whatever cores the
+# process may use, so that its worker thread runs.
+CHILD = """
+import os, sys
+import numpy as np
+from hexport import hydroflow
+from hexport.hexgrid import HexGrid
+hydroflow.os.sched_getaffinity = lambda pid: {0, 1}
+n = int(np.ceil(np.sqrt(hydroflow._CONCURRENT_SLOTS)))
+rng = np.random.default_rng(3)
+state = hydroflow.FlowState(
+    grid=HexGrid(ncols=n, nrows=n, r=1.0, x0=0.0, y0=0.0), z=rng.uniform(0.0, 3.0, (n, n)),
+    h=np.full((n, n), 0.1), manning_n=0.03, dt=0.1, boundary="open")
+assert state.topology().layout.size >= hydroflow._CONCURRENT_SLOTS
+first = hydroflow.step(state)
+"""
+
+
+class TestOddHalfThread:
+    def run_child(self, script):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+             os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run([sys.executable, "-c", CHILD + script], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_forked_child_steps_on_its_own_thread(self):
+        done = self.run_child("""
+pid = os.fork()
+if pid == 0:
+    again = hydroflow.step(state)
+    os._exit(0 if np.array_equal(again.h, first.h) else 3)
+_, status = os.waitpid(pid, 0)
+sys.exit(os.waitstatus_to_exitcode(status))
+""")
+        assert done.returncode == 0, done.stderr
+
+    def test_process_exits_after_a_threaded_step(self):
+        start = time.perf_counter()
+        done = self.run_child("print(first.step_count)")
+        assert (done.returncode, done.stdout) == (0, "1\n"), done.stderr
+        assert time.perf_counter() - start < 60

@@ -330,7 +330,6 @@ class TestExtend1D:
         xs = np.array([0.0, 1.0, 3.0])
         fs = 2 * xs * xs - xs
         ext = Extension1D(Knots1D(xs, fs), ENO)
-        assert ext.degraded
         assert ext(2.0) == pytest.approx(6.0, rel=1e-13)
         assert ext(-1.0) == pytest.approx(3.0, rel=1e-13)
 

@@ -11,6 +11,7 @@ success, 1 on data errors, 2 on flag errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -171,7 +172,14 @@ def _cmd_render(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every call.
+
+    ``main`` reuses it, since ``parse_args`` keeps no state between calls;
+    callers must not change it.  ``build_parser.__wrapped__()`` builds a
+    fresh one.
+    """
     parser = argparse.ArgumentParser(
         prog="hexport",
         description="Port square rasters to hexagonal rasters, measure the "

@@ -146,32 +146,35 @@ def extension_l1_errors(
     return out
 
 
-def _thin_indices(count: int, max_gap: int, rng) -> np.ndarray:
+# Coins drawn per generator call.  Any block size gives the same stream.  From
+# about 1024 coins up a draw costs the same per coin, and a 41 x 41 raster,
+# which reads 700-850 coins, then draws few that it never reads.
+_COIN_BLOCK = 1024
+
+
+def _coin_stream(rng):
+    """``rng``'s int64 ``integers(0, 2)`` coins, drawn in blocks, yielded in order."""
+    while True:
+        yield from rng.integers(0, 2, size=_COIN_BLOCK).tolist()
+
+
+def _thin_indices(count: int, max_gap: int, coins) -> np.ndarray:
     """Kept indices of a line scan: ends always kept, gaps at most max_gap.
 
     Walks left to right; each interior index is dropped with probability 1/2
     unless keeping it is forced to honor the gap bound.  Each unforced index
-    takes one int64 coin ``rng.integers(0, 2)``, in order, and forced ones
-    take none.  The coins come from one batched draw per scan, which is the
-    same stream as scalar draws; the generator is then rewound and advanced
-    by exactly the coins used, so it ends where the scalar scan leaves it.
+    reads the next coin of the iterator ``coins`` (1 keeps it), and forced
+    ones read none, so consecutive scans share one stream.
     """
     if count <= 2:
         return np.arange(count)
-    state = rng.bit_generator.state
-    coins = rng.integers(0, 2, size=count - 2).tolist()
     kept = [0]
-    used = 0
+    last = 0
     for j in range(1, count - 1):
-        if j - kept[-1] == max_gap:
+        if j - last == max_gap or next(coins):
             kept.append(j)
-        else:
-            if coins[used]:
-                kept.append(j)
-            used += 1
+            last = j
     kept.append(count - 1)
-    rng.bit_generator.state = state
-    rng.integers(0, 2, size=used)
     return np.array(kept)
 
 
@@ -186,22 +189,18 @@ def degrade_raster(raster: RectRaster, m: int, n: int, seed: int = 0) -> RectRas
     The holes are a fixed function of ``seed``: one ``PCG64(seed)``
     generator gives one int64 ``integers(0, 2)`` coin per unforced index
     (1 keeps it), first for the row scan, then for each kept row's columns,
-    rows top to bottom.  Any faster draw must keep that stream.
+    rows top to bottom.  The coins are drawn in blocks and read in order,
+    each scan going on where the last one stopped; a batched draw is the
+    same stream as scalar draws, so nothing is rewound.
     """
     if int(m) != m or int(n) != n or m < 1 or n < 1:
         raise ConstraintInfeasibleError("gap multipliers m and n must be integers >= 1")
     m, n = int(m), int(n)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    values = raster.values.copy()
-    kept_rows = _thin_indices(raster.nrows, m, rng)
-    row_mask = np.zeros(raster.nrows, dtype=bool)
-    row_mask[kept_rows] = True
-    values[~row_mask, :] = raster.nodata
-    for row in kept_rows:
-        kept_cols = _thin_indices(raster.ncols, n, rng)
-        col_mask = np.zeros(raster.ncols, dtype=bool)
-        col_mask[kept_cols] = True
-        values[row, ~col_mask] = raster.nodata
+    coins = _coin_stream(np.random.Generator(np.random.PCG64(seed)))
+    values = np.full_like(raster.values, raster.nodata)
+    for row in _thin_indices(raster.nrows, m, coins):
+        cols = _thin_indices(raster.ncols, n, coins)
+        values[row, cols] = raster.values[row, cols]
     return RectRaster(
         values=values,
         xll=raster.xll,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hexport import hydroflow
-from hexport.cli import main
+from hexport.cli import build_parser, main
 from hexport.grid_io import (
     HexRaster,
     parse_esri_ascii,
@@ -560,3 +560,56 @@ class TestExitCodes:
     def test_subcommand_help(self, cmd, capsys):
         assert run_cli(cmd, "--help") == 0
         assert "--" in capsys.readouterr().out
+
+
+# One run of each subcommand, writing only under {out}/; {asc} is a 15x15
+# Runge raster and {hex} its hex port.
+REUSE_RUNS = {
+    "synth": ["synth", "--runge", "1", "--cols", "6", "--rows", "5",
+              "--bounds=0,0,6,5", "--out", "{out}/a.asc"],
+    "port": ["port", "--in", "{asc}", "--out", "{out}/a.hex", "--cells-across", "8"],
+    "degrade": ["degrade", "--in", "{asc}", "--out", "{out}/a.asc", "--seed", "3"],
+    "errors": ["errors", "--raster", "{asc}", "--hex", "{hex}", "--runge", "1",
+               "--quad", "2", "--report", "{out}/report.txt"],
+    "flow": ["flow", "--hex", "{hex}", "--steps", "3", "--out-depth", "{out}/d.hex",
+             "--out-mask", "{out}/m.hex"],
+    "render": ["render", "--in", "{hex}", "--out", "{out}/a.svg"],
+}
+
+
+class TestParserReuse:
+    """``main`` reuses one parser; no call leaves state for the next."""
+
+    @pytest.mark.parametrize("cmd", list(REUSE_RUNS))
+    def test_runs_repeat_across_errors_and_help(self, cmd, small_dem, tmp_path, capsys):
+        hexf = tmp_path / "dem.hex"
+        assert run_cli("port", "--in", small_dem, "--out", hexf, "--cells-across", 8) == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [a.format(asc=small_dem, hex=hexf, out=out) for a in REUSE_RUNS[cmd]]
+
+        def run():
+            capsys.readouterr()
+            code = main(argv)
+            printed = capsys.readouterr()
+            files = {path.name: path.read_bytes() for path in out.iterdir()}
+            for path in out.iterdir():
+                path.unlink()
+            return code, printed.out, printed.err, files
+
+        first = run()
+        assert first[0] == 0 and first[3]
+        assert main(argv + ["--bogus"]) == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert not list(out.iterdir())
+        assert main([cmd, "--help"]) == 0
+        help_text = capsys.readouterr().out
+        assert run() == first
+
+        with pytest.raises(SystemExit):
+            build_parser.__wrapped__().parse_args([cmd, "--help"])
+        assert capsys.readouterr().out == help_text
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+        assert build_parser.__wrapped__() is not build_parser()

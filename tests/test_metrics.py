@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -14,6 +15,7 @@ from hexport.interp2d import Extension2D, build_row_like_grid, make_extension
 from hexport.metrics import (
     DEGRADE_LEVELS,
     RungeField,
+    _coin_stream,
     _sample_points,
     _thin_indices,
     degrade_raster,
@@ -201,31 +203,82 @@ class TestDegrade:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        counts=st.lists(st.integers(0, 60), min_size=1, max_size=4),
+        counts=st.lists(st.integers(0, 700), min_size=1, max_size=4),
         max_gap=st.integers(1, 7),
         seed=st.integers(0, 10**6),
     )
     def test_generator_ends_where_scalar_scan_does(self, counts, max_gap, seed):
-        batched = np.random.Generator(np.random.PCG64(seed))
-        scalar = np.random.Generator(np.random.PCG64(seed))
+        # Consecutive scans read one coin stream, across its blocks: each
+        # keeps what the scalar scan keeps and reads as many coins.
+        coins = Counted(_coin_stream(np.random.Generator(np.random.PCG64(seed))))
+        scalar = Counting(np.random.PCG64(seed))
         for count in counts:
-            kept = _thin_indices(count, max_gap, batched)
+            coins.read = Counting.total = 0
+            kept = _thin_indices(count, max_gap, coins)
             assert kept.tolist() == scalar_thin(count, max_gap, scalar).tolist()
-            assert batched.bit_generator.state == scalar.bit_generator.state
+            assert coins.read == Counting.total
 
     def test_generator_calls_per_scan_not_per_cell(self, monkeypatch):
-        calls = []
-
-        class Counting(np.random.Generator):
-            def integers(self, *args, **kwargs):
-                calls.append(args)
-                return super().integers(*args, **kwargs)
-
         monkeypatch.setattr(np.random, "Generator", Counting)
+        Counting.total = 0
         r = RectRaster(values=np.ones((200, 150)), xll=0, yll=0, cellsize=1.0)
         d = degrade_raster(r, *DEGRADE_LEVELS[3], seed=4)
         scans = 1 + int((d.values != d.nodata).any(axis=1).sum())
-        assert scans <= len(calls) <= 2 * scans
+        assert 1 <= Counting.total <= scans
+
+    @pytest.mark.parametrize("level", sorted(DEGRADE_LEVELS))
+    def test_coin_blocks_run_out_mid_raster(self, level, monkeypatch):
+        values = np.arange(130 * 130, dtype=float).reshape(130, 130)
+        r = RectRaster(values=values, xll=0, yll=0, cellsize=1.0)
+        want = scalar_degrade(r, *DEGRADE_LEVELS[level], level)
+        monkeypatch.setattr(np.random, "Generator", Counting)
+        Counting.total = 0
+        got = degrade_raster(r, *DEGRADE_LEVELS[level], seed=level)
+        assert Counting.total > 1
+        assert got.values.tobytes() == want.tobytes()
+
+    def test_memory_per_cell(self):
+        # Peak bytes per cell over the input: the output raster, 8 B/cell,
+        # plus its validation masks; the coin blocks and scans are O(width).
+        # A first call's lazy imports are no cost per cell.
+        degrade_raster(RectRaster(values=np.ones((4, 4)), xll=0, yll=0, cellsize=1.0), 2, 2)
+        per_cell = {}
+        for size in (300, 1000):
+            r = RectRaster(values=np.ones((size, size)), xll=0, yll=0, cellsize=1.0)
+            tracemalloc.start()
+            try:
+                degrade_raster(r, *DEGRADE_LEVELS[1], seed=5)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            per_cell[size] = peak / size**2
+        assert per_cell[1000] <= min(per_cell[300], 11.0)
+
+
+class Counting(np.random.Generator):
+    """A generator that counts the ``integers`` calls of all its instances."""
+
+    total = 0
+
+    def integers(self, *args, **kwargs):
+        Counting.total += 1
+        return super().integers(*args, **kwargs)
+
+
+class Counted:
+    """An iterator that counts the items read through it."""
+
+    def __init__(self, items):
+        self.items = iter(items)
+        self.read = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        item = next(self.items)
+        self.read += 1
+        return item
 
 
 def scalar_thin(count, max_gap, rng):

@@ -28,12 +28,21 @@ the file is read a line at a time, and a faulty body is counted to its end
 the same way, to report a count mismatch before a bad token.  A read of
 bytes or text also holds that text and its list of lines.  The writers
 return the text, or write it row by row to an open text file ``out``, and
-then hold O(one row).
+then hold O(one row).  A large write to a file, on two cores, forks a
+helper process that formats the second half of the rows into a temporary
+file while the caller writes the first half; the caller then copies the
+helper's lines after its own, a line at a time, so it still holds about one
+row, and the bytes are those of the serial write.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import os
+import signal
+import tempfile
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -48,6 +57,12 @@ from .errors import (
 from .hexgrid import HexGrid, hex_vertices, locate_many
 
 DEFAULT_NODATA = -9999.0
+
+# Values from which a write to a file forks a helper to format the second
+# half of the rows.  On fewer, the fork, the copy and the page faults the
+# fork leaves for the caller's next work cost more than the second core
+# saves; CHANGES.md has the measured curve.
+_FORKED_VALUES = 200_000
 
 
 class _Raster:
@@ -280,23 +295,97 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def _write_text(raster):
-    """Both formats' writer: the header, then one line per row, top row first."""
-    yield f"ncols {raster.ncols}\n"
-    yield f"nrows {raster.nrows}\n"
-    for name, key in raster._keys.items():
-        yield f"{key} {_fmt(getattr(raster, name))}\n"
-    yield f"NODATA_value {_fmt(raster.nodata)}\n"
-    for row in raster.values:
-        yield " ".join(map(repr, row.tolist())) + "\n"
+def _write_text(raster, out):
+    """Both formats' writer: the header, then one line per row, top row first.
 
-
-def _deliver(lines, out):
-    """The joined ``lines``, or None once they are written to the text file ``out``."""
+    Returns the text, or None once it is written to the open text file ``out``.
+    """
+    header = [f"ncols {raster.ncols}\n", f"nrows {raster.nrows}\n",
+              *(f"{key} {_fmt(getattr(raster, name))}\n" for name, key in raster._keys.items()),
+              f"NODATA_value {_fmt(raster.nodata)}\n"]
     if out is None:
-        return "".join(lines)
-    out.writelines(lines)
+        return "".join(itertools.chain(header, _rows(raster.values)))
+    with _second_half(raster.values, out) as k:
+        out.writelines(header)
+        out.writelines(_rows(raster.values[:k]))
     return None
+
+
+def _rows(values):
+    """The text lines of ``values``' rows."""
+    return (" ".join(map(repr, row.tolist())) + "\n" for row in values)
+
+
+def _two_cores() -> bool:
+    """Whether this process may run on two cores: False where
+    ``os.sched_getaffinity`` (Linux only) or ``os.fork`` is missing."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return affinity is not None and hasattr(os, "fork") and len(affinity(0)) >= 2
+
+
+@contextlib.contextmanager
+def _second_half(values, out):
+    """Yields k: the caller writes the first k rows of ``values`` to ``out``
+    in its block, and the rest follow them once the block ends.
+
+    k is every row unless there are at least ``_FORKED_VALUES`` values, two
+    cores and no thread but the caller's (a forked child has the calling
+    thread only).  Then k = ceil(nrows / 2), and a forked helper formats
+    rows [k, nrows) while the block runs.  After the block the caller reaps
+    the helper and copies its file into ``out`` a line at a time, or formats
+    the rows itself if the helper exited non-zero.  A block that raises
+    kills and reaps the helper first.
+    """
+    n = len(values)
+    k = n - n // 2
+    helper = None
+    if values.size >= _FORKED_VALUES and threading.active_count() == 1 and _two_cores():
+        helper = _helper(values[k:])
+    if helper is None:
+        yield n
+        return
+    pid, spool = helper
+    with spool:
+        try:
+            yield k
+            _, status = os.waitpid(pid, 0)
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+        if status == 0:
+            spool.seek(0)
+            out.writelines(spool)
+        else:
+            out.writelines(_rows(values[k:]))
+
+
+def _helper(values):
+    """The pid of a forked process that writes the lines of ``values``' rows
+    to an unlinked temporary file, and that file; None where no temporary
+    file or no process can be had."""
+    try:
+        spool = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+    except OSError:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns of any thread, numpy's native BLAS workers
+            # too; the helper only formats and writes, taking no lock of theirs.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        spool.close()
+        return None
+    if pid == 0:  # the helper: leaves through os._exit, whatever happens
+        code = 1
+        try:
+            spool.writelines(_rows(values))
+            spool.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    return pid, spool
 
 
 def parse_esri_ascii(data) -> RectRaster:
@@ -319,7 +408,7 @@ def write_esri_ascii(raster: RectRaster, out=None) -> str | None:
     Returns the text, or, given an open text file ``out``, writes it there
     row by row and returns None.
     """
-    return _deliver(_write_text(raster), out)
+    return _write_text(raster, out)
 
 
 def read_hex_raster(data) -> HexRaster:
@@ -335,7 +424,7 @@ def _hex(lines) -> HexRaster:
 
 def write_hex_raster(raster: HexRaster, out=None) -> str | None:
     """Serialize a hex raster; like :func:`write_esri_ascii`, to ``out`` if given."""
-    return _deliver(_write_text(raster), out)
+    return _write_text(raster, out)
 
 
 def read_raster(data):

@@ -63,7 +63,6 @@ import contextvars
 import copy
 import functools
 import math
-import os
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
@@ -71,7 +70,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonFiniteStateError, OutOfRangeError
-from .grid_io import DEFAULT_NODATA, HexRaster
+from .grid_io import DEFAULT_NODATA, HexRaster, _two_cores
 from .hexgrid import FACE_NORMALS, SQRT3, HexGrid, ParityLayout, neighbor_table
 
 # The Courant-like bound dt * side * v_max / cell_area that courant_dt keeps.
@@ -547,7 +546,7 @@ def _halves(topo: _Topology, *phases) -> list:
     raised by a phase is raised once both halves have stopped: the one the
     caller alone would have met first.
     """
-    if topo.layout.size < _CONCURRENT_SLOTS or len(os.sched_getaffinity(0)) < 2:
+    if topo.layout.size < _CONCURRENT_SLOTS or not _two_cores():
         return [[phase(0), phase(1)] for phase in phases]
     results = [[None, None] for _ in phases]
     errors = []

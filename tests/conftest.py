@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,20 @@ def sr1_eno_ports(sr1):
         n: port(sr1, PortingConfig(method="eno", cells_across=n))
         for n in (200, 300, 600)
     }
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """A list that gains an entry for each ``os.fork`` call of the test."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
 
 
 def hex_centers(grid):

@@ -1,12 +1,18 @@
+import errno
 import io
+import os
+import signal
+import tempfile
+import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hexport import grid_io
 from hexport.errors import (
     CountMismatchError,
     DegenerateRangeWarning,
@@ -491,11 +497,148 @@ class TestCodecMemory:
         with open(path, encoding="utf-8") as fh:
             assert read(fh) == self.RASTER
 
-    @pytest.mark.parametrize("nrows", [30, 300])
-    def test_write_holds_one_row(self, tmp_path, nrows):
-        raster = HexRaster(values=self.RASTER.values[:nrows], x0=0.0, y0=0.0, r=1.0)
+    @pytest.mark.parametrize("nrows", [30, 300, 700])
+    def test_write_holds_one_row(self, tmp_path, nrows, forks):
+        values = np.resize(self.RASTER.values, (nrows, self.RASTER.ncols))  # rows repeat past 300
+        raster = HexRaster(values=values, x0=0.0, y0=0.0, r=1.0)
         row = len(write_hex_raster(raster).splitlines()[-1]) + 1
         with open(tmp_path / "out.hex", "w", encoding="utf-8", newline="\n") as fh:
             peak = self.peak(write_hex_raster, raster, fh)
         assert peak < 12 * row
+        # On two cores the largest write copies a helper's half: the bound holds there too.
+        assert len(forks) == (raster.values.size >= grid_io._FORKED_VALUES
+                              and grid_io._two_cores())
         assert (tmp_path / "out.hex").read_text() == write_hex_raster(raster)
+
+
+def written(write, raster):
+    """What ``write`` puts in a file given as ``out``."""
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as fh:
+        assert write(raster, fh) is None
+        fh.seek(0)
+        return fh.read()
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Values a row formatter could get wrong: signed zeros, subnormals, the
+# extremes of the range and the NODATA sentinel.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.7e308, 1.7e308, -9999.0, 0.1, 1e16]
+
+
+class TestForkedWrite:
+    """A file write on two cores, from ``_FORKED_VALUES`` values up, forks a
+    helper for the second half of the rows; the bytes are those of the
+    serial write, and no child outlives the write."""
+
+    @pytest.fixture
+    def forced(self, monkeypatch, forks):
+        """Force the helper on any raster, whatever the cores; the fork calls."""
+        monkeypatch.setattr(grid_io, "_FORKED_VALUES", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        return forks
+
+    RASTER = HexRaster(values=np.random.default_rng(5).normal(size=(7, 4)), x0=1.0, y0=2.0,
+                       r=0.5)
+
+    # The fixture's patches hold for every example.
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        nrows=st.integers(1, 9),
+        ncols=st.integers(1, 9),
+        data=st.data(),
+    )
+    def test_same_bytes_as_the_text(self, forced, nrows, ncols, data):
+        forced.clear()
+        values = data.draw(st.lists(st.sampled_from(EDGE_VALUES) | finite,
+                                    min_size=nrows * ncols, max_size=nrows * ncols))
+        values = np.array(values).reshape(nrows, ncols)
+        rect = RectRaster(values=values, xll=-1.5, yll=2.0, cellsize=0.25)
+        hexr = HexRaster(values=values, x0=-1.5, y0=2.0, r=0.25)
+        assert written(write_esri_ascii, rect) == write_esri_ascii(rect)
+        assert written(write_hex_raster, hexr) == write_hex_raster(hexr)
+        assert forced == [os.getpid()] * 2
+        assert_no_child()
+
+    @pytest.mark.parametrize("fault", ["raise", "kill"])
+    def test_a_failed_helper_leaves_the_caller_to_format(self, forced, monkeypatch, fault):
+        caller = os.getpid()
+        rows = grid_io._rows
+
+        def failing(values):
+            if os.getpid() != caller:
+                if fault == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise MemoryError("helper")
+            return rows(values)
+
+        monkeypatch.setattr(grid_io, "_rows", failing)
+        assert written(write_hex_raster, self.RASTER) == write_hex_raster(self.RASTER)
+        assert len(forced) == 1
+        assert_no_child()
+
+    @pytest.mark.parametrize("refused", [(os, "fork"), (tempfile, "TemporaryFile")],
+                             ids=["fork", "TemporaryFile"])
+    def test_no_process_or_file_to_spare_keeps_the_write_serial(self, forced, monkeypatch,
+                                                                  refused):
+        def refuse(*args, **kwargs):
+            raise OSError(errno.EAGAIN, "resource temporarily unavailable")
+
+        monkeypatch.setattr(*refused, refuse)
+        out = io.StringIO()
+        assert write_hex_raster(self.RASTER, out) is None
+        assert out.getvalue() == write_hex_raster(self.RASTER)
+        assert_no_child()
+
+    def test_the_fork_warning_of_native_threads_is_not_raised(self, forced, monkeypatch):
+        """Python 3.12+ warns at a fork while numpy's BLAS threads run."""
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn("This process is multi-threaded", DeprecationWarning)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert written(write_hex_raster, self.RASTER) == write_hex_raster(self.RASTER)
+        assert len(forced) == 1
+        assert_no_child()
+
+    def test_a_write_error_in_the_caller_propagates(self, forced):
+        error = OSError(errno.ENOSPC, "no space left")
+
+        class Full(io.StringIO):
+            def write(self, text):
+                if self.tell() > 60:  # past the header
+                    raise error
+                return super().write(text)
+
+        with pytest.raises(OSError) as raised:
+            write_hex_raster(self.RASTER, Full())
+        assert raised.value is error
+        assert len(forced) == 1
+        assert_no_child()
+
+    @pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])
+    def test_without_affinity_or_fork_the_write_is_serial(self, monkeypatch, forks, missing):
+        monkeypatch.setattr(grid_io, "_FORKED_VALUES", 0)
+        monkeypatch.delattr(os, missing)
+        assert written(write_hex_raster, self.RASTER) == write_hex_raster(self.RASTER)
+        assert forks == []
+
+    def test_a_second_thread_keeps_the_write_serial(self, forced):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert written(write_hex_raster, self.RASTER) == write_hex_raster(self.RASTER)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forced == []

@@ -838,7 +838,7 @@ class TestConcurrentHalves:
     def concurrent(mp):
         """Force the two-thread dispatch, whatever the grid and the cores."""
         mp.setattr(hydroflow, "_CONCURRENT_SLOTS", 0)
-        mp.setattr(hydroflow.os, "sched_getaffinity", lambda pid: {0, 1})
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -907,12 +907,25 @@ class TestConcurrentHalves:
 
     def test_one_core_runs_the_halves_in_turn(self, monkeypatch):
         monkeypatch.setattr(hydroflow, "_CONCURRENT_SLOTS", 0)
-        monkeypatch.setattr(hydroflow.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         ran = []
         monkeypatch.setattr(_Topology, "_gain", lambda topo, parity: ran.append(
             (parity, threading.current_thread() is threading.main_thread())) or True)
         step(holed(5, 4, 1))
         assert ran == [(0, True), (1, True)]
+
+    @pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])
+    def test_without_affinity_or_fork_the_halves_run_in_turn(self, monkeypatch, missing):
+        state = holed(41, 37, 17, boundary="open", dt=2.0)
+        serial = outcome(replace(state, _topo=None), 3)
+        monkeypatch.setattr(hydroflow, "_CONCURRENT_SLOTS", 0)
+        monkeypatch.delattr(os, missing)
+        on_caller = []
+        gain = _Topology._gain
+        monkeypatch.setattr(_Topology, "_gain", lambda topo, parity: on_caller.append(
+            threading.current_thread() is threading.main_thread()) or gain(topo, parity))
+        assert outcome(replace(state, _topo=None), 3) == serial
+        assert on_caller == [True] * 6
 
     def test_error_in_a_half_waits_for_the_other(self, monkeypatch):
         self.concurrent(monkeypatch)
@@ -957,7 +970,7 @@ import os, sys
 import numpy as np
 from hexport import hydroflow
 from hexport.hexgrid import HexGrid
-hydroflow.os.sched_getaffinity = lambda pid: {0, 1}
+os.sched_getaffinity = lambda pid: {0, 1}
 n = int(np.ceil(np.sqrt(hydroflow._CONCURRENT_SLOTS)))
 rng = np.random.default_rng(3)
 state = hydroflow.FlowState(

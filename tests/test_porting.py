@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexport.cli import main
+from hexport import grid_io
 from hexport.grid_io import RectRaster, write_hex_raster
 from hexport.hexgrid import locate_many
 from hexport.metrics import runge_raster
@@ -54,7 +55,8 @@ class TestPort:
         assert a == b
 
     @pytest.mark.parametrize("method", list(SR1_PORT_SHA256))
-    def test_sr1_port_bytes_are_pinned(self, method, tmp_path):
+    def test_sr1_port_bytes_are_pinned(self, method, tmp_path, forks, monkeypatch):
+        monkeypatch.setattr(grid_io, "_FORKED_VALUES", 0)
         sr1 = tmp_path / "sr1.asc"
         out = tmp_path / "sr1.hex"
         assert main(["synth", "--runge", "1", "--cols", "41", "--rows", "41",
@@ -62,6 +64,8 @@ class TestPort:
         assert main(["port", "--in", str(sr1), "--out", str(out),
                      "--method", method, "--cells-across", "200"]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SR1_PORT_SHA256[method]
+        # On two cores a helper wrote the second half of both rasters.
+        assert len(forks) == 2 * grid_io._two_cores()
 
     def test_id_port_matches_cell_lookup(self):
         rng = np.random.default_rng(0)

@@ -28,19 +28,25 @@ the file is read a line at a time, and a faulty body is counted to its end
 the same way, to report a count mismatch before a bad token.  A read of
 bytes or text also holds that text and its list of lines.  The writers
 return the text, or write it row by row to an open text file ``out``, and
-then hold O(one row).  A large write to a file, on two cores, forks a
-helper process that formats the second half of the rows into a temporary
-file while the caller writes the first half; the caller then copies the
-helper's lines after its own, a line at a time, so it still holds about one
-row, and the bytes are those of the serial write.
+then hold O(one row).  A large read, or a large write to a file, on two
+cores forks a helper process for the second half of the rows while the
+caller does the first half.  A read's helper parses its lines into a
+temporary file of float64 values, which the caller reads straight into the
+values array; a write's helper formats its rows into a temporary file,
+which the caller copies after its own a line at a time.  Either way the
+caller still holds about one row, and the values, the error or the bytes
+are those of the serial read or write.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import io
 import itertools
 import os
 import signal
+import stat
 import tempfile
 import threading
 import warnings
@@ -58,10 +64,10 @@ from .hexgrid import HexGrid, hex_vertices, locate_many
 
 DEFAULT_NODATA = -9999.0
 
-# Values from which a write to a file forks a helper to format the second
-# half of the rows.  On fewer, the fork, the copy and the page faults the
-# fork leaves for the caller's next work cost more than the second core
-# saves; CHANGES.md has the measured curve.
+# Values from which a read or a write of a file forks a helper to parse or
+# format the second half of the rows.  On fewer, the fork, the copy and the
+# page faults the fork leaves for the caller's next work cost more than the
+# second core saves; CHANGES.md has the measured curve.
 _FORKED_VALUES = 200_000
 
 
@@ -180,7 +186,8 @@ _ALL_KEYS = {key for group in _ESRI_KEYS + _HEX_KEYS for key in group}
 
 
 def _lines(data):
-    """An iterator over the lines of bytes, text or an open text file.
+    """An iterator over the lines of bytes, text or an open text file, and
+    the file (None for bytes or text).
 
     A file is read a line at a time, and each line it yields is cut again by
     ``str.splitlines``, so the lines are those of the whole text.
@@ -188,8 +195,8 @@ def _lines(data):
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     if isinstance(data, str):
-        return iter(data.splitlines())
-    return itertools.chain.from_iterable(map(str.splitlines, data))
+        return iter(data.splitlines()), None
+    return itertools.chain.from_iterable(map(str.splitlines, data)), data
 
 
 def _split_header(lines, known):
@@ -205,10 +212,11 @@ def _split_header(lines, known):
     return head, lines
 
 
-def _read_text(lines, what, required, size):
+def _read_text(lines, file, what, required, size):
     """Both formats' reader: the checked header and the (nrows, ncols) values.
 
-    ``lines`` is an iterator over the text's lines.  The header may hold
+    ``lines`` is an iterator over the text's lines, read from ``file`` (None
+    for bytes or text).  The header may hold
     ``nodata_value`` and must hold one key of each ``required`` group; every
     key but ``nodata_value`` must be finite, ``ncols`` and ``nrows`` positive
     integers and ``size`` positive.
@@ -250,41 +258,108 @@ def _read_text(lines, what, required, size):
         header[key] = int(v)
     if not header[size] > 0:
         raise MalformedHeaderError(f"{what}: {size} must be positive")
-    return header, _parse_body(body, header["nrows"], header["ncols"], what)
+    return header, _parse_body(body, file, header["nrows"], header["ncols"], what)
 
 
-def _parse_body(lines, nrows, ncols, what):
+def _parse_body(lines, file, nrows, ncols, what):
     """The (nrows, ncols) values of the body ``lines``, read one line at a time.
 
-    A faulty body, or a declared count too large to allocate, is then counted
-    to its end, still a line at a time, to report the count before a bad
-    token.  Every token before the line being read was a number, so a bad
-    token is looked for in that line only.
+    From ``_FORKED_VALUES`` values on (see :func:`_forks`), a forked helper
+    parses the lines after the first k = ceil(nrows / 2) while the caller
+    parses those (:func:`_read_on`); the caller then reads the helper's
+    values after its own, or parses the rest itself if the helper failed or
+    the counts do not add up.  A faulty body, or a declared count too large
+    to allocate, is then counted to its end, still a line at a time, to
+    report the count before a bad token.  Every token before the line that
+    stopped the parse was a number, so a bad token is looked for in that
+    line only.
     """
     count = nrows * ncols
-    before, current = 0, []  # tokens of the lines already read; of the line being read
-
-    def split(line):
-        nonlocal before, current
-        before += len(current)
-        current = line.split()
-        return current
-
-    tokens = itertools.chain.from_iterable(map(split, lines))
     try:
-        flat = np.fromiter(map(float, tokens), np.float64, count=count)
-        if next(tokens, None) is None:
-            return flat.reshape(nrows, ncols)
+        flat = np.empty(count, np.float64)
         failure = None
     except (ValueError, MemoryError, OverflowError) as exc:
-        failure = exc
-    found = before + len(current) + sum(len(line.split()) for line in lines)
+        flat, failure = np.empty(0), exc  # _fill stops at its first token
+    k = nrows - nrows // 2
+    work = _read_on(lines, file, k) if failure is None and _forks(count, nrows) else None
+    with _helper(work) as join:
+        filled, stopped = _fill(flat, 0, lines if join is None else itertools.islice(lines, k))
+        if join is not None and stopped is None:
+            spool = join()
+            if spool is not None and _load(spool, flat[filled:]):
+                if file is not None:
+                    file.seek(0, io.SEEK_END)  # where the serial parse leaves it
+                return flat.reshape(nrows, ncols)
+            filled, stopped = _fill(flat, filled, lines)
+    if stopped is None and filled == count:
+        return flat.reshape(nrows, ncols)
+    stopped = stopped or []
+    found = filled + len(stopped) + sum(len(line.split()) for line in lines)
     if found != count:
         raise CountMismatchError(f"{what}: expected {count} values, found {found}")
-    bad = next((t for t in current if not _is_number(t)), None)
+    bad = next((t for t in stopped if not _is_number(t)), None)
     if bad is None:
         raise failure
     raise NonNumericTokenError(f"{what}: bad value token {bad!r}")
+
+
+def _fill(flat, filled, lines):
+    """Stores the numbers of ``lines`` in ``flat`` from index ``filled`` on,
+    a line at a time.  Returns the index after the last number stored, and
+    the tokens of the line that stopped it, one with a bad token or more
+    tokens than fit, or None once ``lines`` run out."""
+    for tokens in map(str.split, lines):
+        end = filled + len(tokens)
+        if end > len(flat):
+            return filled, tokens
+        try:
+            flat[filled:end] = np.fromiter(map(float, tokens), np.float64, len(tokens))
+        except ValueError:
+            return filled, tokens
+        filled = end
+    return filled, None
+
+
+def _read_on(lines, file, skip):
+    """What a forked helper runs to parse ``lines`` after the first ``skip``
+    into its spool as float64 values, or None where it cannot read on
+    without moving the caller: in a file neither in memory nor on disk.
+
+    The helper goes on with its copy of the caller's ``lines``, so it splits
+    them as the caller does.  Bytes, text and an ``io.StringIO`` live in its
+    own memory.  A regular file's descriptor shares its offset with the
+    caller, so the helper first points that descriptor at a new open file
+    description of the same file, at the offset the caller had at the fork.
+    """
+    fd = None
+    if file is not None and not isinstance(file, io.StringIO):
+        if not (isinstance(file, io.TextIOWrapper)
+                and isinstance(getattr(file.buffer, "raw", None), io.FileIO)):
+            return None
+        fd = file.fileno()
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            return None
+        at = os.lseek(fd, 0, os.SEEK_CUR)
+
+    def read_on(spool):
+        if fd is not None:
+            own = os.open(f"/proc/self/fd/{fd}", os.O_RDONLY)
+            os.lseek(own, at, os.SEEK_SET)
+            os.dup2(own, fd)
+            os.close(own)
+        collections.deque(itertools.islice(lines, skip), maxlen=0)
+        tokens = itertools.chain.from_iterable(map(str.split, lines))
+        spool.write(np.fromiter(map(float, tokens), np.float64).tobytes())
+
+    return read_on
+
+
+def _load(spool, flat) -> bool:
+    """Whether ``spool`` held exactly ``flat``'s count of float64 values,
+    read into ``flat``."""
+    size = flat.nbytes
+    return (os.fstat(spool.fileno()).st_size == size
+            and spool.readinto(memoryview(flat).cast("B")) == size)
 
 
 def _is_number(token: str) -> bool:
@@ -303,11 +378,21 @@ def _write_text(raster, out):
     header = [f"ncols {raster.ncols}\n", f"nrows {raster.nrows}\n",
               *(f"{key} {_fmt(getattr(raster, name))}\n" for name, key in raster._keys.items()),
               f"NODATA_value {_fmt(raster.nodata)}\n"]
+    values = raster.values
     if out is None:
-        return "".join(itertools.chain(header, _rows(raster.values)))
-    with _second_half(raster.values, out) as k:
+        return "".join(itertools.chain(header, _rows(values)))
+    # Past the first k rows, a forked helper may format the rest.
+    k = len(values) - len(values) // 2
+    work = None
+    if _forks(values.size, len(values)):
+        def work(spool):
+            spool.writelines(line.encode() for line in _rows(values[k:]))
+    with _helper(work) as join:
         out.writelines(header)
-        out.writelines(_rows(raster.values[:k]))
+        out.writelines(_rows(values if join is None else values[:k]))
+        if join is not None:
+            spool = join()
+            out.writelines(_rows(values[k:]) if spool is None else map(bytes.decode, spool))
     return None
 
 
@@ -323,78 +408,79 @@ def _two_cores() -> bool:
     return affinity is not None and hasattr(os, "fork") and len(affinity(0)) >= 2
 
 
-@contextlib.contextmanager
-def _second_half(values, out):
-    """Yields k: the caller writes the first k rows of ``values`` to ``out``
-    in its block, and the rest follow them once the block ends.
+def _forks(values: int, rows: int) -> bool:
+    """Whether a read or write of ``values`` values in ``rows`` rows forks a
+    helper for the second half of the rows: from ``_FORKED_VALUES`` values
+    on, where the helper gets a row, on two cores, and with no thread but
+    the caller's (a forked child has the calling thread only)."""
+    return (values >= _FORKED_VALUES and rows >= 2 and threading.active_count() == 1
+            and _two_cores())
 
-    k is every row unless there are at least ``_FORKED_VALUES`` values, two
-    cores and no thread but the caller's (a forked child has the calling
-    thread only).  Then k = ceil(nrows / 2), and a forked helper formats
-    rows [k, nrows) while the block runs.  After the block the caller reaps
-    the helper and copies its file into ``out`` a line at a time, or formats
-    the rows itself if the helper exited non-zero.  A block that raises
+
+@contextlib.contextmanager
+def _helper(work):
+    """Runs ``work(spool)`` in a forked helper process while the block runs.
+
+    ``spool`` is an unlinked binary temporary file.  The block gets None if
+    ``work`` is None or no temporary file or no process can be had, and then
+    does all the work itself.  Otherwise it gets ``join``: ``join()`` reaps
+    the helper and returns the spool at offset 0, or None if the helper
+    exited non-zero.  A block that ends without joining, by raising or not,
     kills and reaps the helper first.
     """
-    n = len(values)
-    k = n - n // 2
-    helper = None
-    if values.size >= _FORKED_VALUES and threading.active_count() == 1 and _two_cores():
-        helper = _helper(values[k:])
-    if helper is None:
-        yield n
+    try:
+        spool = None if work is None else tempfile.TemporaryFile()
+    except OSError:
+        spool = None
+    if spool is None:
+        yield None
         return
-    pid, spool = helper
     with spool:
         try:
-            yield k
+            with warnings.catch_warnings():
+                # Python 3.12+ warns of any thread, numpy's native BLAS workers
+                # too; the helper only parses, formats and writes, taking no
+                # lock of theirs.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            pid = None
+        if pid is None:
+            yield None
+            return
+        if pid == 0:  # the helper: leaves through os._exit, whatever happens
+            code = 1
+            try:
+                work(spool)
+                spool.flush()
+                code = 0
+            finally:
+                os._exit(code)
+        status = None
+
+        def join():
+            nonlocal status
             _, status = os.waitpid(pid, 0)
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            raise
-        if status == 0:
+            if status:
+                return None
             spool.seek(0)
-            out.writelines(spool)
-        else:
-            out.writelines(_rows(values[k:]))
+            return spool
 
-
-def _helper(values):
-    """The pid of a forked process that writes the lines of ``values``' rows
-    to an unlinked temporary file, and that file; None where no temporary
-    file or no process can be had."""
-    try:
-        spool = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
-    except OSError:
-        return None
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns of any thread, numpy's native BLAS workers
-            # too; the helper only formats and writes, taking no lock of theirs.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        spool.close()
-        return None
-    if pid == 0:  # the helper: leaves through os._exit, whatever happens
-        code = 1
         try:
-            spool.writelines(_rows(values))
-            spool.flush()
-            code = 0
+            yield join
         finally:
-            os._exit(code)
-    return pid, spool
+            if status is None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def parse_esri_ascii(data) -> RectRaster:
     """Parse an ESRI ASCII grid from bytes, text or an open text file."""
-    return _esri(_lines(data))
+    return _esri(*_lines(data))
 
 
-def _esri(lines) -> RectRaster:
-    header, values = _read_text(lines, "esri ascii", _ESRI_KEYS, "cellsize")
+def _esri(lines, file) -> RectRaster:
+    header, values = _read_text(lines, file, "esri ascii", _ESRI_KEYS, "cellsize")
     cellsize = header["cellsize"]
     xll = header.get("xllcorner", header.get("xllcenter", 0.0) - cellsize / 2.0)
     yll = header.get("yllcorner", header.get("yllcenter", 0.0) - cellsize / 2.0)
@@ -413,11 +499,11 @@ def write_esri_ascii(raster: RectRaster, out=None) -> str | None:
 
 def read_hex_raster(data) -> HexRaster:
     """Parse the hexagonal raster text format from bytes, text or an open text file."""
-    return _hex(_lines(data))
+    return _hex(*_lines(data))
 
 
-def _hex(lines) -> HexRaster:
-    header, values = _read_text(lines, "hex raster", _HEX_KEYS, "radius")
+def _hex(lines, file) -> HexRaster:
+    header, values = _read_text(lines, file, "hex raster", _HEX_KEYS, "radius")
     geometry = {name: header[key] for name, key in HexRaster._keys.items()}
     return HexRaster(values=values, **geometry, nodata=header["nodata_value"])
 
@@ -429,9 +515,10 @@ def write_hex_raster(raster: HexRaster, out=None) -> str | None:
 
 def read_raster(data):
     """Parse either format; a ``xcenter0`` header key means the hexagonal one."""
-    head, rest = _split_header(_lines(data), _ALL_KEYS)
+    lines, file = _lines(data)
+    head, rest = _split_header(lines, _ALL_KEYS)
     keys = {tokens[0].lower() for tokens in map(str.split, head) if tokens}
-    return (_hex if "xcenter0" in keys else _esri)(itertools.chain(head, rest))
+    return (_hex if "xcenter0" in keys else _esri)(itertools.chain(head, rest), file)
 
 
 PALETTES = {

@@ -399,7 +399,10 @@ class _Topology:
                     for edge, sends in ((edges[f], np.greater), (edges[f + 3], np.less)):
                         self._take[edge] |= sends(self._rate[edge], 0.0)
                 sent = np.multiply(rate, depth_side, out=term)
-                np.multiply(sent, pair, out=volume[f])
+                # A float times a bool mask casts the mask through an iterator
+                # buffer each call; the mask goes into rate, free by now.
+                np.copyto(rate, pair)
+                np.multiply(sent, rate, out=volume[f])
             out = _sent(volume, tau_x, term)
             avail = np.multiply(h, grid.cell_area, out=tau_y)
             # A hole never sends, whatever depth it holds.

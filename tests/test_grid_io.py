@@ -4,6 +4,7 @@ import os
 import signal
 import tempfile
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -485,17 +486,22 @@ class TestCodecMemory:
         assert peak <= 1.5 * len(text) + 8 * self.RASTER.values.size
 
     @pytest.mark.parametrize("read", [read_hex_raster, read_raster])
-    def test_file_read_holds_one_row(self, tmp_path, read):
+    def test_file_read_holds_one_row(self, tmp_path, read, forks):
+        values = np.resize(self.RASTER.values, (700, self.RASTER.ncols))  # rows repeat past 300
+        raster = HexRaster(values=values, x0=0.0, y0=0.0, r=1.0)
         path = tmp_path / "in.hex"
-        text = write_hex_raster(self.RASTER)
+        text = write_hex_raster(raster)
         path.write_text(text)
         row = len(text.splitlines()[-1]) + 1
         with open(path, encoding="utf-8") as fh:
             peak = self.peak(read, fh)
         # the values, two validity masks of a byte a value, a few rows
-        assert peak < 10 * self.RASTER.values.size + 12 * row
+        assert peak < 10 * values.size + 12 * row
+        # On two cores a helper parsed the second half: the bound holds there too.
+        assert values.size >= grid_io._FORKED_VALUES
+        assert len(forks) == grid_io._two_cores()
         with open(path, encoding="utf-8") as fh:
-            assert read(fh) == self.RASTER
+            assert read(fh) == raster
 
     @pytest.mark.parametrize("nrows", [30, 300, 700])
     def test_write_holds_one_row(self, tmp_path, nrows, forks):
@@ -561,7 +567,8 @@ class TestForkedWrite:
         hexr = HexRaster(values=values, x0=-1.5, y0=2.0, r=0.25)
         assert written(write_esri_ascii, rect) == write_esri_ascii(rect)
         assert written(write_hex_raster, hexr) == write_hex_raster(hexr)
-        assert forced == [os.getpid()] * 2
+        # A single row leaves the helper none: it is not forked.
+        assert forced == [os.getpid()] * 2 * (nrows > 1)
         assert_no_child()
 
     @pytest.mark.parametrize("fault", ["raise", "kill"])
@@ -642,3 +649,199 @@ class TestForkedWrite:
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert forced == []
+
+
+def with_faults(data, text, faults, layout):
+    """``text`` with the drawn ``faults`` in its body, laid out one row a
+    line or with drawn separators (blank lines, several rows a line, every
+    line ending)."""
+    lines = text.splitlines()
+    rows = [line.split() for line in lines[6:]]
+    tokens = [token for row in rows for token in row]
+    index = st.integers(0, len(tokens) - 1)
+    if "extra" in faults:
+        tokens.insert(data.draw(index), "7")
+    if "missing" in faults:
+        del tokens[data.draw(index)]
+    if "bad" in faults:
+        # In either half: the caller's rows or the helper's.
+        half = data.draw(st.sampled_from([0, len(tokens) // 2]))
+        at = half + data.draw(st.integers(0, len(tokens) - half - 1))
+        tokens[at] = data.draw(st.sampled_from(BAD_TOKENS))
+    if layout == "rows":
+        ending = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        width = len(rows[0])
+        body = "".join(" ".join(tokens[i:i + width]) + ending
+                       for i in range(0, len(tokens), width))
+    else:
+        seps = data.draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(tokens),
+                                  max_size=len(tokens)))
+        body = "".join(token + sep for token, sep in zip(tokens, seps))
+    return "\n".join(lines[:6]) + "\n" + body
+
+
+def read_outcome(read, source, text, newline=None):
+    """The outcome of ``read`` on ``text`` given as ``source``, and, for a
+    file, the offset the read leaves it at."""
+    if source == "text":
+        return outcome(read, text), None
+    if source == "bytes":
+        return outcome(read, text.encode()), None
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+        fh.seek(0)
+        with open(fh.fileno(), encoding="utf-8", newline=newline, closefd=False) as fh:
+            return outcome(read, fh), fh.tell()
+
+
+class TestForkedRead:
+    """A read on two cores, from ``_FORKED_VALUES`` values up, forks a helper
+    to parse the second half of the body; the values, or the error, are
+    those of the serial read, and no child outlives the read."""
+
+    @pytest.fixture
+    def forced(self, monkeypatch, forks):
+        """Force the helper on any raster, whatever the cores; the fork calls."""
+        monkeypatch.setattr(grid_io, "_FORKED_VALUES", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        return forks
+
+    @staticmethod
+    def serial(read, *args):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grid_io, "_FORKED_VALUES", float("inf"))
+            return read_outcome(read, *args)
+
+    RASTER = HexRaster(values=np.random.default_rng(6).normal(size=(7, 5)), x0=1.0, y0=2.0,
+                       r=0.5)
+    TEXT = write_hex_raster(RASTER)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        codec=st.sampled_from(CODECS),
+        nrows=st.integers(2, 7),
+        ncols=st.integers(1, 5),
+        faults=st.sampled_from(FAULTS),
+        layout=st.sampled_from(["rows", "drawn"]),
+        data=st.data(),
+    )
+    def test_same_outcome_as_the_serial_read(self, forced, codec, nrows, ncols, faults,
+                                             layout, data):
+        cls, names, read, write, what = codec
+        values = data.draw(st.lists(st.sampled_from(EDGE_VALUES) | finite,
+                                    min_size=nrows * ncols, max_size=nrows * ncols))
+        raster = cls(np.array(values).reshape(nrows, ncols), **dict(zip(names, (1.0, -2.0, 0.5))))
+        text = with_faults(data, write(raster), faults, layout)
+        expected = outcome(old_parse_body, text.splitlines()[6:], nrows, ncols, what)
+        sources = [("text",), ("bytes",), ("file", None), ("file", "")]
+        forced.clear()
+        for parse in (read, read_raster):
+            for source in sources:
+                got = read_outcome(parse, source[0], text, *source[1:])
+                assert got == self.serial(parse, source[0], text, *source[1:])
+                assert got[0] == expected
+        assert forced == [os.getpid()] * 2 * len(sources)
+        if not faults:
+            assert expected == raster.values.tobytes()
+        assert_no_child()
+
+    @pytest.mark.parametrize("fault", ["exit", "kill", "short"])
+    def test_a_failed_helper_leaves_the_caller_to_parse(self, forced, monkeypatch, fault):
+        read_on = grid_io._read_on
+
+        def failing(*args):
+            work = read_on(*args)
+
+            def fail(spool):
+                if fault == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                if fault == "exit":
+                    raise MemoryError("helper")
+                work(spool)
+                spool.truncate(8)  # one value: the counts do not add up
+
+            return fail
+
+        monkeypatch.setattr(grid_io, "_read_on", failing)
+        for source in ("text", "bytes", "file"):
+            assert read_outcome(read_hex_raster, source, self.TEXT)[0] == self.RASTER.values.tobytes()
+        assert len(forced) == 3
+        assert_no_child()
+
+    def test_a_fault_in_the_callers_half_kills_the_helper(self, forced, monkeypatch):
+        monkeypatch.setattr(grid_io, "_read_on", lambda *args: lambda spool: time.sleep(60))
+        lines = self.TEXT.splitlines()
+        lines[6] = "abc " + lines[6].split(" ", 1)[1]  # the first body value
+        start = time.monotonic()
+        with pytest.raises(NonNumericTokenError, match="^hex raster: bad value token 'abc'$"):
+            read_hex_raster("\n".join(lines))
+        assert time.monotonic() - start < 30
+        assert len(forced) == 1
+        assert_no_child()
+
+    @pytest.mark.parametrize("refused", [(os, "fork"), (tempfile, "TemporaryFile")],
+                             ids=["fork", "TemporaryFile"])
+    def test_no_process_or_file_to_spare_keeps_the_read_serial(self, forced, monkeypatch,
+                                                                 refused):
+        def refuse(*args, **kwargs):
+            raise OSError(errno.EAGAIN, "resource temporarily unavailable")
+
+        monkeypatch.setattr(*refused, refuse)
+        assert read_hex_raster(self.TEXT) == self.RASTER
+        assert_no_child()
+
+    def test_a_second_thread_keeps_the_read_serial(self, forced):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert read_hex_raster(self.TEXT) == self.RASTER
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forced == []
+
+    def test_a_pipe_or_other_iterable_is_read_in_the_caller(self, forced):
+        """The helper could only read on in a pipe by taking the caller's lines."""
+        r, w = os.pipe()
+        with open(r, encoding="utf-8") as fh:
+            with open(w, "w", encoding="utf-8") as out:
+                out.write(self.TEXT)
+            assert read_hex_raster(fh) == self.RASTER
+        assert read_hex_raster(self.TEXT.splitlines(keepends=True)) == self.RASTER
+        assert forced == []
+
+    @pytest.mark.parametrize("row", [2, 6], ids=["caller's half", "helper's half"])
+    def test_an_undecodable_byte_is_raised_as_the_serial_read_raises_it(self, forced,
+                                                                        monkeypatch,
+                                                                        tmp_path, row):
+        raster = HexRaster(values=np.resize(self.RASTER.values, (8, 2000)), x0=1.0, y0=2.0,
+                           r=0.5)  # rows of 38 KB: the header is read before row 2
+        lines = write_hex_raster(raster).encode().splitlines(keepends=True)
+        lines[6 + row] = b"\xff" + lines[6 + row]
+        path = tmp_path / "bad.hex"
+        path.write_bytes(b"".join(lines))
+        raised = []
+        for limit in (0, float("inf")):
+            monkeypatch.setattr(grid_io, "_FORKED_VALUES", limit)
+            with open(path, encoding="utf-8") as fh, pytest.raises(UnicodeDecodeError) as exc:
+                read_hex_raster(fh)
+            raised.append(str(exc.value))
+        assert raised[0] == raised[1]
+        assert len(forced) == 1
+        assert_no_child()
+
+    def test_the_file_offset_ends_where_the_serial_read_leaves_it(self, forced, tmp_path):
+        path = tmp_path / "in.hex"
+        path.write_text(self.TEXT + "\n\n")
+        with open(path, encoding="utf-8") as fh:
+            assert read_hex_raster(fh) == self.RASTER
+            assert fh.tell() == path.stat().st_size
+            assert fh.read() == ""
+        fh = io.StringIO(self.TEXT)
+        assert read_hex_raster(fh) == self.RASTER
+        assert fh.tell() == len(self.TEXT)
+        assert len(forced) == 2
+        assert_no_child()

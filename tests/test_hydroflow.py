@@ -546,6 +546,17 @@ class TestWorkspace:
         cells = st.h.size
         assert self.peak_of(lambda: step(st)) < 8 * cells + 4 * cells + 64 * 1024
 
+    @pytest.mark.parametrize("boundary", ["open", "closed"])
+    def test_warm_flux_half_casts_through_no_buffer(self, boundary):
+        """A float times a bool mask took a 64 KB iterator buffer a face pair."""
+        st = step(holed(160, 120, 9, boundary=boundary, dt=0.2))
+        topo = st.topology()
+        for _ in range(2):  # warm, then measured
+            assert topo._finite(topo._put(st.z, st.h))
+            topo._fit(0), topo._fit(1)
+            peak = self.peak_of(lambda: topo._flux(st, 0))
+        assert peak < 8 * 1024
+
     def test_fits_allocate_no_face_table(self):
         st = holed(110, 100, 9, boundary="open", dt=0.2)
         topo = st.topology()

@@ -64,8 +64,9 @@ class TestPort:
         assert main(["port", "--in", str(sr1), "--out", str(out),
                      "--method", method, "--cells-across", "200"]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SR1_PORT_SHA256[method]
-        # On two cores a helper wrote the second half of both rasters.
-        assert len(forks) == 2 * grid_io._two_cores()
+        # On two cores a helper wrote the second half of both rasters, and
+        # parsed the second half of the one the port read.
+        assert len(forks) == 3 * grid_io._two_cores()
 
     def test_id_port_matches_cell_lookup(self):
         rng = np.random.default_rng(0)

@@ -259,6 +259,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "synth" and (
+                misfit := metrics.box_misfit(args.bounds, args.cols, args.rows)):
+            parser.error(f"--bounds: {misfit}")
         if args.command == "render":
             if (args.vmin is None) != (args.vmax is None):
                 parser.error("give both --min and --max or neither")

@@ -169,7 +169,9 @@ class _Topology:
     - the ``(3, slots)`` pair-volume table, zero on pads and holes:
       ``V_f > 0`` is what a cell sends through face f, ``V_f < 0`` what it
       sends through face f + 3;
-    - the rim cells' ``(6, rim)`` relative potentials;
+    - the rim cells' ``(6, rim)`` plane-fit sums: the even- and odd-face
+      partial sums of both gradients, then one face's relative potentials
+      and their weighted terms;
     - six float and two bool arrays of one value a slot, which a step
       reuses under several names.
 
@@ -214,7 +216,7 @@ class _Topology:
         self.lower = np.empty((6, n), dtype=bool)
         self._psi = np.zeros(n)
         self._volume = np.zeros((3, n))
-        self._rim_rel = np.empty((6, self.rim.size))
+        self._rim_sums = np.empty((6, self.rim.size))
         # Even- and odd-face sums of the x and y gradients, then whatever a
         # step needs: _rate and _term hold one face's values at a time.
         self._cells = np.empty((4, n))
@@ -290,14 +292,18 @@ class _Topology:
         workspace: the x and y gradients go to ``_cells[0]`` and ``_cells[2]``.
 
         Face by face: the relative potentials, +0.0 where there is no
-        neighbor, set that face's row of ``lower`` and go into the even- or
-        odd-face partial sums of both gradients (:func:`_face_sum`'s order).
-        Reads the potential of neighbors in either half.
+        neighbor, set that face's row of ``lower`` and go into the even- and
+        odd-face partial sums of both gradients, the rim cells' in
+        ``_rim_sums``.  Each even sum then adds its odd one, then zero, which
+        makes a sum of -0.0 terms +0.0: numpy's einsum("ij,ij->i") order over
+        six-face rows.  Reads the potential of neighbors in either half.
         """
         span, cols = self.layout.spans[parity], self.rim_cols[parity]
         rel, term, absent = self._rate[span], self._term[span], self._send[span]
-        psi, rim, rim_rel = self._psi, self.rim[cols], self._rim_rel[:, cols]
-        sums = self._cells[:, span]  # even x, odd x, even y, odd y
+        psi, rim, rim_sums = self._psi, self.rim[cols], self._rim_sums[:, cols]
+        # Interior, then rim: sums (even x, odd x, even y, odd y), weights, rel, term
+        groups = ((self._cells[:, span], self.weights, rel, term),
+                  (rim_sums[:4], self.rim_weights[:, :, cols], rim_sums[4], rim_sums[5]))
         # What a hole holds is never kept: every entry that reads one is
         # missing.  So its value may be anything, and inf - inf must not warn.
         with np.errstate(invalid="ignore"):
@@ -306,19 +312,19 @@ class _Topology:
                 np.subtract(psi[nb], psi[cells], out=self._rate[cells])
                 np.copyto(rel, 0.0, where=np.logical_not(self.has[f, span], out=absent))
                 np.less(rel, 0.0, out=self.lower[f, span])
-                np.take(self._rate, rim, out=rim_rel[f], mode="clip")
-                for part, w in zip(sums[f % 2::2], self.weights):
-                    if f < 2:
-                        np.multiply(w[f], rel, out=part)
-                    else:
-                        part += np.multiply(w[f], rel, out=term)
+                np.take(self._rate, rim, out=rim_sums[4], mode="clip")
+                for sums, weights, x, scratch in groups:
+                    for part, w in zip(sums[f % 2::2], weights):
+                        if f < 2:
+                            np.multiply(w[f], x, out=part)
+                        else:
+                            part += np.multiply(w[f], x, out=scratch)
         # Once summed, the odd-face sums, like rel and term, are scratch.
-        k = rim.size
-        for g, rim_w in zip((0, 2), self.rim_weights):
-            even, odd = sums[g], sums[g + 1]
-            even += odd
-            even += 0.0
-            self._cells[g][rim] = _face_sum(rim_w[:, cols], rim_rel, odd[:k], rel[:k], term[:k])
+        for sums, *_ in groups:
+            sums[0::2] += sums[1::2]
+            sums[0::2] += 0.0
+        for g in (0, 2):  # one row at a time: a 2-D scatter is slower
+            self._cells[g][rim] = rim_sums[g]
 
     def _slope(self, parity) -> tuple:
         """``g2 = a * a + b * b`` and the slope ``sqrt(g2 / (1 + g2))`` of one
@@ -447,24 +453,6 @@ class _Topology:
         inflow /= self.grid.cell_area
         h_new = np.maximum(np.add(self._psi[span], inflow, out=inflow), 0.0, out=inflow)
         return self._finite(h_new, span)
-
-
-def _face_sum(w, rel, even, odd, term):
-    """The sum over faces of ``w[f] * rel[f]``, into ``even``; ``odd`` and
-    ``term`` are scratch of its shape.
-
-    The order in which numpy's einsum("ij,ij->i") adds contiguous six-face
-    rows: faces (0, 2, 4) and (1, 3, 5), then the two partial sums onto
-    zero, which makes a sum of -0.0 terms +0.0.
-    """
-    np.multiply(w[0], rel[0], out=even)
-    np.multiply(w[1], rel[1], out=odd)
-    for f in (2, 4):
-        even += np.multiply(w[f], rel[f], out=term)
-        odd += np.multiply(w[f + 1], rel[f + 1], out=term)
-    even += odd
-    even += 0.0
-    return even
 
 
 def _sent(volume, out, part):

@@ -327,6 +327,20 @@ def of_select(knots: Knots1D, k: int) -> Stencil1D:
     return _select_one(knots, k, OF)
 
 
+def _on_knot(xs, start, n, pos, x, method: str):
+    """Queries ``x`` at left insertion index ``pos`` in rows ``xs[start : start + n]``:
+    their knot index ``at`` (the last past the row); ``direct``, those on a knot,
+    which take its value; ``mean``, those on a knot of an OF row of four or more,
+    which take OF's mean of one-sided limits, pieces ``lo`` and ``hi`` beside it;
+    ``lo = pos - 1`` alone off a knot (-1 below the row, n - 1 above).  A cubic beyond an
+    OF row is its end interval's one candidate, so an end knot's mean needs no clip.
+    """
+    at = start + np.minimum(pos, n - 1)
+    hit = (pos < n) & (xs[at] == x)
+    mean = hit & ((method == OF) & (n >= 4))
+    return at, hit ^ mean, mean, pos - 1, pos
+
+
 class KnotTable:
     """Knot rows in one flat (CSR) table with the cubic pieces evaluating them.
 
@@ -363,29 +377,25 @@ class KnotTable:
 
     def eval(self, rows, x) -> np.ndarray:
         """Rows ``rows`` (an index array) at points ``x``, ``(len(rows), len(x))``:
-        one gather of pieces and one Horner pass, then the knots (their values,
-        or OF's average of one-sided limits in rows of four or more)."""
+        one gather of pieces and one Horner pass, then the knots, by
+        :func:`_on_knot`."""
         step = max(_BLOCK // max(x.size, 1), 1)  # rows per block of about _BLOCK points
         if len(rows) > step:
             blocks = [self.eval(rows[b : b + step], x) for b in range(0, len(rows), step)]
             return np.concatenate(blocks)
-        s, n = self.start[rows], self.start[rows + 1] - self.start[rows]
+        s, e = self.start[rows, None], self.start[rows + 1, None]
         pos = np.empty((len(rows), x.size), dtype=np.int64)
-        for i, (a, b) in enumerate(zip(s.tolist(), (s + n).tolist())):
+        for i, (a, b) in enumerate(zip(s.ravel().tolist(), e.ravel().tolist())):
             pos[i] = self.xs[a:b].searchsorted(x)
-        g = self.pieces[rows, None] + pos
+        at, direct, mean, lo, hi = _on_knot(self.xs, s, e - s, pos, x, self.method)
+        p = self.pieces[rows, None] + 1  # each row's interval 0
+        g = p + lo
         out = _newton_eval(self.c[:, g], self.x[:, g], x)
-        last = (n - 1)[:, None]
-        at = s[:, None] + np.minimum(pos, last)
-        hit = (pos <= last) & (self.xs[at] == x)
-        value = self.fs[at[hit]]
-        if self.method == OF and value.size:
-            i, j = hit.nonzero()
-            p, top = self.pieces[rows[i]] + 1, n[i] - 2
-            vl, vr = (_newton_eval(self.c[:, q], self.x[:, q], x[j])
-                      for q in (np.clip(g[hit] + d, p, p + top) for d in (0, 1)))
-            value = np.where(n[i] < 4, value, 0.5 * (vl + vr))
-        out[hit] = value
+        out[direct] = self.fs[at[direct]]
+        if mean.any():
+            q = (p + hi)[mean]
+            right = _newton_eval(self.c[:, q], self.x[:, q], x[mean.nonzero()[1]])
+            out[mean] = 0.5 * (out[mean] + right)
         return out
 
 

@@ -40,11 +40,11 @@ from .errors import (
 from .grid_io import RectRaster
 from .interp1d import (
     ENO,
-    OF,
     Extension1D,
     Knots1D,
     KnotTable,
     _newton_eval,
+    _on_knot,
     _pieces,
     _windows,
 )
@@ -123,15 +123,22 @@ def build_row_like_grid(raster: RectRaster) -> RowLikeGrid:
     return RowLikeGrid(ys=ys, rows=rows, dropped_rows=dropped)
 
 
-def _heights(y):
-    """Query heights as a 1-D array; ``y`` is a scalar or a 1-D array."""
+def _lines(xs, y):
+    """Float arrays of ``xs`` and of the heights ``y``, a scalar or 1-D, as 1-D."""
     lines = np.atleast_1d(np.asarray(y, dtype=np.float64))
     if lines.ndim != 1:
         raise ValueError("y must be a scalar or a 1-D array of heights")
-    return lines
+    return np.asarray(xs, dtype=np.float64), lines
 
 
-class Extension2D:
+class _LineExtension:
+    """An extension evaluated along lines by ``eval_line``, called at one point."""
+
+    def __call__(self, x: float, y: float) -> float:
+        return float(self.eval_line([x], y)[0])
+
+
+class Extension2D(_LineExtension):
     """Everywhere-defined extension of a row-like grid, ENO or OF flavored.
 
     All knot rows live in one :class:`KnotTable`; ``_rows`` holds a thin
@@ -154,32 +161,26 @@ class Extension2D:
         ``y`` is a scalar, giving shape ``(len(xs),)``, or a 1-D array of
         heights sharing ``xs``, giving ``(len(y), len(xs))`` whose row i
         equals the scalar call at ``y[i]`` bit for bit.  Each line finds its
-        cross-row piece as :meth:`KnotTable.eval` finds a point's.  Every knot
+        cross-row pieces as :meth:`KnotTable.eval` finds a point's.  Every knot
         row the lines need is evaluated once, in one table pass; the knot
         table's builder makes the pieces, a block of intervals per call; one
         Horner pass then serves all lines.
         """
-        xs = np.asarray(xs, dtype=np.float64)
-        lines = _heights(y)
+        xs, lines = _lines(xs, y)
         ys = self.grid.ys
         m = ys.size
-        pos = ys.searchsorted(lines)
-        hit = (pos < m) & (ys[np.minimum(pos, m - 1)] == lines)
-        mean = hit & (self.method == OF and m >= 4)
-        direct = hit ^ mean
-        if direct.all():  # every line on a knot row, taken as is
-            return self._table.eval(pos, xs).reshape(np.shape(y) + xs.shape)
+        knot, direct, mean, lo, hi = _on_knot(ys, 0, m, ys.searchsorted(lines), lines,
+                                              self.method)
         # Piece k is interval k's stencil, or the end cubic below (-1) or above
         # (m - 1); on fewer than four rows every piece is their interpolant.
-        lo, hi = np.where(mean, np.maximum(pos - 1, 0), pos - 1), np.minimum(pos, m - 2)
         ks = np.bincount(np.concatenate([lo[~direct], hi[mean]]) + 1).nonzero()[0] - 1
         window = _windows(ys, 0, m, np.clip(ks, 0, m - 2))
         near = window[2]  # the rows each piece reads
-        rows = np.bincount(np.concatenate([pos[direct], near.ravel()])).nonzero()[0]
+        rows = np.bincount(np.concatenate([knot[direct], near.ravel()])).nonzero()[0]
         V = np.empty((m, xs.size))
         V[rows] = self._table.eval(rows, xs)
         out = np.empty((lines.size, xs.size))
-        out[direct] = V[pos[direct]]
+        out[direct] = V[knot[direct]]
         c, nodes = np.empty((4, ks.size, xs.size)), np.empty((3, ks.size, xs.size))
         step = max(interp1d._BLOCK // max(xs.size, 1), 1)  # pieces or lines per block
         first, last = ks.searchsorted([0, m - 1])  # the end cubics, if any, come first and last
@@ -197,9 +198,6 @@ class Extension2D:
                 out[i] = 0.5 * (out[i] + _newton_eval(c[:, h[i]], nodes[:, h[i]], lines[i, None]))
         return out if np.ndim(y) else out[0]
 
-    def __call__(self, x: float, y: float) -> float:
-        return float(self.eval_line(np.array([x], dtype=np.float64), y)[0])
-
 
 def extend_2d(grid: RowLikeGrid, x: float, y: float, method: str = ENO) -> float:
     """Evaluate the 2D extension at one point.
@@ -210,12 +208,13 @@ def extend_2d(grid: RowLikeGrid, x: float, y: float, method: str = ENO) -> float
     return Extension2D(grid, method)(x, y)
 
 
-class CrsExtension:
+class CrsExtension(_LineExtension):
     """Separable Catmull-Rom spline on a uniform rectangular grid.
 
-    Tangents are central differences of neighboring values, one-sided at the
-    boundary.  Queries beyond the knot hull extrapolate the end segment.
-    Irregular grids are rejected.
+    Tangents are the index-space ``np.gradient``, along the knot rows and then
+    across the rows interpolated at a query's x: central differences, one-sided
+    at the boundary.  Queries beyond the knot hull extrapolate the end
+    segment.  Irregular grids are rejected.
     """
 
     def __init__(self, grid: RowLikeGrid):
@@ -232,23 +231,7 @@ class CrsExtension:
         self.xs = xs0
         self.ys = grid.ys
         self.V = np.stack([row.fs for row in grid.rows])
-        self._tx = self._tangents(self.V, axis=1)
-
-    @staticmethod
-    def _tangents(V, axis):
-        """Index-space tangents: central differences, one-sided at the ends."""
-        t = np.empty_like(V)
-        sl = [slice(None)] * V.ndim
-
-        def seg(a, b):
-            s = sl.copy()
-            s[axis] = slice(a, b)
-            return tuple(s)
-
-        t[seg(1, -1)] = 0.5 * (V[seg(2, None)] - V[seg(None, -2)])
-        t[seg(0, 1)] = V[seg(1, 2)] - V[seg(0, 1)]
-        t[seg(-1, None)] = V[seg(-1, None)] - V[seg(-2, -1)]
-        return t
+        self._tx = np.gradient(self.V, axis=1)  # index-space tangents
 
     @staticmethod
     def _hermite(f0, f1, m0, m1, t):
@@ -264,29 +247,24 @@ class CrsExtension:
     def eval_line(self, xs, y) -> np.ndarray:
         """Evaluate at points (xs[i], y); ``y`` as in :meth:`Extension2D.eval_line`.
 
-        The knot rows the lines need are evaluated once, in one pass.
+        The knot rows from the first to the last that the lines need are
+        evaluated once, in one pass, and so are their tangents across the rows.
         """
-        xs = np.asarray(xs, dtype=np.float64)
-        lines = _heights(y)
+        xs, lines = _lines(xs, y)
         ys = self.ys
         m = ys.size
         l = np.clip(np.searchsorted(ys, lines) - 1, 0, m - 2)
-        near = np.clip(l + np.arange(-1, 3)[:, None], 0, m - 1)  # rows l-1 .. l+2
-        rows = np.bincount(near.ravel(), minlength=m).nonzero()[0]
+        # Rows l - 1 .. l + 2 of every line: its rows l and l + 1 are inside the
+        # block or at the grid's end, so their tangents are the whole grid's.
+        a, b = (max(l.min() - 1, 0), min(l.max() + 3, m)) if l.size else (0, 2)
         k = np.clip(np.searchsorted(self.xs, xs) - 1, 0, self.xs.size - 2)
         t = (xs - self.xs[k]) / (self.xs[k + 1] - self.xs[k])
-        f, d = self.V[rows], self._tx[rows]
-        G = np.empty((m, xs.size))
-        G[rows] = self._hermite(f[:, k], f[:, k + 1], d[:, k], d[:, k + 1], t)
-        gm, g0, g1, gp = G[near]
-        m0 = np.where((l >= 1)[:, None], 0.5 * (g1 - gm), g1 - g0)
-        m1 = np.where((l + 2 <= m - 1)[:, None], 0.5 * (gp - g0), g1 - g0)
+        f, d = self.V[a:b], self._tx[a:b]
+        G = self._hermite(f[:, k], f[:, k + 1], d[:, k], d[:, k + 1], t)
+        T, i = np.gradient(G, axis=0), l - a
         t = ((lines - ys[l]) / (ys[l + 1] - ys[l]))[:, None]
-        out = self._hermite(g0, g1, m0, m1, t)
+        out = self._hermite(G[i], G[i + 1], T[i], T[i + 1], t)
         return out if np.ndim(y) else out[0]
-
-    def __call__(self, x: float, y: float) -> float:
-        return float(self.eval_line(np.array([x], dtype=np.float64), y)[0])
 
 
 def extend_crs(grid: RowLikeGrid, x: float, y: float) -> float:
@@ -294,7 +272,7 @@ def extend_crs(grid: RowLikeGrid, x: float, y: float) -> float:
     return CrsExtension(grid)(x, y)
 
 
-class IdExtension:
+class IdExtension(_LineExtension):
     """Piecewise-constant extension: the value of the cell containing (x, y)."""
 
     def __init__(self, raster: RectRaster):
@@ -306,8 +284,7 @@ class IdExtension:
         Points outside the raster get ``fill``, or raise without one.
         """
         r = self.raster
-        xs = np.asarray(xs, dtype=np.float64)
-        lines = _heights(y)
+        xs, lines = _lines(xs, y)
         xmin, ymin, xmax, ymax = r.bounds
         col = np.floor((xs - r.xll) / r.cellsize)  # decided on floats: far points overflow int64
         col[xs == xmax] = r.ncols - 1
@@ -327,9 +304,6 @@ class IdExtension:
         if outside.any():
             out[outside] = float(fill)
         return out if np.ndim(y) else out[0]
-
-    def __call__(self, x: float, y: float) -> float:
-        return float(self.eval_line(np.array([x], dtype=np.float64), y)[0])
 
 
 def extend_id(raster: RectRaster, x: float, y: float) -> float:

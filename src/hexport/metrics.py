@@ -12,6 +12,7 @@ well an extension refills them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,13 +46,25 @@ class RungeField:
         return f"runge(a={self.a})"
 
 
+def box_misfit(bounds, ncols: int, nrows: int):
+    """Why ``nrows`` rows of ``ncols`` square cells across ``bounds`` (xmin, ymin,
+    xmax, ymax) miss its height by more than a relative 1e-9; None if not."""
+    xmin, ymin, xmax, ymax = (float(v) for v in bounds)
+    height = nrows * ((xmax - xmin) / ncols)
+    if not math.isclose(ymax - ymin, height, rel_tol=1e-9):
+        return (f"{nrows} rows of square cells, {ncols} across the width {xmax - xmin!r}, "
+                f"are {height!r} high, not the height {ymax - ymin!r}")
+
+
 def runge_raster(bounds, ncols: int, nrows: int, a: float) -> RectRaster:
-    """Square raster whose cell values sample the Runge field at cell centers."""
+    """Square raster whose cells fill ``bounds``; each holds the Runge field at its center."""
     xmin, ymin, xmax, ymax = (float(v) for v in bounds)
     if ncols < 1 or nrows < 1:
         raise ValueError("ncols and nrows must be positive")
     if not (xmax > xmin and ymax > ymin):
         raise ValueError("bounds must have positive extent")
+    if misfit := box_misfit(bounds, ncols, nrows):
+        raise ValueError(f"bounds: {misfit}")
     cellsize = (xmax - xmin) / ncols
     field = RungeField(a)
     xs = xmin + (np.arange(ncols) + 0.5) * cellsize
@@ -65,6 +78,8 @@ def runge_raster(bounds, ncols: int, nrows: int, a: float) -> RectRaster:
 
 def _sample_points(raster: RectRaster, quad: int):
     """Midpoint sample coordinates, quad x quad per cell, top row first."""
+    if quad < 1:
+        raise ValueError("quad must be at least 1")
     cs = raster.cellsize
     step = cs / quad
     xs = raster.xll + (np.arange(raster.ncols * quad) + 0.5) * step
@@ -80,8 +95,6 @@ def l1_errors(raster: RectRaster, hexraster: HexRaster, field=None, quad: int = 
     analytic field is given.  All three divide by the integral of |raster|
     over the same overlap samples.
     """
-    if quad < 1:
-        raise ValueError("quad must be at least 1")
     xs, ys = _sample_points(raster, quad)
     X, Y = np.meshgrid(xs, ys)
     gr = np.repeat(np.repeat(raster.values, quad, axis=0), quad, axis=1)
@@ -97,14 +110,28 @@ def l1_errors(raster: RectRaster, hexraster: HexRaster, field=None, quad: int = 
         raise EmptyOverlapError("rasters share no usable samples")
     grm = gr.ravel()[mask]
     ghm = gh[mask]
-    gamma = np.abs(grm).sum()
+    with np.errstate(over="ignore", invalid="ignore"):  # _relative checks the sums
+        gamma = np.abs(grm).sum()
+        sums = {"eps_hr": np.abs(grm - ghm).sum()}
+        if field is not None:
+            gm = field(X.ravel()[mask], Y.ravel()[mask])
+            sums["eps_ha"] = np.abs(gm - ghm).sum()
+            sums["eps_ra"] = np.abs(gm - grm).sum()
+    return _relative(sums, gamma, "reference raster is identically zero on the overlap")
+
+
+def _relative(sums: dict, gamma, zero: str) -> dict:
+    """Each error sum of ``sums`` over the normaliser ``gamma``, as a float; an
+    EmptyOverlapError(``zero``) if ``gamma`` is 0, a ValueError unless it and
+    every quotient, so every sum, are finite."""
     if gamma == 0.0:
-        raise EmptyOverlapError("reference raster is identically zero on the overlap")
-    out = {"eps_hr": float(np.abs(grm - ghm).sum() / gamma)}
-    if field is not None:
-        gm = field(X.ravel()[mask], Y.ravel()[mask])
-        out["eps_ha"] = float(np.abs(gm - ghm).sum() / gamma)
-        out["eps_ra"] = float(np.abs(gm - grm).sum() / gamma)
+        raise EmptyOverlapError(zero)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = {key: float(total / gamma) for key, total in sums.items()}
+    for key, value in out.items():
+        if not (math.isfinite(value) and math.isfinite(gamma)):
+            raise ValueError(f"{key} is not finite: error sum {float(sums[key])!r} over "
+                             f"normaliser {float(gamma)!r}")
     return out
 
 
@@ -120,30 +147,27 @@ def extension_l1_errors(
     Whole raster rows go to ``eval_line`` in blocks of at most ``_BLOCK``
     points; the sums run line by line in raster order, whatever the blocks.
     """
-    if quad < 1:
-        raise ValueError("quad must be at least 1")
-    ext = make_extension(raster, method)
     xs, ys = _sample_points(raster, quad)
+    ext = make_extension(raster, method)
     sum_er = sum_ea = gamma = 0.0
     rows = (raster.values != raster.nodata).any(axis=1).nonzero()[0]
     step = max(interp1d._BLOCK // (quad * xs.size), 1)  # raster rows per call
     row_ys = ys.reshape(raster.nrows, quad)
     for block in (rows[b : b + step] for b in range(0, rows.size, step)):
         lines = ext.eval_line(xs, row_ys[block].ravel()).reshape(block.size, quad, xs.size)
-        for row, row_lines in zip(block, lines):
-            gr = np.repeat(raster.values[row], quad)
-            valid = gr != raster.nodata
-            for y, gt in zip(row_ys[row], row_lines):
-                gamma += np.abs(gr[valid]).sum()
-                sum_er += np.abs(gt[valid] - gr[valid]).sum()
-                if field is not None:
-                    sum_ea += np.abs(gt[valid] - field(xs[valid], float(y))).sum()
-    if gamma == 0.0:
-        raise EmptyOverlapError("raster has no usable samples")
-    out = {"eps_er": float(sum_er / gamma)}
+        with np.errstate(over="ignore", invalid="ignore"):  # _relative checks the sums
+            for row, row_lines in zip(block, lines):
+                gr = np.repeat(raster.values[row], quad)
+                valid = gr != raster.nodata
+                for y, gt in zip(row_ys[row], row_lines):
+                    gamma += np.abs(gr[valid]).sum()
+                    sum_er += np.abs(gt[valid] - gr[valid]).sum()
+                    if field is not None:
+                        sum_ea += np.abs(gt[valid] - field(xs[valid], float(y))).sum()
+    sums = {"eps_er": sum_er}
     if field is not None:
-        out["eps_ea"] = float(sum_ea / gamma)
-    return out
+        sums["eps_ea"] = sum_ea
+    return _relative(sums, gamma, "raster has no usable samples")
 
 
 # Coins drawn per generator call.  Any block size gives the same stream.  From

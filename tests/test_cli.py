@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hexport import hydroflow
+from hexport import hydroflow, metrics
 from hexport.cli import build_parser, main
 from hexport.grid_io import (
     HexRaster,
@@ -251,7 +251,7 @@ class TestRender:
 SR1_SYNTH = ["synth", "--runge", "1", "--cols", "41", "--rows", "41",
              "--bounds=-20,-20,20,20", "--out"]
 TALL_SYNTH = ["synth", "--runge", "1", "--cols", "23", "--rows", "37",
-              "--bounds=-5,-5,5,5", "--out"]
+              "--bounds=-5,-5,5,11.08695652173913", "--out"]
 # `degrade` of the non-square raster: level -> (m, n, seed, sha256); level 0
 # is m = n = 1, which returns the input bytes.
 DEGRADE_PINS = {
@@ -323,6 +323,9 @@ FLAG_CONTRACT = [
     (SYNTH + ["--cols", "0", "--rows", "5"], 2, "--cols: must be a positive integer, got '0'"),
     (SYNTH + ["--cols", "5", "--rows", "-2"], 2, "--rows: must be a positive integer"),
     (SYNTH + ["--cols", "5", "--rows", "5"], 0, ""),
+    (SYNTH + ["--cols", "12", "--rows", "10"], 2,
+     "--bounds: 10 rows of square cells, 12 across the width 10.0, are 8.333333333333334 "
+     "high, not the height 10.0"),
     (PORT + ["--cells-across", "0"], 2, "--cells-across: must be a positive integer"),
     (PORT + ["--radius", "-1"], 2, "--radius: must be a positive finite number"),
     (PORT + ["--radius", "inf"], 2, "--radius: must be a positive finite number"),
@@ -466,6 +469,39 @@ class TestExitCodes:
         assert captured.err == "error: total water volume is not finite\n"
         assert not out.exists()
 
+    def test_misfit_synth_box_is_a_flag_error_from_the_shared_rule(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        """The CLI refuses a box through the same ``box_misfit`` that
+        ``runge_raster`` calls."""
+        out = tmp_path / "out.asc"
+        monkeypatch.setattr(metrics, "box_misfit", lambda *box: "a patched misfit")
+        assert run_cli("synth", "--runge", 1, "--cols", 5, "--rows", 5,
+                       "--bounds=-5,-5,5,5", "--out", out) == 2
+        assert capsys.readouterr().err.endswith("error: --bounds: a patched misfit\n")
+        assert not out.exists()
+        with pytest.raises(ValueError, match="^bounds: a patched misfit$"):
+            metrics.runge_raster((-5, -5, 5, 5), 5, 5, 1.0)
+
+    @pytest.mark.parametrize("with_hex", [False, True])
+    def test_overflowing_error_report_is_data_error(self, tmp_path, capsys, with_hex):
+        """A field so large that the error sums overflow: one error line, no
+        report and no numpy warning."""
+        asc, hexf, report = tmp_path / "r.asc", tmp_path / "r.hex", tmp_path / "rep.txt"
+        assert run_cli("synth", "--runge", 1, "--cols", 12, "--rows", 10,
+                       "--bounds=-6,-5,6,5", "--out", asc) == 0
+        assert run_cli("port", "--in", asc, "--out", hexf, "--cells-across", 10) == 0
+        capsys.readouterr()
+        argv = ["errors", "--raster", asc, "--runge", "1e308", "--report", report]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(*argv, *(["--hex", hexf] if with_hex else [])) == 1
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: eps_ea is not finite: error sum inf over ")
+        assert captured.err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.asc", "r.hex"]
+
     def test_relief_near_the_float_range_is_data_error(self, tmp_path, capsys):
         """Without --dt, terrain whose squared slopes overflow gets no time
         step: one error line, no numpy warning and no output."""
@@ -492,7 +528,7 @@ class TestExitCodes:
         the cubic extensions overflow there, which is one error line and no
         output; ``id`` gives NODATA.  Neither leaks a numpy warning."""
         asc, out = tmp_path / "r.asc", tmp_path / "out"
-        assert run_cli("synth", "--cols", 12, "--rows", 9, "--bounds=-3,-3,3,3", "--runge", 1,
+        assert run_cli("synth", "--cols", 12, "--rows", 9, "--bounds=-3,-3,3,1.5", "--runge", 1,
                        "--out", asc) == 0
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
@@ -521,7 +557,7 @@ class TestExitCodes:
         past the float range, or a radius whose cell width overflows: one
         error line and no output."""
         asc, out = tmp_path / "r.asc", tmp_path / "out"
-        assert run_cli("synth", "--cols", 12, "--rows", 9, "--bounds=-3,-3,3,3", "--runge", 1,
+        assert run_cli("synth", "--cols", 12, "--rows", 9, "--bounds=-3,-3,3,1.5", "--runge", 1,
                        "--out", asc) == 0
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:

@@ -482,6 +482,28 @@ class TestShortRows:
                 assert bits(got[r]) == bits(want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 12), cols=st.integers(1, 3),
+       values=st.sampled_from(["uniform", "rounded", "constant", "tiny"]))
+def test_of_end_cubics_are_the_end_intervals_stencils(seed, n, cols, values):
+    """On a row of four or more, OF's end intervals have one candidate, the
+    four end knots, so the cubics beyond the row are their stencils bit for
+    bit; a query on an end knot then averages one cubic with itself, and the
+    on-knot rule needs no clip there.  Rows and column-batched values alike."""
+    rng = np.random.default_rng(seed)
+    xs = ragged_rows(seed, [n], "uniform")[0].xs
+    fs = {"uniform": lambda: rng.uniform(-4, 4, (n, cols)),
+          "rounded": lambda: np.round(rng.uniform(-2, 2, (n, cols))),
+          "constant": lambda: np.full((n, cols), float(rng.integers(-2, 3))),
+          "tiny": lambda: rng.choice([0.0, -0.0, 5e-324, -5e-324, 1e-310], (n, cols))}[values]()
+    end = _pieces(xs, fs, 0, n, np.array([-1, n - 1]), OF)
+    inner = _pieces(xs, fs, 0, n, np.array([0, n - 2]), OF)
+    assert [bits(a) for a in end] == [bits(a) for a in inner]
+    table = KnotTable([Knots1D(xs, fs[:, 0])], OF)
+    assert bits(table.c[:, [0, n]]) == bits(table.c[:, [1, n - 1]])
+    assert bits(table.x[:, [0, n]]) == bits(table.x[:, [1, n - 1]])
+
+
 class TestSelectionKernel:
     """The batched kernel picks what the scalar scan picks, bit for bit."""
 

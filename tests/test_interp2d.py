@@ -337,6 +337,24 @@ class TestCrs:
             x, y = float(rng.uniform(0, 8)), float(rng.uniform(0, 8))
             assert ext(x, y) == pytest.approx(2 * x - 3 * y + 1, rel=1e-11, abs=1e-11)
 
+    @pytest.mark.parametrize("ncols, nrows", [(2, 5), (5, 2), (2, 2)])
+    def test_grids_two_knots_wide_reproduce_linear_data(self, ncols, nrows):
+        """Two knots along an axis: both one-sided tangents are their one
+        difference, so linear data is still reproduced, inside and beyond
+        the knot hull."""
+        r = raster_from_fn(lambda x, y: 2 * x - 3 * y + 1, (0, 0, ncols, nrows), ncols, nrows)
+        grid = build_row_like_grid(r)
+        ext = CrsExtension(grid)
+        if ncols == 2:
+            assert np.array_equal(ext._tx, np.full((nrows, 2), 2.0))
+        rng = np.random.default_rng(8)
+        xs = rng.uniform(-1, ncols + 1, 9)
+        ys = rng.uniform(-1, nrows + 1, 7)
+        expected = 2 * xs[None, :] - 3 * ys[:, None] + 1
+        assert np.allclose(ext.eval_line(xs, ys), expected, rtol=1e-12, atol=1e-12)
+        for y, row in zip(grid.ys, grid.rows):
+            assert ext.eval_line(row.xs, y).tolist() == row.fs.tolist()
+
     def test_irregular_grid_rejected(self):
         vals = np.ones((4, 4))
         vals[2, 1] = -9999.0

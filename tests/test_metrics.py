@@ -18,6 +18,7 @@ from hexport.metrics import (
     _coin_stream,
     _sample_points,
     _thin_indices,
+    box_misfit,
     degrade_raster,
     extension_l1_errors,
     l1_errors,
@@ -42,6 +43,61 @@ class TestRungeRaster:
         r = runge_raster((-20, -20, 20, 20), 201, 201, 1.0)
         assert (r.ncols, r.nrows) == (201, 201)
         assert r.values[100, 100] == 1.0
+
+    def test_box_the_cells_do_not_fill_is_refused(self):
+        # 12 square cells across a width of 10 make 10 rows 8.33 high, not 10.
+        with pytest.raises(ValueError, match=r"^bounds: 10 rows of square cells, 12 across "
+                                             r"the width 10\.0, are 8\.33+4 high, not the "
+                                             r"height 10\.0$"):
+            runge_raster((-5, -5, 5, 5), 12, 10, 1.0)
+
+    def test_tall_box_spans_its_rows(self):
+        r = runge_raster((-6, -5, 6, 5), 12, 10, 1.0)
+        assert r.bounds == (-6.0, -5.0, 6.0, 5.0)
+
+
+@pytest.mark.parametrize("stretch, fits", [
+    (0.0, True), (5e-10, True), (-5e-10, True), (2e-9, False), (-2e-9, False), (0.5, False),
+])
+def test_box_misfit_has_a_relative_tolerance(stretch, fits):
+    """Ten rows of cells 1e6 wide: a height off by a relative 1e-9 or less fits."""
+    bounds = (0.0, 3.0, 12e6, 3.0 + 10e6 * (1.0 + stretch))
+    assert (box_misfit(bounds, 12, 10) is None) == fits
+
+
+class TestNonFiniteErrors:
+    """Error sums or a normaliser past the float range are a data error
+    (ValueError), raised without a numpy warning."""
+
+    def test_extension_errors_against_an_overflowing_field(self):
+        r = runge_raster((-6, -5, 6, 5), 12, 10, 1.0)
+        assert np.isfinite(extension_l1_errors(r, field=RungeField(1e300))["eps_ea"])
+        with pytest.raises(ValueError, match=r"^eps_ea is not finite: error sum inf over "
+                                             r"normaliser \d"):
+            extension_l1_errors(r, field=RungeField(1e308))
+
+    def test_port_errors_against_an_overflowing_field(self):
+        r = runge_raster((-6, -5, 6, 5), 12, 10, 1.0)
+        hexraster = port(r, PortingConfig(method="eno", cells_across=10))
+        with pytest.raises(ValueError, match=r"^eps_ha is not finite: error sum inf"):
+            l1_errors(r, hexraster, field=RungeField(1e308))
+
+    def test_overflowing_normaliser(self):
+        # Every sample is 1e308: the error sums are 0, their normaliser inf.
+        r = RectRaster(values=np.full((4, 4), 1e308), xll=0, yll=0, cellsize=1.0)
+        with pytest.raises(ValueError, match=r"^eps_er is not finite: error sum 0\.0 over "
+                                             r"normaliser inf$"):
+            extension_l1_errors(r, method="id", quad=2)
+        hexraster = port(r, PortingConfig(method="id", cells_across=5))
+        with pytest.raises(ValueError, match=r"^eps_hr is not finite: error sum 0\.0 over "
+                                             r"normaliser inf$"):
+            l1_errors(r, hexraster, quad=2)
+
+    def test_quotient_past_the_float_range(self):
+        # Finite sums over a subnormal normaliser.
+        r = RectRaster(values=np.full((4, 4), 5e-324), xll=0, yll=0, cellsize=1.0)
+        with pytest.raises(ValueError, match=r"^eps_ea is not finite: error sum \d"):
+            extension_l1_errors(r, method="id", field=RungeField(1e300), quad=2)
 
 
 class TestL1Errors:

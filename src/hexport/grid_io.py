@@ -663,10 +663,8 @@ def _hex_ppm(raster: HexRaster, colors, px_per_cell) -> bytes:
     height = max(1, int(np.ceil((ymax - ymin) / px)))
     xs = xmin + (np.arange(width) + 0.5) * px
     ys = ymax - (np.arange(height) + 0.5) * px
-    X, Y = np.meshgrid(xs, ys)
-    cols, rows, inside = locate_many(grid, X.ravel(), Y.ravel())
-    img = np.full((width * height, 3), GAP_COLOR, dtype=np.uint8)
-    flat_idx = rows[inside] * raster.ncols + cols[inside]
-    img[inside] = colors[flat_idx]
+    cols, rows, inside = locate_many(grid, xs[None, :], ys[:, None])
+    img = np.full((height, width, 3), GAP_COLOR, dtype=np.uint8)
+    img[inside] = colors[rows[inside] * raster.ncols + cols[inside]]
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
-    return header + img.reshape(height, width, 3).tobytes()
+    return header + img.tobytes()

@@ -210,53 +210,66 @@ class ParityLayout:
         return (2 * k + parity) * self.shape[1] + col
 
 
+def _index(v, n: int) -> np.ndarray:
+    """The float indices ``v`` clipped to ``0..n - 1`` as integers; NaN gives 0."""
+    return np.fmin(np.fmax(v, 0), n - 1).astype(np.int64)  # fmax drops a NaN
+
+
 def locate_many(grid: HexGrid, xs, ys):
     """Vectorized point-to-cell lookup.
 
-    Returns (cols, rows, inside).  cols/rows are meaningful only where
-    ``inside`` is True; a point is inside when it lies in the hexagon of its
-    nearest center (edges inclusive up to a small tolerance).
+    Returns (cols, rows, inside), each of the shape that ``xs`` and ``ys``
+    broadcast to: a row ``xs[None, :]`` and a column ``ys[:, None]`` give
+    the lookup of their whole lattice without a meshgrid.  A point is inside
+    when it lies in the hexagon of its nearest center (edges inclusive up to
+    a small tolerance); ties go to the smallest (row, col).  cols/rows are
+    meaningful only where ``inside`` is True, and are always in the grid.
+
+    Only four centers are scored: rows ``floor(jf)`` and ``floor(jf) + 1``
+    around the point's fractional row ``jf``, and in each of them columns
+    ``floor(i_f)`` and ``floor(i_f) + 1``, all clipped to the grid.  Every
+    other center is at least ``1.5 r`` away vertically or a cell width
+    horizontally, while a point inside its hexagon is within ``r`` of its
+    center, so that center and any tied one are among the four.  Outside
+    the tessellation the nearest of the four need not be the nearest
+    center: cols/rows of an outside point are some in-grid cell near it,
+    and may differ from those of a lookup that scores more candidates.
+    NaN and far points are outside and raise no floating-point warning.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     w = grid.r * SQRT3
-    jf = (grid.y0 - ys) / (1.5 * grid.r)
-    jr = np.rint(jf)
-    best_d2 = np.full(xs.shape, np.inf)
-    best_col = np.zeros(xs.shape, dtype=np.int64)
-    best_row = np.zeros(xs.shape, dtype=np.int64)
-    for dj in (-1, 0, 1):
-        j = np.clip(jr + dj, 0, grid.nrows - 1).astype(np.int64)
-        x_start = grid.x0 - (j % 2) * (w / 2.0)
-        i_f = (xs - x_start) / w
-        ir = np.rint(i_f)
-        for di in (-1, 0, 1):
-            i = np.clip(ir + di, 0, grid.ncols - 1).astype(np.int64)
-            cx = x_start + i * w
-            cy = grid.y0 - 1.5 * grid.r * j
-            d2 = (xs - cx) ** 2 + (ys - cy) ** 2
-            better = d2 < best_d2
-            tie = d2 == best_d2
-            tie_pick = tie & (
-                (j < best_row) | ((j == best_row) & (i < best_col))
-            )
-            take = better | tie_pick
-            best_d2 = np.where(take, d2, best_d2)
-            best_col = np.where(take, i, best_col)
-            best_row = np.where(take, j, best_row)
-    x_start = grid.x0 - (best_row % 2) * (w / 2.0)
-    cx = x_start + best_col * w
-    cy = grid.y0 - 1.5 * grid.r * best_row
-    dx = xs - cx
-    dy = ys - cy
-    lim = w / 2.0 + 1e-9 * grid.r
-    s3dy = SQRT3 * dy / 2.0
-    inside = (
-        (np.abs(dx) <= lim)
-        & (np.abs(0.5 * dx + s3dy) <= lim)
-        & (np.abs(-0.5 * dx + s3dy) <= lim)
-    )
-    return best_col, best_row, inside
+    # Far points square past the float range and non-finite ones give NaN;
+    # every comparison with those is False, so they are outside.  A point
+    # no candidate is finitely near keeps the NaN offsets and cell (0, 0).
+    shape = np.broadcast_shapes(xs.shape, ys.shape)
+    best = [np.full(shape, v) for v in (np.inf, np.nan, np.nan, 0, 0)]  # d2, dx, dy, col, row
+    with np.errstate(over="ignore", invalid="ignore"):
+        jf = np.floor((grid.y0 - ys) / (1.5 * grid.r))
+        for dj in (0, 1):
+            j = _index(jf + dj, grid.nrows)
+            x_start = grid.x0 - (j % 2) * (w / 2.0)
+            dy = ys - (grid.y0 - 1.5 * grid.r * j)
+            dy2 = dy**2
+            i_f = np.floor((xs - x_start) / w)
+            for di in (0, 1):
+                i = _index(i_f + di, grid.ncols)
+                dx = xs - (x_start + i * w)
+                d2 = dx**2 + dy2
+                # Candidates come in (row, col) order, so taking only a
+                # strictly nearer one leaves a tie with the smallest.
+                take = d2 < best[0]
+                for b, new in zip(best, (d2, dx, dy, i, j)):
+                    np.copyto(b, new, where=take)
+        _, dx, dy, cols, rows = best
+        lim = w / 2.0 + 1e-9 * grid.r
+        s3dy = SQRT3 * dy / 2.0
+        inside = (
+            (np.abs(dx) <= lim)
+            & (np.abs(0.5 * dx + s3dy) <= lim)
+            & (np.abs(-0.5 * dx + s3dy) <= lim)
+        )
+    return cols, rows, inside
 
 
 def cover_domain(bounds, cells_across: int | None = None, radius: float | None = None) -> HexGrid:

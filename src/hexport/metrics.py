@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import interp1d
 from .errors import (
     ConstraintInfeasibleError,
     EmptyOverlapError,
@@ -27,6 +26,14 @@ from .grid_io import HexRaster, RectRaster
 from .hexgrid import locate_many
 from .interp1d import ENO
 from .interp2d import make_extension
+
+# Points per ``eval_line`` call of extension_l1_errors' sweep: SR1 at quad 8
+# (107,584 samples) takes one call, and a call's lines stay a few MB.
+_SWEEP_POINTS = 1 << 17
+
+# Points per ``locate_many`` call of l1_errors.  The lookup's temporaries,
+# about 100 B a point, then stay in cache and are not held for every sample.
+_LOOKUP_POINTS = 1 << 14
 
 # Degradation presets: level -> (max row gap, max in-row gap) in cell units.
 DEGRADE_LEVELS = {1: (3, 3), 2: (4, 3), 3: (5, 3), 4: (5, 4), 5: (5, 5)}
@@ -96,25 +103,26 @@ def l1_errors(raster: RectRaster, hexraster: HexRaster, field=None, quad: int = 
     over the same overlap samples.
     """
     xs, ys = _sample_points(raster, quad)
-    X, Y = np.meshgrid(xs, ys)
     gr = np.repeat(np.repeat(raster.values, quad, axis=0), quad, axis=1)
     grid = hexraster.to_grid()
-    cols, rows, inside = locate_many(grid, X.ravel(), Y.ravel())
-    gh = np.where(inside, hexraster.values[rows, cols], np.nan)
-    mask = (
-        inside
-        & (gr.ravel() != raster.nodata)
-        & (gh != hexraster.nodata)
-    )
+    inside = np.empty(gr.shape, dtype=bool)
+    gh = np.empty(gr.shape)
+    step = max(_LOOKUP_POINTS // xs.size, 1)  # sample rows per lookup
+    for b in range(0, ys.size, step):
+        band = slice(b, b + step)
+        cols, rows, inside[band] = locate_many(grid, xs[None, :], ys[band, None])
+        gh[band] = np.where(inside[band], hexraster.values[rows, cols], np.nan)
+    mask = inside & (gr != raster.nodata) & (gh != hexraster.nodata)
     if not mask.any():
         raise EmptyOverlapError("rasters share no usable samples")
-    grm = gr.ravel()[mask]
+    grm = gr[mask]
     ghm = gh[mask]
     with np.errstate(over="ignore", invalid="ignore"):  # _relative checks the sums
         gamma = np.abs(grm).sum()
         sums = {"eps_hr": np.abs(grm - ghm).sum()}
         if field is not None:
-            gm = field(X.ravel()[mask], Y.ravel()[mask])
+            X, Y = np.broadcast_arrays(xs[None, :], ys[:, None])  # views, not copies
+            gm = field(X[mask], Y[mask])
             sums["eps_ha"] = np.abs(gm - ghm).sum()
             sums["eps_ra"] = np.abs(gm - grm).sum()
     return _relative(sums, gamma, "reference raster is identically zero on the overlap")
@@ -144,14 +152,18 @@ def extension_l1_errors(
     ``eps_ea`` (when a field is given) compares it to the analytic field.
     Both divide by the integral of |raster|.
 
-    Whole raster rows go to ``eval_line`` in blocks of at most ``_BLOCK``
-    points; the sums run line by line in raster order, whatever the blocks.
+    Whole raster rows go to ``eval_line`` in blocks of at most
+    ``_SWEEP_POINTS`` points (one row if a row holds more).  Each raster
+    row's quadrature lines are reduced together, one contiguous row of
+    valid samples per line, which numpy sums pairwise exactly as it sums
+    the line alone; the line sums then join the totals line by line in
+    raster order, so the result does not depend on the blocks.
     """
     xs, ys = _sample_points(raster, quad)
     ext = make_extension(raster, method)
     sum_er = sum_ea = gamma = 0.0
     rows = (raster.values != raster.nodata).any(axis=1).nonzero()[0]
-    step = max(interp1d._BLOCK // (quad * xs.size), 1)  # raster rows per call
+    step = max(_SWEEP_POINTS // (quad * xs.size), 1)  # raster rows per call
     row_ys = ys.reshape(raster.nrows, quad)
     for block in (rows[b : b + step] for b in range(0, rows.size, step)):
         lines = ext.eval_line(xs, row_ys[block].ravel()).reshape(block.size, quad, xs.size)
@@ -159,11 +171,19 @@ def extension_l1_errors(
             for row, row_lines in zip(block, lines):
                 gr = np.repeat(raster.values[row], quad)
                 valid = gr != raster.nodata
-                for y, gt in zip(row_ys[row], row_lines):
-                    gamma += np.abs(gr[valid]).sum()
-                    sum_er += np.abs(gt[valid] - gr[valid]).sum()
+                # compress keeps the rows contiguous, as a row-wise sum
+                # must be to add pairwise like a 1-D one; a mask index
+                # would lay the columns out contiguously instead.
+                gt, gr = row_lines.compress(valid, axis=-1), gr[valid]
+                row_gamma = np.abs(gr).sum()
+                er = np.abs(gt - gr).sum(axis=-1)
+                if field is not None:
+                    ea = np.abs(gt - field(xs[valid], row_ys[row, :, None])).sum(axis=-1)
+                for k in range(quad):
+                    gamma += row_gamma
+                    sum_er += er[k]
                     if field is not None:
-                        sum_ea += np.abs(gt[valid] - field(xs[valid], float(y))).sum()
+                        sum_ea += ea[k]
     sums = {"eps_er": sum_er}
     if field is not None:
         sums["eps_ea"] = sum_ea

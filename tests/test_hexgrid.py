@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexport.errors import EmptyDomainError, OutOfRangeError
 from hexport.hexgrid import (
@@ -131,6 +134,99 @@ class TestLocate:
                 assert abs(dx) <= lim
                 assert abs(0.5 * dx + SQRT3 * dy / 2.0) <= lim
                 assert abs(-0.5 * dx + SQRT3 * dy / 2.0) <= lim
+
+
+    @pytest.mark.parametrize("point", [(math.nan, 0.0), (1e200, 0.0), (1e308, -1e308)],
+                             ids=["nan", "far", "near-float-max"])
+    def test_nan_and_far_points_are_outside_without_warnings(self, point):
+        g = HexGrid(ncols=3, nrows=3, r=1.0, x0=0.0, y0=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert g.locate(*point) is None
+
+
+def nine_candidate_lookup(grid, xs, ys):
+    """locate_many as it was before its four-candidate lookup: the 3 x 3
+    centers around the rounded fractional row and column, ties resolved by
+    comparing (row, col); kept as the oracle of the new lookup."""
+    w = grid.r * SQRT3
+    jr = np.rint((grid.y0 - ys) / (1.5 * grid.r))
+    best_d2 = np.full(xs.shape, np.inf)
+    best_col = np.zeros(xs.shape, dtype=np.int64)
+    best_row = np.zeros(xs.shape, dtype=np.int64)
+    for dj in (-1, 0, 1):
+        j = np.clip(jr + dj, 0, grid.nrows - 1).astype(np.int64)
+        x_start = grid.x0 - (j % 2) * (w / 2.0)
+        ir = np.rint((xs - x_start) / w)
+        for di in (-1, 0, 1):
+            i = np.clip(ir + di, 0, grid.ncols - 1).astype(np.int64)
+            d2 = (xs - (x_start + i * w)) ** 2 + (ys - (grid.y0 - 1.5 * grid.r * j)) ** 2
+            tie = (d2 == best_d2) & ((j < best_row) | ((j == best_row) & (i < best_col)))
+            take = (d2 < best_d2) | tie
+            best_d2 = np.where(take, d2, best_d2)
+            best_col = np.where(take, i, best_col)
+            best_row = np.where(take, j, best_row)
+    dx = xs - (grid.x0 - (best_row % 2) * (w / 2.0) + best_col * w)
+    dy = ys - (grid.y0 - 1.5 * grid.r * best_row)
+    lim = w / 2.0 + 1e-9 * grid.r
+    s3dy = SQRT3 * dy / 2.0
+    inside = (
+        (np.abs(dx) <= lim)
+        & (np.abs(0.5 * dx + s3dy) <= lim)
+        & (np.abs(-0.5 * dx + s3dy) <= lim)
+    )
+    return best_col, best_row, inside
+
+
+def lattice_points(grid):
+    """Centers, edge midpoints and vertices of every cell and of a two-cell
+    ring around the grid, with each edge midpoint also pushed just inside
+    and just outside the lookup's 1e-9 r edge tolerance; flat (xs, ys)."""
+    w = grid.cell_width
+    cols = np.arange(-2, grid.ncols + 2)
+    rows = np.arange(-2, grid.nrows + 2)[:, None]
+    cx = (grid.x0 + cols * w - (rows % 2) * (w / 2.0)).ravel()
+    cy = np.broadcast_to(grid.y0 - 1.5 * grid.r * rows, (rows.size, cols.size)).ravel()
+    ang = np.pi / 2.0 + np.arange(6) * np.pi / 3.0
+    offsets = [np.zeros((1, 2)), grid.r * np.stack([np.cos(ang), np.sin(ang)], axis=1)]
+    offsets += [(w / 2.0) * (1.0 + t) * FACE_NORMALS for t in (0.0, -2e-9, -1e-9, 1e-9, 2e-9)]
+    d = np.concatenate(offsets)
+    return (cx[:, None] + d[:, 0]).ravel(), (cy[:, None] + d[:, 1]).ravel()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ncols=st.integers(1, 12),
+    nrows=st.integers(1, 12),
+    r=st.floats(1e-3, 3e5),
+    x0=st.floats(-1e6, 1e6),
+    y0=st.floats(-1e6, 1e6),
+    seed=st.integers(0, 2**32 - 1),
+    broadcast=st.booleans(),
+)
+def test_four_candidate_lookup_matches_the_nine_candidate_one(
+    ncols, nrows, r, x0, y0, seed, broadcast
+):
+    """The four-candidate lookup agrees with the nine-candidate one on every
+    point's ``inside``, and where inside on its cell; on random points up to
+    two cells outside the grid and on the lattice's own points alike."""
+    g = HexGrid(ncols=ncols, nrows=nrows, r=r, x0=x0, y0=y0)
+    rng = np.random.default_rng(seed)
+    w = g.cell_width
+    lx, ly = lattice_points(g)
+    xs = np.concatenate([rng.uniform(x0 - 2.5 * w, x0 + (ncols + 1.5) * w, 400), lx])
+    ys = np.concatenate([rng.uniform(y0 - 1.5 * r * (nrows + 2), y0 + 3.0 * r, 400), ly])
+    if broadcast:  # a row of xs against a column of ys: their whole lattice
+        xs, ys = rng.choice(xs, 150)[None, :], rng.choice(ys, 150)[:, None]
+        want = nine_candidate_lookup(g, *np.broadcast_arrays(xs, ys))
+    else:
+        want = nine_candidate_lookup(g, xs, ys)
+    cols, rows, inside = locate_many(g, xs, ys)
+    assert inside.shape == cols.shape == rows.shape == want[2].shape
+    np.testing.assert_array_equal(inside, want[2])
+    np.testing.assert_array_equal(cols[inside], want[0][inside])
+    np.testing.assert_array_equal(rows[inside], want[1][inside])
+    assert ((cols >= 0) & (cols < ncols) & (rows >= 0) & (rows < nrows)).all()
 
 
 class TestCoverDomain:

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexport import interp1d
+from hexport import metrics
 from hexport.errors import ConstraintInfeasibleError, GeometryMismatchError, SparseDataWarning
 from hexport.grid_io import RectRaster
+from hexport.hexgrid import locate_many
 from hexport.interp2d import Extension2D, build_row_like_grid, make_extension
 from hexport.metrics import (
     DEGRADE_LEVELS,
@@ -125,6 +126,45 @@ class TestL1Errors:
         assert abs(e16["eps_ha"] - e8["eps_ha"]) / e8["eps_ha"] < 1e-3
 
 
+def whole_lookup_l1_errors(raster, hexraster, field, quad):
+    """l1_errors as it was before its banded lookup: one lookup over a
+    meshgrid of every sample; kept as the oracle of the banded one."""
+    xs, ys = _sample_points(raster, quad)
+    X, Y = np.meshgrid(xs, ys)
+    gr = np.repeat(np.repeat(raster.values, quad, axis=0), quad, axis=1).ravel()
+    cols, rows, inside = locate_many(hexraster.to_grid(), X.ravel(), Y.ravel())
+    gh = np.where(inside, hexraster.values[rows, cols], np.nan)
+    mask = inside & (gr != raster.nodata) & (gh != hexraster.nodata)
+    grm, ghm = gr[mask], gh[mask]
+    gamma = np.abs(grm).sum()
+    out = {"eps_hr": np.abs(grm - ghm).sum() / gamma}
+    if field is not None:
+        gm = field(X.ravel()[mask], Y.ravel()[mask])
+        out["eps_ha"] = np.abs(gm - ghm).sum() / gamma
+        out["eps_ra"] = np.abs(gm - grm).sum() / gamma
+    return {k: float(v) for k, v in out.items()}
+
+
+class TestBandedLookup:
+    @pytest.mark.parametrize("band", [1, 100, None], ids=["one-row", "rows", "default"])
+    @pytest.mark.parametrize("quad", [1, 4])
+    def test_bands_keep_the_whole_lookups_bits(self, band, quad):
+        """Bands of one sample row, of several or the default give the sums
+        of one lookup over every sample, bit for bit, with holes in both
+        rasters and samples outside the hexagons."""
+        rng = np.random.default_rng(4)
+        r = runge_raster((-6, -5, 6, 4), 12, 9, 1.0)
+        r.values[rng.uniform(0, 1, r.values.shape) < 0.2] = r.nodata
+        h = port(runge_raster((-6, -5, 6, 4), 12, 9, 1.0), PortingConfig("id", cells_across=9))
+        h.values[rng.uniform(0, 1, h.values.shape) < 0.2] = h.nodata
+        with mock.patch.object(metrics, "_LOOKUP_POINTS", band or metrics._LOOKUP_POINTS):
+            for field in (None, RungeField(1.0)):
+                got = l1_errors(r, h, field=field, quad=quad)
+                want = whole_lookup_l1_errors(r, h, field, quad)
+                assert {k: v.hex() for k, v in got.items()} == \
+                    {k: v.hex() for k, v in want.items()}
+
+
 class TestL1Edges:
     def test_disjoint_domains_raise(self):
         from hexport.errors import EmptyOverlapError
@@ -159,6 +199,19 @@ def per_row_sweep(raster, method, field, quad):
     return out
 
 
+def assert_sweeps_agree(r, method, quad, block, fields):
+    """extension_l1_errors with ``block`` points per eval_line call (None:
+    the default) gives per_row_sweep's sums bit for bit with each field."""
+    with warnings.catch_warnings(), \
+            mock.patch.object(metrics, "_SWEEP_POINTS", block or metrics._SWEEP_POINTS):
+        warnings.simplefilter("ignore", SparseDataWarning)
+        for field in fields:
+            got = extension_l1_errors(r, method, field=field, quad=quad)
+            want = per_row_sweep(r, method, field, quad)
+            assert {k: v.hex() for k, v in got.items()} == \
+                {k: v.hex() for k, v in want.items()}
+
+
 class TestExtensionErrors:
     @pytest.mark.parametrize("block", [None, 300, 50], ids=["default", "300", "50"])
     @pytest.mark.parametrize("quad", [1, 3])
@@ -172,14 +225,22 @@ class TestExtensionErrors:
         vals[[0, 3, 4, 37, 59]] = -9999.0  # all-NODATA rows, both ends included
         vals[[8, 25], 1:] = -9999.0  # one cell left: dropped from the grid, still summed
         r = RectRaster(values=vals, xll=-6.0, yll=-10.0, cellsize=0.5)
-        with warnings.catch_warnings(), \
-                mock.patch.object(interp1d, "_BLOCK", block or interp1d._BLOCK):
-            warnings.simplefilter("ignore", SparseDataWarning)
-            for field in (None, RungeField(1.0)):
-                got = extension_l1_errors(r, method, field=field, quad=quad)
-                want = per_row_sweep(r, method, field, quad)
-                assert {k: v.hex() for k, v in got.items()} == \
-                    {k: v.hex() for k, v in want.items()}
+        assert_sweeps_agree(r, method, quad, block, (None, RungeField(1.0)))
+
+    @pytest.mark.parametrize("block", [None, 300, 50], ids=["default", "300", "50"])
+    @pytest.mark.parametrize("quad", [2, 8])
+    @pytest.mark.parametrize("method", ["eno", "of"])
+    def test_batched_sweep_with_nodata_in_every_row(self, method, quad, block):
+        """With a field and a hole in every raster row, each row's lines are
+        reduced over a compacted subset of columns; the sums still keep the
+        per-row sweep's bits."""
+        rng = np.random.default_rng(8)
+        vals = rng.uniform(0.5, 3.0, (30, 16))
+        vals[rng.uniform(0, 1, vals.shape) < 0.2] = -9999.0
+        vals[np.arange(30), rng.integers(0, 16, 30)] = -9999.0
+        r = RectRaster(values=vals, xll=-4.0, yll=-7.5, cellsize=0.5)
+        assert (r.values == r.nodata).any(axis=1).all()
+        assert_sweeps_agree(r, method, quad, block, (RungeField(1.0),))
 
     def test_dense_raster_small_error(self):
         r = runge_raster((-14, -14, 14, 14), 100, 100, 10.0)

@@ -18,17 +18,8 @@ from .grid_io import (
 )
 from .hexgrid import HexGrid, cover_domain
 from .hydroflow import FlowState, run, step
-from .interp1d import ENO, OF, Extension1D, Knots1D, Stencil1D, extend_1d
-from .interp2d import (
-    CrsExtension,
-    Extension2D,
-    IdExtension,
-    RowLikeGrid,
-    build_row_like_grid,
-    extend_2d,
-    extend_crs,
-    extend_id,
-)
+from .interp1d import ENO, OF, Extension1D, Knots1D, Stencil1D
+from .interp2d import CrsExtension, Extension2D, IdExtension, RowLikeGrid, build_row_like_grid
 from .metrics import (
     DEGRADE_LEVELS,
     RungeField,
@@ -63,10 +54,6 @@ __all__ = [
     "build_row_like_grid",
     "cover_domain",
     "degrade_raster",
-    "extend_1d",
-    "extend_2d",
-    "extend_crs",
-    "extend_id",
     "extension_l1_errors",
     "l1_errors",
     "parse_esri_ascii",

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import grid_io, hydroflow, metrics
 from .errors import HexportError
-from .porting import PortingConfig, port
+from .porting import METHODS, PortingConfig, port
 
 
 def _checked(kind, what: str, ok):
@@ -198,10 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("port", help="port a square raster to a hexagonal raster")
     p.add_argument("--in", required=True, help="input ESRI ASCII raster")
     p.add_argument("--out", required=True, help="output hex raster path")
-    p.add_argument(
-        "--method", default="eno", choices=["eno", "of", "crs", "id"],
-        help="extension method (default eno)",
-    )
+    p.add_argument("--method", default="eno", choices=METHODS,
+                   help="extension method (default eno)")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--cells-across", type=_POSITIVE_INT, help="hex cells per row")
     group.add_argument("--radius", type=_POSITIVE_FLOAT, help="hex circumradius")
@@ -220,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("errors", help="error report for a raster and optional hex port")
     p.add_argument("--raster", required=True, help="ESRI ASCII raster")
     p.add_argument("--hex", help="hex raster ported from it")
-    p.add_argument("--method", default="eno", choices=["eno", "of", "crs", "id"])
+    p.add_argument("--method", default="eno", choices=METHODS)
     p.add_argument("--runge", type=_FINITE_FLOAT,
                    help="compare against the Runge field with this a")
     p.add_argument("--quad", type=_POSITIVE_INT, default=8,

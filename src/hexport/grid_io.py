@@ -106,12 +106,16 @@ class _Raster:
     def ncols(self) -> int:
         return self.values.shape[1]
 
+    def same_geometry(self, other) -> bool:
+        """Same shape and the same ``_keys`` fields: the same cells."""
+        return self.values.shape == other.values.shape and all(
+            getattr(self, name) == getattr(other, name) for name in self._keys)
+
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return all(
-            getattr(self, name) == getattr(other, name) for name in (*self._keys, "nodata")
-        ) and np.array_equal(self.values, other.values)
+        return (self.same_geometry(other) and self.nodata == other.nodata
+                and np.array_equal(self.values, other.values))
 
 
 @dataclass(eq=False)

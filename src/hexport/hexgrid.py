@@ -235,13 +235,17 @@ def locate_many(grid: HexGrid, xs, ys):
     center: cols/rows of an outside point are some in-grid cell near it,
     and may differ from those of a lookup that scores more candidates.
     NaN and far points are outside and raise no floating-point warning.
+    Offsets are squared after an exact scaling by a power of two near
+    ``1 / r``, so a grid scaled by a power of two looks up alike, even with
+    cells near the float range's ends.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     w = grid.r * SQRT3
-    # Far points square past the float range and non-finite ones give NaN;
-    # every comparison with those is False, so they are outside.  A point
-    # no candidate is finitely near keeps the NaN offsets and cell (0, 0).
+    scale = math.ldexp(1.0, -math.frexp(grid.r)[1])
+    # Points 1e154 cells away square past the float range, non-finite ones
+    # give NaN; every comparison with those is False, so they are outside.  A
+    # point no candidate is finitely near keeps the NaN offsets and cell (0, 0).
     shape = np.broadcast_shapes(xs.shape, ys.shape)
     best = [np.full(shape, v) for v in (np.inf, np.nan, np.nan, 0, 0)]  # d2, dx, dy, col, row
     with np.errstate(over="ignore", invalid="ignore"):
@@ -250,12 +254,12 @@ def locate_many(grid: HexGrid, xs, ys):
             j = _index(jf + dj, grid.nrows)
             x_start = grid.x0 - (j % 2) * (w / 2.0)
             dy = ys - (grid.y0 - 1.5 * grid.r * j)
-            dy2 = dy**2
+            dy2 = (dy * scale) ** 2
             i_f = np.floor((xs - x_start) / w)
             for di in (0, 1):
                 i = _index(i_f + di, grid.ncols)
                 dx = xs - (x_start + i * w)
-                d2 = dx**2 + dy2
+                d2 = (dx * scale) ** 2 + dy2
                 # Candidates come in (row, col) order, so taking only a
                 # strictly nearer one leaves a tie with the smallest.
                 take = d2 < best[0]

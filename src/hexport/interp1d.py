@@ -18,8 +18,9 @@ number of intervals; :func:`eno_select` and :func:`of_select` view one.
 One builder, ``_pieces``, turns any set of intervals into cubic pieces,
 the end cubics beyond a row included; its values may carry trailing
 columns that share the knots, which is how the 2D cross-row combine uses
-it.  A :class:`KnotTable` keeps many rows and their pieces in one flat
-table and evaluates any set of them with one gather and one Horner pass;
+it.  A :class:`KnotTable` builds the pieces of knot rows laid out in one
+flat store it is given, a row-like grid's or one row's, copying none of
+it, and evaluates any set of rows with one gather and one Horner pass;
 :class:`Extension1D` is a one-row view of it.  The table calls the builder
 once per block of ``_BLOCK`` pieces and writes each block straight into
 the table, so a build holds the table plus O(``_BLOCK``) temporaries.
@@ -342,10 +343,11 @@ def _on_knot(xs, start, n, pos, x, method: str):
 
 
 class KnotTable:
-    """Knot rows in one flat (CSR) table with the cubic pieces evaluating them.
+    """The cubic pieces evaluating knot rows laid out in one flat (CSR) store.
 
-    Row r holds knots ``xs[start[r] : start[r + 1]]`` and, from ``pieces[r]``
-    on, n + 1 pieces: the cubic on its first four knots (below the row), each
+    Row r holds knots ``xs[start[r] : start[r + 1]]`` with values ``fs``
+    alike, the caller's arrays, not copies, and, from ``pieces[r]`` on, n + 1
+    pieces: the cubic on its first four knots (below the row), each
     interval's stencil, the cubic on its last four knots (above the row), as
     Newton coefficients ``c`` ``(4, P)`` and Horner nodes ``x`` ``(3, P)``.
     In a row of 2-3 knots all n + 1 pieces are its interpolant, padded.
@@ -355,15 +357,13 @@ class KnotTable:
     Beyond the table it holds O(``_BLOCK``) memory.
     """
 
-    def __init__(self, rows, method: str):
+    def __init__(self, xs, fs, start, method: str):
         if method not in _METHODS:
             raise ValueError(f"unknown method {method!r}")
         self.method = method
-        n = np.array([len(row) for row in rows], dtype=np.int64)
-        self.start = np.concatenate([[0], np.cumsum(n)])
+        self.xs, self.fs, self.start = xs, fs, start
+        n = np.diff(start)
         self.pieces = np.concatenate([[0], np.cumsum(n + 1)])
-        self.xs = np.concatenate([row.xs for row in rows] or [[]])
-        self.fs = np.concatenate([row.fs for row in rows] or [[]])
         self.c, self.x = np.empty((4, self.pieces[-1])), np.empty((3, self.pieces[-1]))
         for lo in range(0, self.pieces[-1], _BLOCK):
             p = np.arange(lo, min(lo + _BLOCK, self.pieces[-1]))
@@ -401,12 +401,14 @@ class KnotTable:
 
 class Extension1D:
     """An everywhere-defined extension of one knot row: row ``row`` of a
-    :class:`KnotTable`, or of its own one-row table.  Fewer than four knots
-    give the interpolant through all of them.
+    :class:`KnotTable`, or of its own one-row table over ``knots``.  Fewer
+    than four knots give the interpolant through all of them.
     """
 
     def __init__(self, knots: Knots1D, method: str, table=None, row: int = 0):
-        self._table = KnotTable([knots], method) if table is None else table
+        if table is None:
+            table = KnotTable(knots.xs, knots.fs, np.array([0, len(knots)]), method)
+        self._table = table
         self.knots = knots
         self.method = method
         self._row = np.array([row])
@@ -419,11 +421,3 @@ class Extension1D:
         x = np.asarray(x, dtype=np.float64)
         return self._table.eval(self._row, x.ravel())[0].reshape(x.shape)
 
-
-def extend_1d(knots: Knots1D, xi: float, method: str = ENO) -> float:
-    """Evaluate the chosen 1D extension of ``knots`` at a single point.
-
-    For repeated evaluation over the same knots build an :class:`Extension1D`
-    once and call it; this convenience wrapper reselects stencils each call.
-    """
-    return Extension1D(knots, method)(xi)

@@ -5,9 +5,11 @@ The 2D operator is a cross combination of the 1D machinery: for a query
 each knot row in that interval's six-row neighborhood at x, and then runs
 the 1D extension once more across those per-row values in y.  Rows may have
 different knot sets and counts; a row whose knot range does not reach x
-extrapolates with its own outermost cubic.  A raster becomes a row-like grid
-in one pass: its kept knots go into two flat arrays, checked once, and each
-row's knots are views of them.
+extrapolates with its own outermost cubic.  A row-like grid holds every
+knot once, in two flat arrays with row offsets, and each row's knots are
+views of them; the knot table and the Catmull-Rom baseline read that
+store and copy none of it.  A raster becomes a row-like grid in one pass:
+its kept knots go into two flat arrays, checked once.
 
 Evaluation is batched along horizontal lines: hexagon-row centers and
 quadrature sample rows share a y, so the per-row 1D evaluations and the
@@ -26,7 +28,7 @@ and :func:`make_extension`, which builds any of the four by method name.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,25 +59,39 @@ class RowLikeGrid:
     ``rows[j]`` holds the knots on the horizontal line ``y = ys[j]``.
     ``dropped_rows`` counts source rows discarded for having fewer than two
     usable knots.
+
+    The grid is the one store of its knots: row j's abscissas are
+    ``xs[start[j] : start[j + 1]]`` and its values ``fs`` alike.  The
+    constructor copies the given rows into that store once; ``rows[j]`` is
+    then a :class:`Knots1D` of views of it, not the caller's object.
     """
 
     ys: np.ndarray
     rows: tuple
     dropped_rows: int = 0
+    xs: np.ndarray = field(init=False, repr=False)
+    fs: np.ndarray = field(init=False, repr=False)
+    start: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ys = np.asarray(self.ys, dtype=np.float64)
-        object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if ys.ndim != 1 or ys.size != len(self.rows):
+        rows = tuple(self.rows)
+        if ys.ndim != 1 or ys.size != len(rows):
             raise ValueError("ys and rows must have matching lengths")
         if ys.size < 2:
             raise TooSparseError("need at least 2 usable rows")
         if not np.all(np.isfinite(ys)) or not np.all(np.diff(ys) > 0.0):
             raise ValueError("row heights must be finite and strictly increasing")
-        for row in self.rows:
+        for row in rows:
             if not isinstance(row, Knots1D):
                 raise TypeError("rows must be Knots1D instances")
+        start = np.concatenate([[0], np.cumsum([len(row) for row in rows])])
+        xs = np.concatenate([row.xs for row in rows])
+        fs = np.concatenate([row.fs for row in rows])
+        rows = tuple(Knots1D._trusted(xs[a:b], fs[a:b])
+                     for a, b in zip(start[:-1].tolist(), start[1:].tolist()))
+        for name, value in (("ys", ys), ("rows", rows), ("xs", xs), ("fs", fs), ("start", start)):
+            object.__setattr__(self, name, value)
 
     @property
     def nrows(self) -> int:
@@ -84,7 +100,7 @@ class RowLikeGrid:
     @property
     def short_rows(self) -> int:
         """Rows of 2-3 knots, evaluated with their quadratic or linear interpolant."""
-        return sum(1 for row in self.rows if len(row) < 4)
+        return int((np.diff(self.start) < 4).sum())
 
 
 def build_row_like_grid(raster: RectRaster) -> RowLikeGrid:
@@ -96,7 +112,8 @@ def build_row_like_grid(raster: RectRaster) -> RowLikeGrid:
     :class:`TooSparseError`.
 
     One check of the flat knot arrays raises what :class:`Knots1D` would for
-    the lowest faulty row, so each row's views of them are not checked again.
+    the lowest faulty row, so each row's views of them are not checked again;
+    the grid then copies those views into its own store.
     """
     keep = raster.values[::-1] != raster.nodata
     counts = keep.sum(axis=1)
@@ -141,16 +158,17 @@ class _LineExtension:
 class Extension2D(_LineExtension):
     """Everywhere-defined extension of a row-like grid, ENO or OF flavored.
 
-    All knot rows live in one :class:`KnotTable`; ``_rows`` holds a thin
-    :class:`Extension1D` view of each.  No evaluation reads ``_rows``: it
-    stays because the benchmark's ``interp1d.build`` span wraps
-    ``Extension1D.__init__``, and ``hexbench/test_bench.py`` expects that
-    span.  Evaluation batches over points sharing a y (a line) and over
-    lines sharing their xs, which is how rasters and hexagon rows are swept.
+    One :class:`KnotTable` over the grid's own knot store holds the pieces
+    of every row; ``_rows`` holds a thin :class:`Extension1D` view of each.
+    No evaluation reads ``_rows``: it stays because the benchmark's
+    ``interp1d.build`` span wraps ``Extension1D.__init__``, and
+    ``hexbench/test_bench.py`` expects that span.  Evaluation batches over
+    points sharing a y (a line) and over lines sharing their xs, which is
+    how rasters and hexagon rows are swept.
     """
 
     def __init__(self, grid: RowLikeGrid, method: str = ENO):
-        self._table = KnotTable(grid.rows, method)
+        self._table = KnotTable(grid.xs, grid.fs, grid.start, method)
         self.grid = grid
         self.method = method
         self._rows = [Extension1D(row, method, self._table, r) for r, row in enumerate(grid.rows)]
@@ -199,38 +217,27 @@ class Extension2D(_LineExtension):
         return out if np.ndim(y) else out[0]
 
 
-def extend_2d(grid: RowLikeGrid, x: float, y: float, method: str = ENO) -> float:
-    """Evaluate the 2D extension at one point.
-
-    Builds the per-row machinery on every call; reuse an
-    :class:`Extension2D` for repeated evaluation.
-    """
-    return Extension2D(grid, method)(x, y)
-
-
 class CrsExtension(_LineExtension):
     """Separable Catmull-Rom spline on a uniform rectangular grid.
 
     Tangents are the index-space ``np.gradient``, along the knot rows and then
     across the rows interpolated at a query's x: central differences, one-sided
     at the boundary.  Queries beyond the knot hull extrapolate the end
-    segment.  Irregular grids are rejected.
+    segment.  Irregular grids are rejected.  The knot values ``V`` are a
+    view of the grid's knot store.
     """
 
     def __init__(self, grid: RowLikeGrid):
-        xs0 = grid.rows[0].xs
-        for row in grid.rows[1:]:
-            if row.xs.size != xs0.size or not np.array_equal(row.xs, xs0):
-                raise IrregularGridError("rows have differing knot sets")
-        if xs0.size < 2 or grid.ys.size < 2:
-            raise IrregularGridError("need at least 2 x 2 knots")
+        m, xs0 = grid.nrows, grid.rows[0].xs
+        if (np.diff(grid.start) != xs0.size).any() or (grid.xs.reshape(m, -1) != xs0).any():
+            raise IrregularGridError("rows have differing knot sets")
         for name, arr in (("x", xs0), ("y", grid.ys)):
             steps = np.diff(arr)
             if np.max(steps) - np.min(steps) > 1e-9 * max(np.max(np.abs(arr)), 1.0):
                 raise IrregularGridError(f"{name} knots are not uniformly spaced")
         self.xs = xs0
         self.ys = grid.ys
-        self.V = np.stack([row.fs for row in grid.rows])
+        self.V = grid.fs.reshape(m, -1)
         self._tx = np.gradient(self.V, axis=1)  # index-space tangents
 
     @staticmethod
@@ -267,11 +274,6 @@ class CrsExtension(_LineExtension):
         return out if np.ndim(y) else out[0]
 
 
-def extend_crs(grid: RowLikeGrid, x: float, y: float) -> float:
-    """Catmull-Rom value at one point; see :class:`CrsExtension`."""
-    return CrsExtension(grid)(x, y)
-
-
 class IdExtension(_LineExtension):
     """Piecewise-constant extension: the value of the cell containing (x, y)."""
 
@@ -304,11 +306,6 @@ class IdExtension(_LineExtension):
         if outside.any():
             out[outside] = float(fill)
         return out if np.ndim(y) else out[0]
-
-
-def extend_id(raster: RectRaster, x: float, y: float) -> float:
-    """Value of the raster cell containing (x, y); OutOfBounds outside."""
-    return IdExtension(raster)(x, y)
 
 
 def make_extension(raster: RectRaster, method: str):

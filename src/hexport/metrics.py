@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -245,13 +245,7 @@ def degrade_raster(raster: RectRaster, m: int, n: int, seed: int = 0) -> RectRas
     for row in _thin_indices(raster.nrows, m, coins):
         cols = _thin_indices(raster.ncols, n, coins)
         values[row, cols] = raster.values[row, cols]
-    return RectRaster(
-        values=values,
-        xll=raster.xll,
-        yll=raster.yll,
-        cellsize=raster.cellsize,
-        nodata=raster.nodata,
-    )
+    return replace(raster, values=values)
 
 
 def recovery_errors(basis: RectRaster, degraded: RectRaster, method: str = ENO) -> dict:
@@ -261,13 +255,7 @@ def recovery_errors(basis: RectRaster, degraded: RectRaster, method: str = ENO) 
     exactness the retained knots contribute nothing for ENO.  Zero holes
     returns zeros.
     """
-    same = (
-        basis.values.shape == degraded.values.shape
-        and basis.xll == degraded.xll
-        and basis.yll == degraded.yll
-        and basis.cellsize == degraded.cellsize
-    )
-    if not same:
+    if not basis.same_geometry(degraded):
         raise GeometryMismatchError("basis and degraded rasters differ in geometry")
     eliminated = (basis.values != basis.nodata) & (degraded.values == degraded.nodata)
     count = int(eliminated.sum())

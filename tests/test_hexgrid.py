@@ -136,6 +136,19 @@ class TestLocate:
                 assert abs(-0.5 * dx + SQRT3 * dy / 2.0) <= lim
 
 
+    @pytest.mark.parametrize("power", [-530, 530])
+    def test_a_grid_scaled_by_a_power_of_two_looks_up_alike(self, power):
+        # Unscaled, the squared offsets overflow past cells of about 1e154.
+        g = HexGrid(ncols=5, nrows=4, r=0.7, x0=-1.0, y0=2.0)
+        s = 2.0**power
+        scaled = HexGrid(ncols=5, nrows=4, r=0.7 * s, x0=-1.0 * s, y0=2.0 * s)
+        xs, ys = lattice_points(g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = locate_many(scaled, xs * s, ys * s)
+        for a, b in zip(got, locate_many(g, xs, ys)):
+            np.testing.assert_array_equal(a, b)
+
     @pytest.mark.parametrize("point", [(math.nan, 0.0), (1e200, 0.0), (1e308, -1e308)],
                              ids=["nan", "far", "near-float-max"])
     def test_nan_and_far_points_are_outside_without_warnings(self, point):

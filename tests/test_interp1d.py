@@ -26,12 +26,11 @@ from hexport.interp1d import (
     divided_difference,
     eno_score,
     eno_select,
-    extend_1d,
     newton_cubic_eval,
     of_objective,
     of_select,
 )
-from hexport.interp2d import Extension2D, RowLikeGrid, build_row_like_grid
+from hexport.interp2d import CrsExtension, Extension2D, RowLikeGrid, build_row_like_grid
 
 GAUSS5 = np.polynomial.legendre.leggauss(5)
 
@@ -372,7 +371,7 @@ class TestExtend1D:
 
     def test_extend_1d_wrapper(self):
         kn = Knots1D(np.arange(5.0), np.arange(5.0) ** 2)
-        assert extend_1d(kn, 2.5, ENO) == pytest.approx(6.25, rel=1e-13)
+        assert Extension1D(kn, ENO)(2.5) == pytest.approx(6.25, rel=1e-13)
 
 
 def scalar_select(xs, fs, k, method):
@@ -427,6 +426,12 @@ def ragged_rows(seed, lengths, values):
     return rows
 
 
+def table_of(rows, method):
+    """A KnotTable over ``rows`` laid into one store, as a RowLikeGrid lays them."""
+    grid = RowLikeGrid(ys=np.arange(float(len(rows))), rows=rows)
+    return KnotTable(grid.xs, grid.fs, grid.start, method)
+
+
 def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).tobytes()
 
@@ -473,7 +478,7 @@ class TestShortRows:
         at = np.searchsorted(xs, x)
         hit = (at < xs.size) & (xs[np.minimum(at, xs.size - 1)] == x)
         for method in (ENO, OF):
-            table = KnotTable(rows, method)
+            table = table_of(rows, method)
             got = table.eval(np.arange(len(rows)), x)
             for r, row in enumerate(rows):
                 assert_short_row_pieces(table, r, row)
@@ -499,7 +504,7 @@ def test_of_end_cubics_are_the_end_intervals_stencils(seed, n, cols, values):
     end = _pieces(xs, fs, 0, n, np.array([-1, n - 1]), OF)
     inner = _pieces(xs, fs, 0, n, np.array([0, n - 2]), OF)
     assert [bits(a) for a in end] == [bits(a) for a in inner]
-    table = KnotTable([Knots1D(xs, fs[:, 0])], OF)
+    table = Extension1D(Knots1D(xs, fs[:, 0]), OF)._table
     assert bits(table.c[:, [0, n]]) == bits(table.c[:, [1, n - 1]])
     assert bits(table.x[:, [0, n]]) == bits(table.x[:, [1, n - 1]])
 
@@ -528,7 +533,7 @@ class TestSelectionKernel:
             table = ext._table
             assert table.pieces.size == len(rows) + 1
             assert len(ext._rows) == len(rows)  # thin per-row views of the one table
-            assert all(e.knots is row and e._table is table for e, row in zip(ext._rows, rows))
+            assert all(e.knots is row and e._table is table for e, row in zip(ext._rows, grid.rows))
             select = eno_select if method == ENO else of_select
             for (r, row), one in zip([(r, row) for r, row in enumerate(rows) if len(row) >= 4],
                                      alone):
@@ -595,7 +600,7 @@ class TestSelectionKernel:
         ]
         with np.errstate(all="ignore"):
             for method in (ENO, OF):
-                table = KnotTable(rows, method)
+                table = table_of(rows, method)
                 select = eno_select if method == ENO else of_select
                 for r, row in enumerate(rows):
                     want = [scalar_select(row.xs, row.fs, k, method) for k in range(len(row) - 1)]
@@ -614,18 +619,48 @@ def terrain_raster(size, seed):
 
 class TestBuildMemory:
     """A table build holds the table it keeps plus O(_BLOCK), not per-interval
-    index tables or a second copy of the knots."""
+    index tables.  The knots live once, in the grid's store, which the knot
+    table and the Catmull-Rom baseline read without copying."""
 
     @pytest.mark.parametrize("method", [ENO, OF])
     def test_build_holds_table_plus_blocks(self, method):
-        rows = build_row_like_grid(terrain_raster(150, 11)).rows
+        grid = build_row_like_grid(terrain_raster(150, 11))
         block = 256
         with mock.patch.object(interp1d, "_BLOCK", block):
             tracemalloc.start()
             try:
-                table = KnotTable(rows, method)
+                table = KnotTable(grid.xs, grid.fs, grid.start, method)
                 kept, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
         assert table.pieces[-1] == 150 * 151
         assert peak - kept < 400 * block * 8
+        assert table.xs is grid.xs and table.fs is grid.fs
+
+    def test_one_knot_store(self):
+        grid = build_row_like_grid(terrain_raster(12, 11))
+        for method in (ENO, OF):
+            table = Extension2D(grid, method)._table
+            assert np.shares_memory(table.xs, grid.xs) and np.shares_memory(table.fs, grid.fs)
+        assert np.shares_memory(CrsExtension(grid).V, grid.fs)
+        rows = [Knots1D(np.arange(3.0), np.ones(3)), Knots1D(np.arange(4.0), np.zeros(4))]
+        grid = RowLikeGrid(ys=[0.0, 1.0], rows=rows)  # the caller's rows are copied once
+        assert not any(np.shares_memory(a.xs, grid.xs) for a in rows)
+        assert all(np.shares_memory(r.xs, grid.xs) and np.shares_memory(r.fs, grid.fs)
+                   and bits(r.xs) == bits(a.xs) and bits(r.fs) == bits(a.fs)
+                   for r, a in zip(grid.rows, rows))
+
+    @pytest.mark.parametrize("method", [ENO, OF])
+    def test_extension_keeps_its_table_and_one_store(self, method):
+        # A second copy of the knots would keep 16 B per knot more: 1.44 MB
+        # here, against 2000 B per row for the row views and their objects.
+        raster = terrain_raster(300, 11)
+        tracemalloc.start()
+        try:
+            ext = Extension2D(build_row_like_grid(raster), method)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        grid, table = ext.grid, ext._table
+        own = table.c.nbytes + table.x.nbytes + grid.xs.nbytes + grid.fs.nbytes
+        assert kept < own + 2000 * grid.nrows

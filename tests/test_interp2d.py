@@ -19,12 +19,12 @@ from hexport.grid_io import RectRaster
 from hexport.interp1d import (
     ENO,
     OF,
+    Extension1D,
     Knots1D,
     KnotTable,
     _newton_coeffs,
     _newton_eval,
     _windows,
-    extend_1d,
     select_stencils,
 )
 from hexport.interp2d import (
@@ -33,9 +33,6 @@ from hexport.interp2d import (
     IdExtension,
     RowLikeGrid,
     build_row_like_grid,
-    extend_2d,
-    extend_crs,
-    extend_id,
     make_extension,
 )
 
@@ -56,7 +53,7 @@ def composed_reference(grid, x, y, method):
     pos = bisect.bisect_left(ys, y)
     at_knot = pos < m and ys[pos] == y
     if at_knot and method == ENO:
-        return extend_1d(grid.rows[pos], x, method)
+        return Extension1D(grid.rows[pos], method)(x)
     if at_knot:
         lo, hi = max(0, pos - 3), min(m - 1, pos + 3)
     elif y < ys[0]:
@@ -66,8 +63,8 @@ def composed_reference(grid, x, y, method):
     else:
         k = pos - 1
         lo, hi = max(0, k - 2), min(m - 1, k + 3)
-    fs = [extend_1d(grid.rows[j], x, method) for j in range(lo, hi + 1)]
-    return extend_1d(Knots1D(np.array(ys[lo : hi + 1]), np.array(fs)), y, method)
+    fs = [Extension1D(grid.rows[j], method)(x) for j in range(lo, hi + 1)]
+    return Extension1D(Knots1D(np.array(ys[lo : hi + 1]), np.array(fs)), method)(y)
 
 
 def random_row_like_grid(rng, cubic=None):
@@ -309,7 +306,7 @@ class TestExtension2D:
     def test_extend_2d_wrapper(self):
         r = raster_from_fn(lambda x, y: x + 2 * y, (0, 0, 8, 8), 8, 8)
         g = build_row_like_grid(r)
-        assert extend_2d(g, 3.3, 4.4, ENO) == pytest.approx(3.3 + 8.8, rel=1e-12)
+        assert Extension2D(g, ENO)(3.3, 4.4) == pytest.approx(3.3 + 8.8, rel=1e-12)
 
 
 class TestCrs:
@@ -365,7 +362,7 @@ class TestCrs:
     def test_extend_crs_wrapper(self):
         r = raster_from_fn(lambda x, y: x + y, (0, 0, 5, 5), 5, 5)
         g = build_row_like_grid(r)
-        assert extend_crs(g, 2.0, 3.0) == pytest.approx(5.0, rel=1e-12)
+        assert CrsExtension(g)(2.0, 3.0) == pytest.approx(5.0, rel=1e-12)
 
 
 class TestId:
@@ -376,25 +373,25 @@ class TestId:
             for col in range(4):
                 x = float(r.x_centers()[col])
                 y = float(r.y_center(row))
-                assert extend_id(r, x, y) == vals[row, col]
+                assert IdExtension(r)(x, y) == vals[row, col]
 
     def test_epsilon_inside_edge(self):
         vals = np.array([[1.0, 2.0], [3.0, 4.0]])
         r = RectRaster(values=vals, xll=0, yll=0, cellsize=1.0)
         eps = 1e-9
-        assert extend_id(r, 1.0 - eps, 0.5) == 3.0
-        assert extend_id(r, 1.0 + eps, 0.5) == 4.0
+        assert IdExtension(r)(1.0 - eps, 0.5) == 3.0
+        assert IdExtension(r)(1.0 + eps, 0.5) == 4.0
 
     def test_out_of_bounds(self):
         r = RectRaster(values=[[1.0]], xll=0, yll=0, cellsize=1.0)
         with pytest.raises(OutOfBoundsError):
-            extend_id(r, 2.0, 0.5)
+            IdExtension(r)(2.0, 0.5)
 
     def test_degree_zero_accuracy(self):
         r = raster_from_fn(lambda x, y: x + 0 * y, (0, 0, 4, 4), 4, 4)
         # linear data is not reproduced between centers: constant per cell
-        assert extend_id(r, 0.9, 2.0) == extend_id(r, 0.6, 2.0) == 0.5
-        assert extend_id(r, 0.9, 2.0) != 0.9
+        assert IdExtension(r)(0.9, 2.0) == IdExtension(r)(0.6, 2.0) == 0.5
+        assert IdExtension(r)(0.9, 2.0) != 0.9
 
     def test_fill_outside(self):
         r = RectRaster(values=[[1.0, 2.0]], xll=0, yll=0, cellsize=1.0)
@@ -408,7 +405,7 @@ class TestId:
             warnings.simplefilter("error")
             got = IdExtension(r).eval_line(np.array([-1e300, 0.5, 1e300]), [0.5, -1e300], fill=-1.0)
             with pytest.raises(OutOfBoundsError):
-                extend_id(r, 1e300, 0.5)
+                IdExtension(r)(1e300, 0.5)
         assert got.tolist() == [[-1.0, 1.0, -1.0], [-1.0, -1.0, -1.0]]
 
 
@@ -496,7 +493,7 @@ def sweep_row(knots, method, x):
         out = np.array(_newton_eval(_newton_coeffs(list(xs), list(fs)), list(xs), x))
         out[at_knot] = fs[pos[at_knot]]
         return out
-    table = KnotTable([knots], method)  # its interval pieces are 1..n-1
+    table = KnotTable(knots.xs, knots.fs, np.array([0, n]), method)  # interval pieces: 1..n-1
     c, cx = table.c[:, 1:n].T, table.x[:, 1:n].T
 
     def horner(k, at):

@@ -108,6 +108,18 @@ class TestL1Errors:
         out = l1_errors(r, h, quad=4)
         assert out["eps_hr"] == 0.0
 
+    @pytest.mark.parametrize("power", [-530, 530])
+    def test_same_bits_at_any_power_of_two_scale(self, power):
+        # At 2**530 the unscaled squared hexagon offsets overflowed, so no
+        # sample was inside and l1_errors found no overlap.
+        def eps_hr(s):
+            r = RectRaster(values=np.arange(1.0, 121.0).reshape(10, 12),
+                           xll=-6.0 * s, yll=-5.0 * s, cellsize=s)
+            return l1_errors(r, port(r, PortingConfig(method="id", cells_across=10)),
+                             quad=2)["eps_hr"]
+
+        assert eps_hr(2.0**power) == eps_hr(1.0) == 0.07844129554655871
+
     def test_nonnegative_and_field_keys(self, sr1, runge1, sr1_eno_ports):
         out = l1_errors(sr1, sr1_eno_ports[200], field=runge1, quad=4)
         assert set(out) == {"eps_hr", "eps_ha", "eps_ra"}
@@ -124,6 +136,22 @@ class TestL1Errors:
         for key in e8:
             assert abs(e16[key] - e8[key]) / abs(e8[key]) < 1e-2
         assert abs(e16["eps_ha"] - e8["eps_ha"]) / e8["eps_ha"] < 1e-3
+
+
+class TestObservedOrder:
+    """The extension's L1 error against the Runge field a = 1 on [-20, 20]^2
+    falls with the cell size h as h^p: about 4 for the bicubic ENO and OF,
+    which reproduce cubics, and 3 for Catmull-Rom, which reproduces only
+    quadratics.  p is observed between n = 161 and 321 cells a side."""
+
+    @pytest.mark.parametrize("method, low, high", [("eno", 3.7, None), ("of", 3.4, None),
+                                                   ("crs", 2.8, 3.6)])
+    def test_order_between_161_and_321(self, method, low, high):
+        field = RungeField(1.0)
+        e = [extension_l1_errors(runge_raster((-20, -20, 20, 20), n, n, 1.0), method,
+                                 field=field, quad=4)["eps_ea"] for n in (161, 321)]
+        order = np.log2(e[0] / e[1])
+        assert order >= low and (high is None or order <= high), order
 
 
 def whole_lookup_l1_errors(raster, hexraster, field, quad):

@@ -123,12 +123,8 @@ class HexGrid:
         Points on a shared edge resolve to the nearest center with the
         smallest (row, col).
         """
-        cols, rows, inside = locate_many(
-            self, np.array([x], dtype=np.float64), np.array([y], dtype=np.float64)
-        )
-        if not inside[0]:
-            return None
-        return (int(cols[0]), int(rows[0]))
+        cols, rows, inside = locate_many(self, x, y)
+        return (int(cols), int(rows)) if inside else None
 
 
 def neighbor_table(grid: HexGrid, cols, rows) -> np.ndarray:

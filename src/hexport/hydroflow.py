@@ -69,7 +69,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonFiniteStateError, OutOfRangeError
+from .errors import NonFiniteStateError
 from .grid_io import DEFAULT_NODATA, HexRaster, _two_cores
 from .hexgrid import FACE_NORMALS, SQRT3, HexGrid, ParityLayout, neighbor_table
 
@@ -479,8 +479,7 @@ def fit_plane(state: FlowState, cell) -> tuple:
     cell and its neighbors.
     """
     col, row = cell
-    if not (0 <= col < state.grid.ncols and 0 <= row < state.grid.nrows):
-        raise OutOfRangeError(f"cell {cell} outside grid")
+    state.grid._check(col, row)
     a, b = state.topology().gradient((state.z + state.h).ravel())
     idx = row * state.grid.ncols + col
     return (float(a[idx]), float(b[idx]))

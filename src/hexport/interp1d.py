@@ -14,16 +14,18 @@ selection rules applied per inter-knot interval:
   at the price of a possibly discontinuous extension.
 
 One batched kernel, :func:`select_stencils`, applies either rule to any
-number of intervals; :func:`eno_select` and :func:`of_select` view one.
-One builder, ``_pieces``, turns any set of intervals into cubic pieces,
-the end cubics beyond a row included; its values may carry trailing
-columns that share the knots, which is how the 2D cross-row combine uses
-it.  A :class:`KnotTable` builds the pieces of knot rows laid out in one
-flat store it is given, a row-like grid's or one row's, copying none of
-it, and evaluates any set of rows with one gather and one Horner pass;
-:class:`Extension1D` is a one-row view of it.  The table calls the builder
-once per block of ``_BLOCK`` pieces and writes each block straight into
-the table, so a build holds the table plus O(``_BLOCK``) temporaries.
+number of intervals, scoring each on its values scaled by a power of two,
+so values near the float range's ends neither overflow a score nor change
+a pick; :func:`eno_select` and :func:`of_select` view one interval.  One
+builder, ``_pieces``, turns any set of intervals into cubic pieces, the
+end cubics beyond a row included; its values may carry trailing columns
+that share the knots, as in the 2D cross-row combine.  A
+:class:`KnotTable` builds the pieces of the knot rows of a flat store it
+is given, a row-like grid's or one row's, copying none of it, and
+evaluates any set of rows with one gather and one Horner pass;
+:class:`Extension1D` is a one-row view of it.  The table writes the
+builder's blocks of ``_BLOCK`` pieces straight into itself, so a build
+holds the table plus O(``_BLOCK``) temporaries.
 
 Both rules reproduce polynomials up to degree three exactly.  Outside the
 knot range the cubic through the four outermost knots is extrapolated.
@@ -46,18 +48,12 @@ OF = "of"
 _METHODS = (ENO, OF)
 
 
-@dataclass(frozen=True)
 class Knots1D:
     """A 1D reticulated function: values ``fs`` on strictly increasing ``xs``."""
 
-    xs: np.ndarray
-    fs: np.ndarray
-
-    def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=np.float64)
-        fs = np.asarray(self.fs, dtype=np.float64)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "fs", fs)
+    def __init__(self, xs, fs):
+        xs = np.asarray(xs, dtype=np.float64)
+        fs = np.asarray(fs, dtype=np.float64)
         if xs.ndim != 1 or fs.ndim != 1 or xs.size != fs.size:
             raise ValueError("xs and fs must be 1D arrays of equal length")
         if xs.size < 2:
@@ -66,12 +62,13 @@ class Knots1D:
             raise ValueError("knots and values must be finite")
         if not np.all(np.diff(xs) > 0.0):
             raise ValueError("knot abscissas must be strictly increasing")
+        self.xs, self.fs = xs, fs
 
     @classmethod
     def _trusted(cls, xs, fs):
-        """Knots of float64 arrays already checked as ``__post_init__`` would."""
-        knots = object.__new__(cls)
-        knots.__dict__.update(xs=xs, fs=fs)
+        """Knots of float64 arrays already checked as ``__init__`` would."""
+        knots = cls.__new__(cls)
+        knots.xs, knots.fs = xs, fs
         return knots
 
     def __len__(self):
@@ -156,12 +153,17 @@ def _eno_score_parts(xk, xk1, xp, xq, fk, fk1, fp, fq):
     return lam * lam + mu * mu + 1.5 * lam * mu
 
 
-def eno_score(knots: Knots1D, k: int, p: int, q: int) -> float:
-    """Relative oscillation score of the candidate flanking pair (p, q)."""
+def _neighborhood(knots: Knots1D, k: int):
+    """The knot count and interval k's neighborhood, knots k - 2 .. k + 3 in the row."""
     n = len(knots)
     if not 0 <= k <= n - 2:
         raise ValueError(f"interval index {k} out of range")
-    lo, hi = max(0, k - 2), min(n - 1, k + 3)
+    return n, max(0, k - 2), min(n - 1, k + 3)
+
+
+def eno_score(knots: Knots1D, k: int, p: int, q: int) -> float:
+    """Relative oscillation score of the candidate flanking pair (p, q)."""
+    _, lo, hi = _neighborhood(knots, k)
     for i in (p, q):
         if not lo <= i <= hi or i in (k, k + 1):
             raise ValueError(f"knot index {i} not a valid flank of interval {k}")
@@ -194,13 +196,10 @@ def _of_energy(c, x1, x2, x3, width):
 
 def of_objective(knots: Knots1D, idx, k: int) -> float:
     """L2 norm over interval k of the second derivative of the cubic on idx."""
-    n = len(knots)
-    if not 0 <= k <= n - 2:
-        raise ValueError(f"interval index {k} out of range")
+    _, lo, hi = _neighborhood(knots, k)
     idx = tuple(int(i) for i in idx)
     if len(idx) != 4 or len(set(idx)) != 4:
         raise ValueError("stencil must hold four distinct knot indices")
-    lo, hi = max(0, k - 2), min(n - 1, k + 3)
     if any(not lo <= i <= hi for i in idx):
         raise ValueError(f"stencil {idx} leaves the neighborhood of interval {k}")
     left = knots.xs[k]
@@ -244,10 +243,12 @@ def select_stencils(wx, wf, valid, method: str):
     Among candidates without invalid slots, a scan in tie-preference order
     keeping a strict running minimum keeps the first if its score is NaN or
     unbeaten, else the first least score.  Returns the chosen slots, Newton
-    coefficients and Horner nodes, ``(4|4|3, *S)``.
+    coefficients and Horner nodes, ``(4|4|3, *S)``.  Scores are quadratic
+    in the values, so each window is scored exactly, in the same order, on
+    its values scaled to a largest of [0.5, 1); coefficients are unscaled.
     """
     cands = _CANDIDATES[method].T
-    f = list(wf[cands])
+    f = list(np.ldexp(wf, -np.frexp(np.abs(wf).max(axis=0))[1])[cands])
     if method == ENO:
         score = _eno_score_parts(*wx[cands], *f)
     else:  # on abscissas local to the interval, see _of_energy
@@ -299,9 +300,7 @@ def _pieces(xs, fs, start, n, k, method: str, window=None):
 
 def _select_one(knots: Knots1D, k: int, method: str) -> Stencil1D:
     """One-interval view of :func:`select_stencils`."""
-    n = len(knots)
-    if not 0 <= k <= n - 2:
-        raise ValueError(f"interval index {k} out of range")
+    n = _neighborhood(knots, k)[0]
     if n < 4:
         raise InsufficientKnotsError(f"interval {k} has fewer than 4 usable knots")
     wx, valid, at = _windows(knots.xs, 0, n, np.array([k]))

@@ -5,11 +5,10 @@ The 2D operator is a cross combination of the 1D machinery: for a query
 each knot row in that interval's six-row neighborhood at x, and then runs
 the 1D extension once more across those per-row values in y.  Rows may have
 different knot sets and counts; a row whose knot range does not reach x
-extrapolates with its own outermost cubic.  A row-like grid holds every
-knot once, in two flat arrays with row offsets, and each row's knots are
-views of them; the knot table and the Catmull-Rom baseline read that
-store and copy none of it.  A raster becomes a row-like grid in one pass:
-its kept knots go into two flat arrays, checked once.
+extrapolates with its own outermost cubic.  A row-like grid is its knot
+store: two flat arrays and row offsets, checked in one pass, with each
+row's knots views of them.  A raster's kept knots are gathered into that
+store once; the knot table and the Catmull-Rom baseline read it as is.
 
 Evaluation is batched along horizontal lines: hexagon-row centers and
 quadrature sample rows share a y, so the per-row 1D evaluations and the
@@ -28,7 +27,6 @@ and :func:`make_extension`, which builds any of the four by method name.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,50 +50,60 @@ from .interp1d import (
 )
 
 
-@dataclass(frozen=True)
+def _check_rows(xs, fs, start):
+    """Raise what :class:`Knots1D` raises for the lowest faulty row of a store."""
+    if xs.ndim != 1 or fs.shape != xs.shape:
+        raise ValueError("xs and fs must be 1D arrays of equal length")
+    if start.ndim != 1 or not start.size or start[0] != 0 or start[-1] != xs.size \
+            or (np.diff(start) < 0).any():
+        raise ValueError("row offsets must rise from 0 to the number of knots")
+    n = np.diff(start)
+    rising = np.append(xs[1:] > xs[:-1], True)
+    rising[start[1:] - 1] = True  # a row's last knot has no successor in its row
+    good = np.append(rising & np.isfinite(xs) & np.isfinite(fs), True)
+    # An empty row reads the next knot, or the sentinel, but fails for its length.
+    ok = (n >= 2) & np.logical_and.reduceat(good, start[:-1])
+    if not ok.all():
+        j = np.argmin(ok)
+        Knots1D(xs[start[j] : start[j + 1]], fs[start[j] : start[j + 1]])
+
+
 class RowLikeGrid:
-    """Knot rows at strictly increasing heights, each with its own knots.
+    """Knot rows at strictly increasing heights ``ys``, in one knot store.
 
-    ``rows[j]`` holds the knots on the horizontal line ``y = ys[j]``.
-    ``dropped_rows`` counts source rows discarded for having fewer than two
-    usable knots.
-
-    The grid is the one store of its knots: row j's abscissas are
-    ``xs[start[j] : start[j + 1]]`` and its values ``fs`` alike.  The
-    constructor copies the given rows into that store once; ``rows[j]`` is
-    then a :class:`Knots1D` of views of it, not the caller's object.
+    Row j's abscissas are ``xs[start[j] : start[j + 1]]`` and its values
+    ``fs`` alike.  The store is checked in one pass and kept, not copied;
+    ``rows[j]`` is a :class:`Knots1D` of views of it.  ``dropped_rows``
+    counts source rows discarded for having fewer than two usable knots.
+    Equality and hashing go by identity.
     """
 
-    ys: np.ndarray
-    rows: tuple
-    dropped_rows: int = 0
-    xs: np.ndarray = field(init=False, repr=False)
-    fs: np.ndarray = field(init=False, repr=False)
-    start: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        ys = np.asarray(self.ys, dtype=np.float64)
-        rows = tuple(self.rows)
-        if ys.ndim != 1 or ys.size != len(rows):
+    def __init__(self, ys, xs, fs, start, dropped_rows: int = 0):
+        xs, fs = np.asarray(xs, dtype=np.float64), np.asarray(fs, dtype=np.float64)
+        start = np.asarray(start, dtype=np.int64)
+        _check_rows(xs, fs, start)
+        ys = np.asarray(ys, dtype=np.float64)
+        if ys.ndim != 1 or ys.size != start.size - 1:
             raise ValueError("ys and rows must have matching lengths")
         if ys.size < 2:
             raise TooSparseError("need at least 2 usable rows")
         if not np.all(np.isfinite(ys)) or not np.all(np.diff(ys) > 0.0):
             raise ValueError("row heights must be finite and strictly increasing")
-        for row in rows:
-            if not isinstance(row, Knots1D):
-                raise TypeError("rows must be Knots1D instances")
-        start = np.concatenate([[0], np.cumsum([len(row) for row in rows])])
-        xs = np.concatenate([row.xs for row in rows])
-        fs = np.concatenate([row.fs for row in rows])
-        rows = tuple(Knots1D._trusted(xs[a:b], fs[a:b])
-                     for a, b in zip(start[:-1].tolist(), start[1:].tolist()))
-        for name, value in (("ys", ys), ("rows", rows), ("xs", xs), ("fs", fs), ("start", start)):
-            object.__setattr__(self, name, value)
+        self.ys, self.xs, self.fs, self.start, self.dropped_rows = ys, xs, fs, start, dropped_rows
+        self.rows = tuple(Knots1D._trusted(xs[a:b], fs[a:b])
+                          for a, b in zip(start[:-1].tolist(), start[1:].tolist()))
+        self.nrows = ys.size
 
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
+    @classmethod
+    def from_rows(cls, ys, rows, dropped_rows: int = 0):
+        """The grid of :class:`Knots1D` ``rows`` at heights ``ys``, laid into a store."""
+        rows = tuple(rows)
+        if not all(isinstance(row, Knots1D) for row in rows):
+            raise TypeError("rows must be Knots1D instances")
+        start = np.cumsum([0] + [len(row) for row in rows])
+        xs = np.concatenate([np.empty(0)] + [row.xs for row in rows])
+        fs = np.concatenate([np.empty(0)] + [row.fs for row in rows])
+        return cls(ys, xs, fs, start, dropped_rows)
 
     @property
     def short_rows(self) -> int:
@@ -111,9 +119,8 @@ def build_row_like_grid(raster: RectRaster) -> RowLikeGrid:
     cannot be used.  Fewer than two usable rows raises
     :class:`TooSparseError`.
 
-    One check of the flat knot arrays raises what :class:`Knots1D` would for
-    the lowest faulty row, so each row's views of them are not checked again;
-    the grid then copies those views into its own store.
+    The kept knots are gathered once, into the store the grid keeps.  They
+    are checked before the warning, as a per-row :class:`Knots1D` loop would.
     """
     keep = raster.values[::-1] != raster.nodata
     counts = keep.sum(axis=1)
@@ -121,23 +128,16 @@ def build_row_like_grid(raster: RectRaster) -> RowLikeGrid:
     keep &= used[:, None]
     xs = np.broadcast_to(raster.x_centers(), keep.shape)[keep]
     fs = raster.values[::-1][keep]
-    ends = np.cumsum(counts[used])
-    starts = ends - counts[used]
-    rising = np.append(xs[1:] > xs[:-1], True)
-    rising[ends - 1] = True  # a row's last knot has no successor in its row
-    ok = np.logical_and.reduceat(rising & np.isfinite(xs) & np.isfinite(fs), starts)
-    if not ok.all():  # the public constructor raises its own error for this row
-        j = np.argmin(ok)
-        Knots1D(xs[starts[j] : ends[j]], fs[starts[j] : ends[j]])
+    start = np.concatenate([[0], np.cumsum(counts[used])])
+    _check_rows(xs, fs, start)
     dropped = int((counts == 1).sum())
     if dropped:
         warnings.warn(f"dropped {dropped} raster rows with a single usable cell",
                       SparseDataWarning, stacklevel=2)
-    if ends.size < 2:
+    if used.sum() < 2:
         raise TooSparseError("fewer than 2 usable rows after NODATA removal")
-    rows = [Knots1D._trusted(xs[a:b], fs[a:b]) for a, b in zip(starts.tolist(), ends.tolist())]
     ys = raster.y_center(np.arange(raster.nrows - 1, -1, -1)[used])
-    return RowLikeGrid(ys=ys, rows=rows, dropped_rows=dropped)
+    return RowLikeGrid(ys, xs, fs, start, dropped)
 
 
 def _lines(xs, y):
@@ -162,9 +162,7 @@ class Extension2D(_LineExtension):
     of every row; ``_rows`` holds a thin :class:`Extension1D` view of each.
     No evaluation reads ``_rows``: it stays because the benchmark's
     ``interp1d.build`` span wraps ``Extension1D.__init__``, and
-    ``hexbench/test_bench.py`` expects that span.  Evaluation batches over
-    points sharing a y (a line) and over lines sharing their xs, which is
-    how rasters and hexagon rows are swept.
+    ``hexbench/test_bench.py`` expects that span.
     """
 
     def __init__(self, grid: RowLikeGrid, method: str = ENO):
@@ -179,10 +177,8 @@ class Extension2D(_LineExtension):
         ``y`` is a scalar, giving shape ``(len(xs),)``, or a 1-D array of
         heights sharing ``xs``, giving ``(len(y), len(xs))`` whose row i
         equals the scalar call at ``y[i]`` bit for bit.  Each line finds its
-        cross-row pieces as :meth:`KnotTable.eval` finds a point's.  Every knot
-        row the lines need is evaluated once, in one table pass; the knot
-        table's builder makes the pieces, a block of intervals per call; one
-        Horner pass then serves all lines.
+        cross-row pieces as :meth:`KnotTable.eval` finds a point's; the knot
+        table's builder makes the pieces, a block of intervals per call.
         """
         xs, lines = _lines(xs, y)
         ys = self.grid.ys

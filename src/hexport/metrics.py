@@ -111,7 +111,7 @@ def l1_errors(raster: RectRaster, hexraster: HexRaster, field=None, quad: int = 
     for b in range(0, ys.size, step):
         band = slice(b, b + step)
         cols, rows, inside[band] = locate_many(grid, xs[None, :], ys[band, None])
-        gh[band] = np.where(inside[band], hexraster.values[rows, cols], np.nan)
+        gh[band] = hexraster.values[rows, cols]
     mask = inside & (gr != raster.nodata) & (gh != hexraster.nodata)
     if not mask.any():
         raise EmptyOverlapError("rasters share no usable samples")

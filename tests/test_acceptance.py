@@ -99,7 +99,7 @@ def test_criterion_02_bicubic_reproduction():
             nj = int(rng.integers(4, 10))
             xs = np.cumsum(rng.uniform(0.3, 1.5, nj)) + rng.uniform(-0.5, 0.5)
             rows.append(Knots1D(xs, cubic(xs, y)))
-        grid = RowLikeGrid(ys=ys, rows=tuple(rows))
+        grid = RowLikeGrid.from_rows(ys=ys, rows=tuple(rows))
         exts = {method: Extension2D(grid, method) for method in (ENO, OF)}
         xlo = min(r.xs[0] for r in rows)
         xhi = max(r.xs[-1] for r in rows)

@@ -79,7 +79,7 @@ def random_row_like_grid(rng, cubic=None):
         else:
             fs = cubic(xs, y)
         rows.append(Knots1D(xs, fs))
-    return RowLikeGrid(ys=ys, rows=tuple(rows))
+    return RowLikeGrid.from_rows(ys=ys, rows=tuple(rows))
 
 
 class TestBuildRowLikeGrid:
@@ -138,7 +138,7 @@ def per_row_grid(raster):
                       SparseDataWarning)
     if len(rows) < 2:
         raise TooSparseError("fewer than 2 usable rows after NODATA removal")
-    return RowLikeGrid(ys=np.array(ys), rows=tuple(rows), dropped_rows=dropped)
+    return RowLikeGrid.from_rows(ys=np.array(ys), rows=tuple(rows), dropped_rows=dropped)
 
 
 def outcome(build, raster):
@@ -210,6 +210,83 @@ class TestOnePassBuild:
             Knots1D(np.array([0.0, 1.0, 1.0]), np.zeros(3))
         with pytest.raises(ValueError, match="finite"):
             Knots1D(np.array([0.0, 1.0]), np.array([0.0, np.nan]))
+
+
+def store_rows(xs, fs, start):
+    """Checked Knots1D rows of a flat store, one at a time, as a caller
+    holding per-row arrays would make them: the store constructor's oracle."""
+    return [Knots1D(xs[a:b], fs[a:b]) for a, b in zip(start[:-1], start[1:])]
+
+
+class TestStoreConstructor:
+    """RowLikeGrid(ys, xs, fs, start) checks a flat knot store in one pass."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lengths=st.lists(st.integers(0, 6), min_size=2, max_size=8),
+        # Mostly stores that pass; the rest fail a check of some row.
+        fault=st.sampled_from([None] * 3 + ["nan x", "inf f", "nan f", "equal x", "falling x"]),
+    )
+    def test_matches_a_per_row_loop(self, seed, lengths, fault):
+        rng = np.random.default_rng(seed)
+        if fault is None:
+            lengths = [max(n, 2) for n in lengths]
+        start = np.cumsum([0] + lengths)
+        xs = np.concatenate([np.cumsum(rng.uniform(0.1, 2.0, n)) for n in lengths])
+        fs = rng.uniform(-3, 3, xs.size)
+        if fault is not None and xs.size:
+            i = rng.integers(xs.size)
+            if fault == "nan x":
+                xs[i] = np.nan
+            elif fault in ("inf f", "nan f"):
+                fs[i] = np.inf if fault == "inf f" else np.nan
+            elif i > 0:
+                xs[i] = xs[i - 1] - (fault == "falling x")
+        ys = np.arange(float(len(lengths)))
+        got, _ = outcome(lambda _: RowLikeGrid(ys, xs, fs, start), None)
+        want, _ = outcome(lambda _: store_rows(xs, fs, start), None)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert got.xs is xs and got.fs is fs and got.start.tolist() == start.tolist()
+        for (a, b), row in zip(zip(start[:-1], start[1:]), got.rows):
+            assert isinstance(row, Knots1D)
+            assert np.shares_memory(row.xs, xs) and np.shares_memory(row.fs, fs)
+            assert (bits(row.xs), bits(row.fs)) == (bits(xs[a:b]), bits(fs[a:b]))
+        again = RowLikeGrid.from_rows(ys, store_rows(xs, fs, start))
+        assert (bits(again.xs), bits(again.fs)) == (bits(xs), bits(fs))
+        assert again.start.tolist() == start.tolist()
+
+    def test_a_band_of_rows_is_a_view(self):
+        vals = np.random.default_rng(5).uniform(-3, 3, (10, 7))
+        vals[2, 1:3] = vals[5, 0] = vals[6, 4:] = -9999.0  # rows of 5, 6 and 4 knots
+        g = build_row_like_grid(RectRaster(values=vals, xll=0.0, yll=0.0, cellsize=1.0))
+        a, b = 3, 8
+        s, e = g.start[a], g.start[b]
+        band = RowLikeGrid(g.ys[a:b], g.xs[s:e], g.fs[s:e], g.start[a : b + 1] - s)
+        assert band.xs.base is g.xs and band.fs.base is g.fs
+        for got, want in zip(band.rows, g.rows[a:b], strict=True):
+            assert np.shares_memory(got.xs, want.xs) and np.shares_memory(got.fs, want.fs)
+            assert (bits(got.xs), bits(got.fs)) == (bits(want.xs), bits(want.fs))
+
+    def test_equality_and_hash_go_by_identity(self):
+        r = RectRaster(values=np.arange(12.0).reshape(3, 4), xll=0.0, yll=0.0, cellsize=1.0)
+        g = build_row_like_grid(r)
+        assert g == g and g != build_row_like_grid(r)
+        assert hash(g) == hash(g)
+        row = g.rows[0]
+        assert row == row and row != Knots1D(row.xs, row.fs)
+        assert len({row, g.rows[1], row}) == 2
+
+    def test_from_rows_takes_only_knot_rows(self):
+        with pytest.raises(TypeError, match="Knots1D"):
+            RowLikeGrid.from_rows(ys=[0.0, 1.0], rows=[Knots1D([0.0, 1.0], [0.0, 1.0]), [0.0, 1.0]])
+
+    @pytest.mark.parametrize("start", [[0, 2], [1, 4], [0, 3, 2, 4], [0, 2, 5], [[0, 2, 4]]])
+    def test_row_offsets_span_the_store(self, start):
+        with pytest.raises(ValueError, match="row offsets"):
+            RowLikeGrid([0.0, 1.0], np.arange(4.0), np.zeros(4), start)
 
 
 class TestExtension2D:
@@ -561,7 +638,7 @@ class TestFlatPath:
         ys = np.cumsum((0.5, *gaps))
         V = np.array(list(itertools.product(pool, repeat=ys.size))).T
         xs = np.arange(float(V.shape[1]))
-        grid = RowLikeGrid(ys=ys, rows=[Knots1D(xs, v) for v in V])
+        grid = RowLikeGrid.from_rows(ys=ys, rows=[Knots1D(xs, v) for v in V])
         lines = np.concatenate([ys, ys - 0.25, ys + 0.5, [ys[0] - 1e6, ys[-1] + 1e6]])
         for method in (ENO, OF):
             got = Extension2D(grid, method).eval_line(xs, lines)
@@ -584,7 +661,7 @@ class TestFlatPath:
             for n in lengths:
                 xs = np.cumsum(rng.uniform(0.2, 1.5, n)) + rng.uniform(-2, 2)
                 rows.append(Knots1D(xs, rng.uniform(-3, 3, n)))
-            grid = RowLikeGrid(ys=np.cumsum(rng.uniform(0.3, 1.5, len(rows))), rows=rows)
+            grid = RowLikeGrid.from_rows(ys=np.cumsum(rng.uniform(0.3, 1.5, len(rows))), rows=rows)
         else:
             vals = rng.uniform(-3, 3, (len(lengths), max(lengths)))
             vals[rng.uniform(0, 1, vals.shape) < holes] = -9999.0
@@ -596,12 +673,13 @@ class TestFlatPath:
             except TooSparseError:
                 assume(False)
         if values == "rounded":  # ties in the stencil scores
-            grid = RowLikeGrid(ys=grid.ys, rows=[Knots1D(r.xs, np.round(r.fs)) for r in grid.rows])
+            grid = RowLikeGrid.from_rows(ys=grid.ys,
+                                         rows=[Knots1D(r.xs, np.round(r.fs)) for r in grid.rows])
         elif values == "signed_zeros":
             # Zero results whose sign hangs on each Horner step: -0.0 next to
             # -5e-324 over a gap of 2 or more gives a -0.0 divided difference.
             pool, weight = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0], [2, 8, 2, 8, 1, 1]
-            grid = RowLikeGrid(ys=4.0 * grid.ys, rows=[
+            grid = RowLikeGrid.from_rows(ys=4.0 * grid.ys, rows=[
                 Knots1D(4.0 * r.xs, rng.choice(pool, r.fs.size, p=np.divide(weight, 22)))
                 for r in grid.rows])
         knots = np.concatenate([row.xs for row in grid.rows])
